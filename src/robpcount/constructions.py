@@ -282,22 +282,6 @@ class RoundingPlan:
     m: int  # suffix length counted exactly on top of the rounded tuple
     target_sum: int  # floor((l-1)/l * (n-m)); every rounded tuple sums to this
 
-    def round_tuple(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        """Deterministic rounding: all floors, then bump the earliest
-        coordinates with a fractional part until the sum constraint holds."""
-        scaled = [ai * (self.l - 1) for ai in a]
-        b = [s // self.l for s in scaled]
-        deficit = self.target_sum - sum(b)
-        for j in range(self.k):
-            if deficit == 0:
-                break
-            if scaled[j] % self.l != 0:
-                b[j] += 1
-                deficit -= 1
-        if deficit != 0:
-            raise AssertionError("rounding deficit not absorbable")
-        return tuple(b)
-
 
 def rounding_plan(n: int, k: int, delta) -> RoundingPlan:
     delta = Fraction(delta)
@@ -319,6 +303,9 @@ def rounded_counter_width_bound(n: int, k: int, delta) -> int:
 
 
 def _round_vectors(avecs: np.ndarray, l: int, target_sum: int) -> np.ndarray:
+    """Deterministic rounding of each row a to (l-1)/l * a: all floors, then
+    bump the earliest coordinates with a fractional part until the row sums
+    to target_sum."""
     scaled = avecs.astype(np.int64) * (l - 1)
     b = scaled // l
     fractional = (scaled % l) != 0

@@ -12,8 +12,11 @@ by coordinate.
 Label modes:
   full       one coordinate per tracked count (k for counter/parallel, 1
              for binary) -- what verification needs.
-  potential  k-1 coordinates for counter-family programs (the last letter
-             is not tracked) -- what the potential audits consume.
+  potential  the first k-1 columns of the full labels for counter-family
+             programs (the last letter's count is fixed by the others; for
+             binary programs the two modes coincide) -- what the potential
+             audits consume. Both modes run the same DP over a column slice
+             of one shift table.
 """
 
 from __future__ import annotations
@@ -43,19 +46,13 @@ class RectLabel:
         return all(a <= v <= b for a, v, b in zip(self.lo, x, self.hi))
 
 
-def _shift_table(alphabet: Alphabet, mode: str) -> np.ndarray:
+def _shift_table(alphabet: Alphabet) -> np.ndarray:
+    """Per-symbol count increments, one column per tracked count."""
     k = alphabet.k
     if alphabet.kind == "counter":
-        if mode == "full":
-            return np.eye(k, dtype=np.int32)
-        shifts = np.zeros((k, k - 1), dtype=np.int32)
-        for i in range(k - 1):
-            shifts[i, i] = 1
-        return shifts
+        return np.eye(k, dtype=np.int32)
     if alphabet.kind == "binary":
         return np.array([[0], [1]], dtype=np.int32)
-    if mode != "full":
-        raise ValueError("parallel programs have only the full labeling")
     size = 2**k
     shifts = np.zeros((size, k), dtype=np.int32)
     for i in range(size):
@@ -64,19 +61,19 @@ def _shift_table(alphabet: Alphabet, mode: str) -> np.ndarray:
     return shifts
 
 
+def _potential_k(alphabet: Alphabet) -> int:
+    return 2 if alphabet.kind == "binary" else alphabet.k
+
+
 class LabeledRobp:
     """A program plus its per-vertex rectangle labels for every layer."""
 
-    __slots__ = ("p", "mode", "dims", "potential_k", "lo", "hi")
+    __slots__ = ("p", "dims", "potential_k", "lo", "hi")
 
-    def __init__(self, p: Robp, mode: str, lo: list[np.ndarray], hi: list[np.ndarray]):
+    def __init__(self, p: Robp, lo: list[np.ndarray], hi: list[np.ndarray]):
         self.p = p
-        self.mode = mode
         self.dims = lo[0].shape[1]
-        if p.alphabet.kind == "binary":
-            self.potential_k = 2
-        else:
-            self.potential_k = p.alphabet.k
+        self.potential_k = _potential_k(p.alphabet)
         self.lo = lo
         self.hi = hi
 
@@ -90,24 +87,25 @@ class LabeledRobp:
         return self.lo[t], self.hi[t]
 
 
-def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
-    """Forward DP over layers; exact by induction on achieved prefixes."""
-    if mode not in ("full", "potential"):
-        raise ValueError(f"unknown label mode {mode!r}")
+def _label_layers(p: Robp, shifts: np.ndarray):
+    """Forward DP over layers; exact by induction on achieved prefixes.
+
+    Validates p, then yields each layer's labels as one packed array whose
+    first d columns are lo and last d columns are -hi (d = shifts columns),
+    layer 0 first. Each yielded array is fresh; the DP keeps only the last.
+    """
     report = validate(p)
     if not report.valid:
         raise ValueError(f"program is invalid: {report.violations[:3]}")
-    shifts = _shift_table(p.alphabet, mode)
     d = shifts.shape[1]
     size = p.alphabet.size
     # counts fit int16 at desk scale; sentinel is the dtype max
     dtype = np.int16 if p.n <= 30_000 else np.int32
     sentinel = np.iinfo(dtype).max
-    lo = [np.zeros((1, d), dtype=dtype)]
-    hi = [np.zeros((1, d), dtype=dtype)]
     # lo and negated hi ride in one array so every step is a scatter-min
     shifts2 = np.concatenate([shifts, -shifts], axis=1).astype(dtype)
     state = np.zeros((1, 2 * d), dtype=dtype)
+    yield state
     for t in range(p.n):
         edges = p.edge_array(t)
         v_next = p.layer_sizes[t + 1]
@@ -125,22 +123,40 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
             else:
                 np.minimum.at(nxt, tgt, cand)
         state = nxt
+        yield state
+
+
+def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
+    """Labels of every layer; "potential" tracks the first k-1 columns."""
+    shifts = _shift_table(p.alphabet)
+    if mode == "potential":
+        if p.alphabet.kind == "parallel":
+            raise ValueError("parallel programs have only the full labeling")
+        shifts = shifts[:, : _potential_k(p.alphabet) - 1]
+    elif mode != "full":
+        raise ValueError(f"unknown label mode {mode!r}")
+    d = shifts.shape[1]
+    lo, hi = [], []
+    for state in _label_layers(p, shifts):
         lo.append(state[:, :d].copy())
         hi.append(-state[:, d:])
-    mode_name = {
-        ("counter", "full"): "counter-full",
-        ("counter", "potential"): "counter-potential",
-        ("binary", "full"): "binary",
-        ("binary", "potential"): "counter-potential",
-        ("parallel", "full"): "parallel",
-    }[(p.alphabet.kind, mode)]
-    return LabeledRobp(p, mode_name, lo, hi)
+    return LabeledRobp(p, lo, hi)
+
+
+def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
+    """Full int64 labels of the final layer, holding one layer at a time."""
+    shifts = _shift_table(p.alphabet)
+    d = shifts.shape[1]
+    for state in _label_layers(p, shifts):
+        pass
+    state = state.astype(np.int64)
+    return state[:, :d], -state[:, d:]
 
 
 def edge_monotone(lp: LabeledRobp) -> bool:
     """Per-edge label containment: label(u) + shift(z) inside label(v)."""
     p = lp.p
-    shifts = _shift_table(p.alphabet, "full" if lp.mode != "counter-potential" else "potential")
+    shifts = _shift_table(p.alphabet)[:, : lp.dims]
     for t in range(p.n):
         edges = p.edge_array(t)
         for sym in range(p.alphabet.size):
@@ -184,9 +200,7 @@ def verify(p: Robp, problem: Alphabet, delta) -> VerifyCertificate:
         raise ValueError(
             f"output arity {out.shape[1]} does not match problem arity {problem.arity}"
         )
-    lp = compute_labels(p, "full")
-    lo = lp.lo[-1].astype(np.int64)
-    hi = lp.hi[-1].astype(np.int64)
+    lo, hi = _final_labels(p)
     num, den = out.num, out.den
     if num.size and (
         int(den.max()) > 2**15 or int(np.abs(num).max()) > 2**30 or p.n > 2**15
@@ -213,12 +227,11 @@ def minimal_error(p: Robp, problem: Alphabet):
     """Best achievable additive error for p's structure, with the outputs
     that achieve it (interval midpoints). Existing outputs are ignored."""
     _check_problem(p, problem)
-    lp = compute_labels(p, "full")
-    lo, hi = lp.lo[-1], lp.hi[-1]
-    length = (hi.astype(np.int64) - lo).max() if lo.size else 0
+    lo, hi = _final_labels(p)
+    length = (hi - lo).max() if lo.size else 0
     delta_star = Fraction(int(length), 2)
-    optimal = [
-        tuple(Fraction(int(a) + int(b), 2) for a, b in zip(lo[v], hi[v]))
-        for v in range(lo.shape[0])
-    ]
+    # midpoints: one Fraction per distinct lo+hi sum, shared across vertices
+    sums = lo + hi
+    half = {s: Fraction(s, 2) for s in np.unique(sums).tolist()}
+    optimal = [tuple(map(half.__getitem__, row)) for row in sums.tolist()]
     return delta_star, optimal

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -65,7 +64,6 @@ class PotentialProfile:
     grid_kind: str  # "simplex" | "box"
     audited_range: tuple[int, int]  # inclusive layer interval
     k: int  # potential parameter (counter k; parallel k)
-    phi_tables: tuple[dict, ...] | None = None
 
     def phi(self, t: int) -> int:
         t0, t1 = self.audited_range
@@ -74,39 +72,12 @@ class PotentialProfile:
         return self.phi_values[t - t0]
 
 
-try:  # numba speeds the painting kernel ~10x; the numpy path is equivalent
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _paint_loop(flat, starts, widths, vals, strides):  # pragma: no cover
-        r_count, d = widths.shape
-        idx = np.zeros(d, np.int64)
-        for r in range(r_count):
-            val = vals[r]
-            pos = starts[r]
-            for j in range(d):
-                idx[j] = 0
-            while True:
-                if flat[pos] < val:
-                    flat[pos] = val
-                j = d - 1
-                while j >= 0:
-                    idx[j] += 1
-                    pos += strides[j]
-                    if idx[j] < widths[r, j]:
-                        break
-                    pos -= strides[j] * idx[j]
-                    idx[j] = 0
-                    j -= 1
-                if j < 0:
-                    break
-
-except ImportError:  # pragma: no cover
-    _paint_loop = None
-
-
 def _paint_numpy(flat, starts, widths, vals, strides):
-    """Shape-grouped scatter painting; used when numba is unavailable."""
+    """Max-paint each rectangle's value over its cells of the flat grid.
+
+    Rectangles are grouped by shape, so each group shares one offset table;
+    a chunk of same-shape rectangles is painted with one np.maximum.at,
+    which handles the overlaps."""
     order = np.lexsort(widths.T[::-1])
     widths_sorted = widths[order]
     group_starts = np.flatnonzero(
@@ -148,11 +119,7 @@ def _paint(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, base, shape, budget
     budget[0] -= int(widths.prod(axis=1).sum())
     if budget[0] < 0:
         raise GridBudgetError("painting budget exhausted; raise the limit")
-    vals = np.ascontiguousarray(vals, dtype=np.int64)
-    if _paint_loop is not None:
-        _paint_loop(flat, starts, np.ascontiguousarray(widths), vals, strides)
-    else:
-        _paint_numpy(flat, starts, widths, vals, strides)
+    _paint_numpy(flat, starts, widths, np.asarray(vals, dtype=np.int64), strides)
     return flat
 
 
@@ -188,59 +155,34 @@ def _phi_sum_counter(lo: np.ndarray, hi: np.ndarray, t: int, budget, max_cells) 
 def profile_counter(
     lp: LabeledRobp,
     *,
-    keep_tables: bool = False,
     max_cells: int = DEFAULT_MAX_BOX_CELLS,
     max_paint: int = DEFAULT_MAX_PAINT,
 ) -> PotentialProfile:
     """Phi_t for t = 0..n over the simplex grids (counter potential)."""
-    if lp.mode != "counter-potential":
-        raise ValueError("profile_counter needs labels in counter-potential mode")
+    if lp.p.alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
+        raise ValueError("profile_counter needs the k-1 potential labels of a counter program")
     n = lp.p.n
-    k = lp.potential_k
     budget = [max_paint]
     phis = []
-    tables = [] if keep_tables else None
     for t in range(n + 1):
         lo, hi = lp.layer_rectangles(t)
         phis.append(_phi_sum_counter(lo, hi, t, budget, max_cells))
-        if keep_tables is True:
-            if math.comb(t + k - 1, k - 1) > max_cells:
-                raise GridBudgetError("grid too large to tabulate")
-            rects = [
-                (tuple(int(v) for v in lo[i]), tuple(int(v) for v in hi[i]))
-                for i in range(lo.shape[0])
-            ]
-            table = {}
-            for x in _simplex_points(t, k - 1):
-                table[x] = phi_counter(rects, x, t)
-            tables.append(table)
     return PotentialProfile(
         phi_values=tuple(phis),
         grid_kind="simplex",
         audited_range=(0, n),
-        k=k,
-        phi_tables=tuple(tables) if tables is not None else None,
+        k=lp.potential_k,
     )
-
-
-def _simplex_points(t: int, d: int):
-    if d == 0:
-        yield ()
-        return
-    for head in range(t + 1):
-        for rest in _simplex_points(t - head, d - 1):
-            yield (head,) + rest
 
 
 def profile_parallel(
     lp: LabeledRobp,
     *,
-    keep_tables: bool = False,
     max_cells: int = DEFAULT_MAX_BOX_CELLS,
     max_paint: int = DEFAULT_MAX_PAINT,
 ) -> PotentialProfile:
     """Phi_t for t = floor(n/10)..n over the box grid (parallel potential)."""
-    if lp.mode != "parallel":
+    if lp.p.alphabet.kind != "parallel":
         raise ValueError("profile_parallel needs parallel labels")
     n = lp.p.n
     k = lp.dims
@@ -251,8 +193,8 @@ def profile_parallel(
     budget = [max_paint]
     base = (0,) * k
     shape = (side,) * k
+    sums = _coord_sums(base, shape)
     phis = []
-    tables = [] if keep_tables else None
     for t in range(t0, n + 1):
         lo, hi = lp.layer_rectangles(t)
         lo64 = lo.astype(np.int64)
@@ -263,26 +205,15 @@ def profile_parallel(
         if keep.any():
             clipped_hi = np.minimum(hi64[keep], side - 1)
             flat = _paint(lo64[keep], clipped_hi, vals[keep], base, shape, budget)
-            sums = _coord_sums(base, shape)
             covered = flat >= 0
             phis.append(int((flat[covered] - sums[covered]).sum()))
         else:
             phis.append(0)
-        if keep_tables:
-            rects = [
-                (tuple(int(v) for v in lo[i]), tuple(int(v) for v in hi[i]))
-                for i in range(lo.shape[0])
-            ]
-            table = {}
-            for x in _iproduct(range(side), repeat=k):
-                table[x] = phi_parallel(rects, x)
-            tables.append(table)
     return PotentialProfile(
         phi_values=tuple(phis),
         grid_kind="box",
         audited_range=(t0, n),
         k=k,
-        phi_tables=tuple(tables) if tables is not None else None,
     )
 
 

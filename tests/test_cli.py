@@ -1,10 +1,19 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import robpcount
 from robpcount.cli import main
+
+# child processes import the same robpcount as this test run, installed or not
+SRC = str(Path(robpcount.__file__).resolve().parent.parent)
+CHILD_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+)
 
 
 def run_cli(capsys, *argv):
@@ -61,12 +70,12 @@ def test_pipeline_through_stdin():
     build = subprocess.run(
         [sys.executable, "-m", "robpcount.cli", "build", "--kind", "tribes",
          "--n", "100", "--w", "4"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=CHILD_ENV,
     )
     verify = subprocess.run(
         [sys.executable, "-m", "robpcount.cli", "verify", "--problem", "binary",
          "--delta", "49"],
-        input=build.stdout, capture_output=True, text=True,
+        input=build.stdout, capture_output=True, text=True, env=CHILD_ENV,
     )
     assert verify.returncode == 0
     assert json.loads(verify.stdout)["valid"] is True
@@ -81,6 +90,22 @@ def test_build_exact_and_labels(tmp_path, capsys):
     assert lines[0] == "layer,vertex,lo_1,lo_2,hi_1,hi_2"
     assert lines[1] == "0,0,0,0,0,0"
     assert len(lines) == 1 + 1 + 2 + 3
+
+
+def test_potential_labels_are_first_columns_of_full(tmp_path, capsys):
+    path = tmp_path / "exact.json"
+    run_cli(capsys, "build", "--kind", "exact", "--n", "3", "--k", "3", "-o", str(path))
+    code, full = run_cli(capsys, "labels", "-i", str(path), "--mode", "full")
+    assert code == 0
+    code, potential = run_cli(capsys, "labels", "-i", str(path), "--mode", "potential")
+    assert code == 0
+    full_rows = [line.split(",") for line in full.strip().splitlines()]
+    potential_rows = [line.split(",") for line in potential.strip().splitlines()]
+    assert potential_rows[0] == ["layer", "vertex", "lo_1", "lo_2", "hi_1", "hi_2"]
+    assert len(potential_rows) == len(full_rows) == 1 + 1 + 3 + 6 + 10
+    # full columns: layer, vertex, lo_1..lo_3, hi_1..hi_3
+    for prow, frow in zip(potential_rows[1:], full_rows[1:]):
+        assert prow == frow[:4] + frow[5:7]
 
 
 def test_audit_csv(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from robpcount import (
@@ -19,7 +20,7 @@ from robpcount import (
     validate,
     verify,
 )
-from robpcount.constructions import WidthBudgetError
+from robpcount.constructions import WidthBudgetError, _round_vectors
 
 
 def test_exact_counter_shape():
@@ -154,10 +155,12 @@ def test_rounding_rule_brackets_and_sum():
     for k in (2, 3, 4):
         plan = rounding_plan(120 * k, k, 12)
         total = 120 * k - plan.m
+        rows = []
         for _ in range(50):
             cuts = sorted(rng.randint(0, total) for _ in range(k - 1))
-            a = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
-            b = plan.round_tuple(a)
+            rows.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [total])))
+        rounded = _round_vectors(np.array(rows), plan.l, plan.target_sum).tolist()
+        for a, b in zip(rows, rounded):
             assert sum(b) == plan.target_sum
             for aj, bj in zip(a, b):
                 scaled = Fraction(plan.l - 1, plan.l) * aj

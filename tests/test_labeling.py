@@ -104,14 +104,30 @@ def test_edge_monotonicity():
 
 
 def test_potential_mode_drops_last_letter():
-    p = exact_counter(3, 3)
-    lp = compute_labels(p, "potential")
-    full = compute_labels(p, "full")
-    assert lp.dims == 2
-    for t in range(4):
-        for v in range(p.layer_sizes[t]):
-            assert lp.label(t, v).lo == full.label(t, v).lo[:2]
-            assert lp.label(t, v).hi == full.label(t, v).hi[:2]
+    programs = [exact_counter(3, 3)]
+    programs += [
+        random_robp(6, problem, 4, seed)
+        for seed, problem in enumerate(
+            [counter_alphabet(2), counter_alphabet(3), binary_alphabet()] * 3
+        )
+    ]
+    for p in programs:
+        lp = compute_labels(p, "potential")
+        full = compute_labels(p, "full")
+        d = lp.potential_k - 1
+        assert lp.dims == d
+        for t in range(p.n + 1):
+            for v in range(p.layer_sizes[t]):
+                assert lp.label(t, v).lo == full.label(t, v).lo[:d]
+                assert lp.label(t, v).hi == full.label(t, v).hi[:d]
+
+
+def test_parallel_programs_have_no_potential_labels():
+    p = random_robp(3, parallel_alphabet(2), 2, 0)
+    with pytest.raises(ValueError, match="only the full"):
+        compute_labels(p, "potential")
+    with pytest.raises(ValueError, match="unknown label mode"):
+        compute_labels(p, "half")
 
 
 def test_verify_exact_counter_at_zero():

@@ -137,7 +137,7 @@ def test_profile_matches_pointwise_sum():
         n = rng.randint(1, 8)
         p = random_robp(n, problem, rng.randint(1, 5), seed)
         lp = compute_labels(p, "potential")
-        prof = profile_counter(lp, keep_tables=True)
+        prof = profile_counter(lp)
         for t in range(n + 1):
             lo, hi = lp.layer_rectangles(t)
             rects = [
@@ -146,9 +146,6 @@ def test_profile_matches_pointwise_sum():
             ]
             expected = sum(phi_counter(rects, x, t) for x in simplex(t, lp.dims))
             assert prof.phi(t) == expected, (seed, t)
-            assert prof.phi_tables[t] == {
-                x: phi_counter(rects, x, t) for x in simplex(t, lp.dims)
-            }
 
 
 def test_phi_pointwise_monotone_and_corner_step():
@@ -264,7 +261,7 @@ def test_parallel_profile_matches_pointwise():
         n = rng.randint(10, 20)
         p = random_robp(n, parallel_alphabet(2), rng.randint(1, 5), seed)
         lp = compute_labels(p, "full")
-        prof = profile_parallel(lp, keep_tables=True)
+        prof = profile_parallel(lp)
         side = n // 10 + 1
         for t in range(n // 10, n + 1):
             lo, hi = lp.layer_rectangles(t)
@@ -309,3 +306,12 @@ def test_grid_budget_guard():
     q = random_robp(30, parallel_alphabet(2), 2, 0)
     with pytest.raises(GridBudgetError):
         profile_parallel(compute_labels(q, "full"), max_cells=3)
+
+
+def test_profile_guards_reject_wrong_labels():
+    with pytest.raises(ValueError, match="profile_counter"):
+        profile_counter(compute_labels(exact_counter(3, 3), "full"))
+    with pytest.raises(ValueError, match="profile_parallel"):
+        profile_parallel(compute_labels(exact_counter(3, 3), "potential"))
+    with pytest.raises(ValueError, match="profile_parallel"):
+        profile_parallel(compute_labels(constant_program(20, Fraction(10)), "full"))
