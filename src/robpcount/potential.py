@@ -12,7 +12,10 @@ per-layer growth lower bound nor inflate the final-layer sum.
 
 phi_counter/phi_parallel are the pointwise definitions; profiles are
 computed by painting rectangles onto dense grids, which the tests check
-against the pointwise form.
+against the pointwise form. The painting and the masked sum run in one small
+C kernel (_kernel.py), compiled on first use when a C compiler is present;
+otherwise the numpy painter (_paint, _paint_numpy, _coord_sums) runs. The
+numpy painter is also the reference the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernel
 from .bounds import gen_binom
 from .labeling import LabeledRobp, verify
 from .robp import binary_alphabet, counter_alphabet, parallel_alphabet
@@ -75,9 +79,11 @@ class PotentialProfile:
 def _paint_numpy(flat, starts, widths, vals, strides):
     """Max-paint each rectangle's value over its cells of the flat grid.
 
-    Rectangles are grouped by shape, so each group shares one offset table;
-    a chunk of same-shape rectangles is painted with one np.maximum.at,
-    which handles the overlaps."""
+    The numpy painter: the fallback when the C kernel cannot be built, and
+    the reference the tests compare the kernel against. Rectangles are
+    grouped by shape, so each group shares one offset table; a chunk of
+    same-shape rectangles is painted with one np.maximum.at, which handles
+    the overlaps."""
     order = np.lexsort(widths.T[::-1])
     widths_sorted = widths[order]
     group_starts = np.flatnonzero(
@@ -99,6 +105,26 @@ def _paint_numpy(flat, starts, widths, vals, strides):
             np.maximum.at(flat, pos, painted)
 
 
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """Row sums of a narrow 2-d array as int64, one column add at a time
+    (much cheaper than a.sum(axis=1) over a few columns)."""
+    total = a[:, 0].astype(np.int64)
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _charge(budget, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Take the rectangles' cell count from the paint budget before any
+    cell is written."""
+    vol = hi[:, 0] - lo[:, 0] + 1
+    for j in range(1, lo.shape[1]):
+        vol *= hi[:, j] - lo[:, j] + 1
+    budget[0] -= int(vol.sum())
+    if budget[0] < 0:
+        raise GridBudgetError("painting budget exhausted; raise the limit")
+
+
 def _paint(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, base, shape, budget):
     """Dense max-paint of value boxes onto a d-dimensional grid.
 
@@ -116,9 +142,7 @@ def _paint(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, base, shape, budget
     rel = (lo - np.asarray(base, dtype=np.int64)).astype(np.int64)
     starts = rel @ strides
     widths = (hi - lo + 1).astype(np.int64)
-    budget[0] -= int(widths.prod(axis=1).sum())
-    if budget[0] < 0:
-        raise GridBudgetError("painting budget exhausted; raise the limit")
+    _charge(budget, lo, hi)
     _paint_numpy(flat, starts, widths, np.asarray(vals, dtype=np.int64), strides)
     return flat
 
@@ -133,23 +157,58 @@ def _coord_sums(base, shape) -> np.ndarray:
     return total.ravel()
 
 
-def _phi_sum_counter(lo: np.ndarray, hi: np.ndarray, t: int, budget, max_cells) -> int:
-    lo64 = lo.astype(np.int64)
-    hi64 = hi.astype(np.int64)
-    vals = np.minimum(hi64.sum(axis=1), t)
-    keep = vals > lo64.sum(axis=1)
+def _paint_sum(paint, lo, hi, vals, base, shape, t: int, budget, sums=None) -> int:
+    """Max-paint the int64 rectangles onto the grid over `shape` at `base`
+    and return the sum of (cell - coordinate sum) over the painted cells
+    whose coordinate sum is <= t.
+
+    paint is the C kernel, or None for the numpy painter; sums optionally
+    holds the numpy painter's _coord_sums(base, shape)."""
+    if paint is None:
+        flat = _paint(lo, hi, vals, base, shape, budget)
+        if sums is None:
+            sums = _coord_sums(base, shape)
+        covered = (flat >= 0) & (sums <= t)
+        return int((flat[covered] - sums[covered]).sum())
+    _charge(budget, lo, hi)
+    base = np.asarray(base, dtype=np.int64)
+    grid = np.full(math.prod(shape), -1, dtype=np.int64)
+    return paint(lo - base, hi - base, vals, shape, int(base.sum()), t, grid)
+
+
+def _check_rectangles(lp: LabeledRobp, layers) -> None:
+    """Reject label arrays that are no rectangles: LabeledRobp is public and
+    does not check them, and the painters would misread them."""
+    if len(lp.lo) != lp.p.n + 1 or len(lp.hi) != lp.p.n + 1:
+        raise ValueError(
+            f"malformed rectangle arrays: {len(lp.lo)} lo and {len(lp.hi)} hi layers"
+            f" for {lp.p.n + 1} program layers"
+        )
+    for t in layers:
+        lo, hi = lp.layer_rectangles(t)
+        if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != lp.dims:
+            raise ValueError(
+                f"malformed rectangle arrays in layer {t}: lo {lo.shape}, hi {hi.shape}"
+            )
+        if len(lo) and (lo.min() < 0 or (hi < lo).any()):
+            raise ValueError(f"malformed rectangle in layer {t}: need 0 <= lo <= hi")
+
+
+def _phi_sum_counter(paint, lo: np.ndarray, hi: np.ndarray, t: int, budget, max_cells) -> int:
+    vals = np.minimum(_col_sum(hi), t)
+    keep = vals > _col_sum(lo)
     if not keep.any():
         return 0
-    lo64, hi64, vals = lo64[keep], hi64[keep], vals[keep]
-    base = lo64.min(axis=0)
-    top = hi64.max(axis=0)
-    shape = tuple(int(v) for v in (top - base + 1))
+    if not keep.all():
+        lo, hi, vals = lo[keep], hi[keep], vals[keep]
+    lo64 = lo.astype(np.int64, order="C")
+    hi64 = hi.astype(np.int64, order="C")
+    # per-column reductions: min/max over axis 0 of a narrow array is slow
+    base = np.array([lo64[:, j].min() for j in range(lo64.shape[1])])
+    shape = tuple(int(hi64[:, j].max() - b + 1) for j, b in enumerate(base))
     if math.prod(shape) > max_cells:
         raise GridBudgetError(f"layer grid of {math.prod(shape)} cells over budget")
-    flat = _paint(lo64, hi64, vals, base, shape, budget)
-    sums = _coord_sums(base, shape)
-    covered = (flat >= 0) & (sums <= t)
-    return int((flat[covered] - sums[covered]).sum())
+    return _paint_sum(paint, lo64, hi64, vals, base, shape, t, budget)
 
 
 def profile_counter(
@@ -162,11 +221,13 @@ def profile_counter(
     if lp.p.alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
         raise ValueError("profile_counter needs the k-1 potential labels of a counter program")
     n = lp.p.n
+    _check_rectangles(lp, range(n + 1))
+    paint = _kernel.kernel()
     budget = [max_paint]
     phis = []
     for t in range(n + 1):
         lo, hi = lp.layer_rectangles(t)
-        phis.append(_phi_sum_counter(lo, hi, t, budget, max_cells))
+        phis.append(_phi_sum_counter(paint, lo, hi, t, budget, max_cells))
     return PotentialProfile(
         phi_values=tuple(phis),
         grid_kind="simplex",
@@ -190,23 +251,24 @@ def profile_parallel(
     if side**k > max_cells:
         raise GridBudgetError(f"box of {side ** k} cells over budget")
     t0 = n // 10
+    _check_rectangles(lp, range(t0, n + 1))
+    paint = _kernel.kernel()
     budget = [max_paint]
     base = (0,) * k
     shape = (side,) * k
-    sums = _coord_sums(base, shape)
+    top = k * (side - 1)  # the box's largest coordinate sum: no cell is capped
+    sums = _coord_sums(base, shape) if paint is None else None
     phis = []
     for t in range(t0, n + 1):
         lo, hi = lp.layer_rectangles(t)
-        lo64 = lo.astype(np.int64)
-        hi64 = hi.astype(np.int64)
-        vals = hi64.sum(axis=1)
-        inside = (lo64 <= side - 1).all(axis=1)
-        keep = inside & (vals > lo64.sum(axis=1))
+        vals = _col_sum(hi)
+        keep = (vals > _col_sum(lo)) & (lo <= side - 1).all(axis=1)
         if keep.any():
-            clipped_hi = np.minimum(hi64[keep], side - 1)
-            flat = _paint(lo64[keep], clipped_hi, vals[keep], base, shape, budget)
-            covered = flat >= 0
-            phis.append(int((flat[covered] - sums[covered]).sum()))
+            lo64 = lo[keep].astype(np.int64, order="C")
+            clipped_hi = np.minimum(hi[keep].astype(np.int64, order="C"), side - 1)
+            phis.append(
+                _paint_sum(paint, lo64, clipped_hi, vals[keep], base, shape, top, budget, sums)
+            )
         else:
             phis.append(0)
     return PotentialProfile(

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from robpcount import (
@@ -315,3 +316,46 @@ def test_profile_guards_reject_wrong_labels():
         profile_parallel(compute_labels(exact_counter(3, 3), "potential"))
     with pytest.raises(ValueError, match="profile_parallel"):
         profile_parallel(compute_labels(constant_program(20, Fraction(10)), "full"))
+
+
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+def test_profiles_reject_malformed_rectangles(monkeypatch, path):
+    from robpcount import LabeledRobp, _kernel
+
+    if path == "numpy":
+        monkeypatch.setattr(_kernel, "kernel", lambda: None)
+    elif _kernel.kernel() is None:
+        pytest.skip("paint kernel not built")
+    counter = compute_labels(random_robp(6, counter_alphabet(3), 3, 2), "potential")
+    parallel = compute_labels(random_robp(20, parallel_alphabet(2), 3, 2), "full")
+    for lp, profile in ((counter, profile_counter), (parallel, profile_parallel)):
+        t = lp.p.n  # audited by both profiles
+        for edit in ("inverted", "far inverted", "negative", "shape", "layers"):
+            lo = [a.copy() for a in lp.lo]
+            hi = [a.copy() for a in lp.hi]
+            if edit == "inverted":  # a width of 0
+                hi[t][0, 0] = lo[t][0, 0] - 1
+            elif edit == "far inverted":  # a negative width
+                hi[t][0, 1] = lo[t][0, 1] - 3
+            elif edit == "negative":
+                lo[t][0, 0] = -1
+            elif edit == "shape":
+                hi[t] = hi[t][:-1]
+            else:
+                lo, hi = lo[:-1], hi[:-1]
+            with pytest.raises(ValueError, match="malformed rectangle"):
+                profile(LabeledRobp(lp.p, lo, hi))
+
+
+def test_profiles_take_fortran_ordered_labels():
+    from robpcount import LabeledRobp
+
+    def fortran(lp):
+        return LabeledRobp(
+            lp.p, [np.asfortranarray(a) for a in lp.lo], [np.asfortranarray(a) for a in lp.hi]
+        )
+
+    lp = compute_labels(random_robp(8, counter_alphabet(3), 4, 5), "potential")
+    assert profile_counter(fortran(lp)) == profile_counter(lp)
+    lp = compute_labels(random_robp(20, parallel_alphabet(2), 3, 5), "full")
+    assert profile_parallel(fortran(lp)) == profile_parallel(lp)
