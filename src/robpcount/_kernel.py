@@ -21,25 +21,22 @@ import zlib
 
 import numpy as np
 
-MAX_DIMS = 16  # fixed index depth of the kernel's per-axis arrays
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
 SOURCE = r"""
 #include <stdint.h>
 
-#define MAX_DIMS %d
-
 /* Max-paint n boxes [lo[r], hi[r]] (d coordinates each, relative to the
    grid origin) with value vals[r] onto the row-major grid of the given
    shape, then return the sum of cell - (s0 + coordinate sum) over the cells
    >= 0 whose s0 + coordinate sum is at most t. s0 is the coordinate sum of
-   the grid origin. The caller guarantees 1 <= d <= MAX_DIMS and
+   the grid origin. The caller guarantees d >= 1 and
    0 <= lo <= hi < shape. */
 int64_t paint_sum(int64_t n, int64_t d, const int64_t *lo, const int64_t *hi,
                   const int64_t *vals, const int64_t *shape, int64_t s0,
                   int64_t t, int64_t *grid)
 {
-    int64_t stride[MAX_DIMS], idx[MAX_DIMS];
+    int64_t stride[d], idx[d];
     int64_t cells = 1;
     for (int64_t j = d - 1; j >= 0; j--) {
         stride[j] = cells;
@@ -57,7 +54,7 @@ int64_t paint_sum(int64_t n, int64_t d, const int64_t *lo, const int64_t *hi,
         for (;;) {
             int64_t *row = grid + off;
             /* an unconditional store: a data-dependent branch here
-               mispredicts often and paints about 30%% slower */
+               mispredicts often and paints about 30% slower */
             for (int64_t c = 0; c < width; c++) {
                 const int64_t x = row[c];
                 row[c] = x < v ? v : x;
@@ -103,7 +100,7 @@ int64_t paint_sum(int64_t n, int64_t d, const int64_t *lo, const int64_t *hi,
     }
     return total;
 }
-""" % MAX_DIMS
+"""
 
 
 def _paint_sum(fn, lo, hi, vals, shape, s0: int, t: int, grid) -> int:
@@ -121,8 +118,8 @@ def _paint_sum(fn, lo, hi, vals, shape, s0: int, t: int, grid) -> int:
         raise ValueError("paint kernel needs lo, hi of shape (n, d) and vals of shape (n,)")
     n, d = lo.shape
     shape_arr = np.array(shape, dtype=np.int64)
-    if not 1 <= d <= MAX_DIMS or shape_arr.shape != (d,):
-        raise ValueError(f"paint kernel needs 1 <= d <= {MAX_DIMS} and a shape of length d")
+    if d < 1 or shape_arr.shape != (d,):
+        raise ValueError("paint kernel needs d >= 1 and a shape of length d")
     if (shape_arr < 1).any() or grid.size != int(np.prod(shape_arr)):
         raise ValueError("paint kernel grid does not match its shape")
     if n and ((lo < 0).any() or (hi < lo).any() or (hi >= shape_arr).any()):

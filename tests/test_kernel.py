@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robpcount import (
+    LabeledRobp,
     binary_alphabet,
     compute_labels,
     constant_program,
@@ -112,6 +113,37 @@ def test_profiles_equal_on_both_paint_paths(monkeypatch, profile, cases):
     assert [profile(lp).phi_values for lp in labels] == fast
 
 
+def _wide_labels(p, rng, lo_max, reach):
+    """Hand-built labels for p: per layer t, up to 6 random boxes with lo
+    columns in 0..lo_max and hi columns up to reach(t) past lo. The profiles
+    only read the rectangles, and the label DP over the 2**17 symbols of a
+    k = 17 parallel program is too slow for a unit test."""
+    d = p.alphabet.k - (p.alphabet.kind == "counter")
+    lo, hi = [], []
+    for t in range(p.n + 1):
+        rows = rng.integers(1, 7)
+        layer_lo = rng.integers(0, lo_max + 1, size=(rows, d))
+        lo.append(layer_lo.astype(np.int16))
+        hi.append((layer_lo + rng.integers(0, reach(t) + 1, size=(rows, d))).astype(np.int16))
+    return LabeledRobp(p, lo, hi)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_profiles_equal_on_both_paint_paths_past_16_columns(monkeypatch, seed):
+    compiled()
+    rng = np.random.default_rng(seed)
+    # counter k = 18: 17 label columns, each layer's grid within 2**17 cells
+    p = constant_program(6, (Fraction(0),) * 18, alphabet=counter_alphabet(18))
+    counter = _wide_labels(p, rng, 0, lambda t: 1)
+    # parallel k = 17, n = 12: a 2**17-cell box, audited from layer 1
+    p = constant_program(12, (Fraction(6),) * 17, alphabet=parallel_alphabet(17))
+    parallel = _wide_labels(p, rng, 1, lambda t: t)
+    fast = (profile_counter(counter).phi_values, profile_parallel(parallel).phi_values)
+    assert any(fast[0]) and any(fast[1])
+    monkeypatch.setattr(_kernel, "kernel", lambda: None)
+    assert (profile_counter(counter).phi_values, profile_parallel(parallel).phi_values) == fast
+
+
 def test_kernel_guards_reject_what_the_c_code_cannot_take():
     paint = compiled()
     lo = np.array([[0, 1]], dtype=np.int64)
@@ -127,7 +159,7 @@ def test_kernel_guards_reject_what_the_c_code_cannot_take():
         (lo - 1, hi, vals, (3, 3), grid),  # lo >= 0
         (lo, lo - [[0, 1]], vals, (3, 3), grid),  # hi >= lo
         (lo, hi + 1, vals, (3, 3), grid),  # hi < shape
-        (np.zeros((1, 17), np.int64), np.zeros((1, 17), np.int64), vals, (1,) * 17, grid[:1]),
+        (np.zeros((1, 0), np.int64), np.zeros((1, 0), np.int64), vals, (), grid[:1]),  # d >= 1
     ]
     for lo_, hi_, vals_, shape, grid_ in bad:
         with pytest.raises(ValueError, match="paint kernel"):
