@@ -71,6 +71,11 @@ class LabeledRobp:
     __slots__ = ("p", "dims", "potential_k", "lo", "hi")
 
     def __init__(self, p: Robp, lo: list[np.ndarray], hi: list[np.ndarray]):
+        if len(lo) != p.n + 1 or len(hi) != p.n + 1:
+            raise ValueError(
+                f"malformed rectangle arrays: {len(lo)} lo and {len(hi)} hi layers"
+                f" for {p.n + 1} program layers"
+            )
         self.p = p
         self.dims = lo[0].shape[1]
         self.potential_k = _potential_k(p.alphabet)

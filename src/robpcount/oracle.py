@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -166,20 +167,6 @@ class FrontierPoint:
     witness: IntervalSystem
 
 
-def _set_partitions(items: list, max_blocks: int):
-    """All partitions of items into at most max_blocks nonempty blocks,
-    in a deterministic order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest, max_blocks):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        if len(part) < max_blocks:
-            yield part + [[first]]
-
-
 def _maximal_obligations(state: tuple[Interval, ...]) -> list[Interval]:
     obs = set()
     for a, b in state:
@@ -189,15 +176,6 @@ def _maximal_obligations(state: tuple[Interval, ...]) -> list[Interval]:
         o
         for o in obs
         if not any(p != o and p[0] <= o[0] and o[1] <= p[1] for p in obs)
-    )
-
-
-def _antichain(intervals) -> tuple[Interval, ...]:
-    uniq = sorted(set(intervals))
-    return tuple(
-        i
-        for i in uniq
-        if not any(j != i and j[0] <= i[0] and i[1] <= j[1] for j in uniq)
     )
 
 
@@ -219,35 +197,41 @@ def _prune_dominated(states: set) -> set:
     return set(keep)
 
 
-def _feasible(n: int, w: int, limit: int, track: bool):
-    """Is there an interval system with every length <= limit? Lengths never
-    shrink along witness chains, so pruning long intervals is lossless."""
-    start = ((0, 0),)
-    frontier_states = {start}
-    parents: list[dict] = [{} for _ in range(n + 1)]
-    for t in range(n):
+def _runs(obs: list[Interval], w: int):
+    """Hulls of every split of obs into at most w contiguous runs."""
+    m = len(obs)
+    for blocks in range(1, min(w, m) + 1):
+        for cuts in combinations(range(1, m), blocks - 1):
+            bounds = (0, *cuts, m)
+            yield tuple(
+                (obs[i][0], obs[j - 1][1]) for i, j in zip(bounds, bounds[1:])
+            )
+
+
+def _feasible(n: int, w: int, limit: int):
+    """The chain of states of an interval system with every length <= limit,
+    or None. Lengths never shrink along witness chains, so pruning long
+    intervals is lossless.
+
+    Contiguous runs of the sorted obligations are enough: they form an
+    antichain sorted by both endpoints, so sending each to the first maximal
+    hull of any partition that contains it is monotone, and the runs' hulls
+    fit inside that partition's hulls. The pruned states are the same."""
+    frontier_states = {((0, 0),)}
+    parents: list[dict] = []
+    for _ in range(n):
         nxt: dict[tuple, tuple] = {}
         for state in sorted(frontier_states):
-            obs = _maximal_obligations(state)
-            for part in _set_partitions(obs, w):
-                hulls = _antichain(
-                    (min(a for a, _ in blk), max(b for _, b in blk)) for blk in part
-                )
-                if any(b - a > limit for a, b in hulls):
-                    continue
-                if hulls not in nxt:
+            for hulls in _runs(_maximal_obligations(state), w):
+                if hulls not in nxt and all(b - a <= limit for a, b in hulls):
                     nxt[hulls] = state
-        pruned = _prune_dominated(set(nxt))
-        frontier_states = pruned
-        if track:
-            parents[t + 1] = {s: nxt[s] for s in pruned}
+        frontier_states = _prune_dominated(set(nxt))
         if not frontier_states:
             return None
-    if not track:
-        return True
+        parents.append({s: nxt[s] for s in frontier_states})
     chain = [min(frontier_states)]
-    for t in range(n, 0, -1):
-        chain.append(parents[t][chain[-1]])
+    for layer in reversed(parents):
+        chain.append(layer[chain[-1]])
     chain.reverse()
     return chain
 
@@ -285,14 +269,15 @@ def frontier(
         raise BudgetError(f"frontier({n},{w}) over budget ({max_n},{max_w})")
     if n < 0 or w < 1:
         raise ValueError("need n >= 0, w >= 1")
-    lo, hi = 0, n
+    lo, hi, chain = 0, n, None
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(n, w, mid, track=False):
-            hi = mid
+        if found := _feasible(n, w, mid):
+            hi, chain = mid, found
         else:
             lo = mid + 1
-    chain = _feasible(n, w, lo, track=True)
+    if chain is None:  # the search never tried limit n
+        chain = _feasible(n, w, n)
     system = _system_from_chain(n, chain)
     system.check()
     return FrontierPoint(n=n, w=w, delta_star=Fraction(lo, 2), witness=system)

@@ -177,13 +177,8 @@ def _paint_sum(paint, lo, hi, vals, base, shape, t: int, budget, sums=None) -> i
 
 
 def _check_rectangles(lp: LabeledRobp, layers) -> None:
-    """Reject label arrays that are no rectangles: LabeledRobp is public and
-    does not check them, and the painters would misread them."""
-    if len(lp.lo) != lp.p.n + 1 or len(lp.hi) != lp.p.n + 1:
-        raise ValueError(
-            f"malformed rectangle arrays: {len(lp.lo)} lo and {len(lp.hi)} hi layers"
-            f" for {lp.p.n + 1} program layers"
-        )
+    """Reject label arrays that are no rectangles: LabeledRobp checks only
+    the layer count, and the painters would misread them."""
     for t in layers:
         lo, hi = lp.layer_rectangles(t)
         if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != lp.dims:

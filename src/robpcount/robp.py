@@ -291,20 +291,21 @@ def read_robp(text: str) -> Robp:
     for key in ("n", "alphabet", "layers", "edges", "outputs"):
         _expect(key in doc, "document", f"missing field {key!r}")
     n = doc["n"]
-    _expect(isinstance(n, int) and n >= 0, "n", "expected a nonnegative integer")
+    # `type(x) is int`, not isinstance: JSON true/false parse as bool, an int subclass
+    _expect(type(n) is int and n >= 0, "n", "expected a nonnegative integer")
     alpha = doc["alphabet"]
     _expect(isinstance(alpha, dict) and "kind" in alpha, "alphabet", "expected object with 'kind'")
     kind = alpha["kind"]
     _expect(kind in ALPHABET_KINDS, "alphabet.kind", f"unknown kind {kind!r}")
     k = alpha.get("k", 1)
-    _expect(isinstance(k, int), "alphabet.k", "expected an integer")
+    _expect(type(k) is int, "alphabet.k", "expected an integer")
     try:
         alphabet = Alphabet(kind, k)
     except ValueError as e:
         raise RobpParseError(f"alphabet: {e}") from None
     layers = doc["layers"]
     _expect(
-        isinstance(layers, list) and all(isinstance(s, int) for s in layers),
+        isinstance(layers, list) and all(type(s) is int for s in layers),
         "layers", "expected a list of integers",
     )
     _expect(len(layers) == n + 1, "layers", f"expected {n + 1} entries, found {len(layers)}")
@@ -315,7 +316,7 @@ def read_robp(text: str) -> Robp:
         for u, row in enumerate(rows):
             _expect(isinstance(row, list), f"edges[{t}][{u}]", "expected a list of targets")
             for z, tgt in enumerate(row):
-                _expect(isinstance(tgt, int), f"edges[{t}][{u}][{z}]", "expected an integer")
+                _expect(type(tgt) is int, f"edges[{t}][{u}][{z}]", "expected an integer")
     outputs_doc = doc["outputs"]
     _expect(isinstance(outputs_doc, list), "outputs", "expected a list")
     outputs = []

@@ -245,3 +245,13 @@ def test_verify_with_huge_rationals_stays_exact():
     assert verify(p, binary_alphabet(), Fraction(1, 2) + Fraction(1, 2**81)).valid
     assert exhaustive_verify(p, binary_alphabet(), Fraction(1, 2) + Fraction(1, 2**81))
     assert not exhaustive_verify(p, binary_alphabet(), Fraction(1, 2))
+
+
+def test_labeled_robp_rejects_wrong_layer_counts():
+    from robpcount import LabeledRobp
+
+    lp = compute_labels(exact_counter(3, 2), "full")
+    assert LabeledRobp(lp.p, lp.lo, lp.hi).dims == 2
+    for lo, hi in (([], []), (lp.lo[:-1], lp.hi), (lp.lo, lp.hi + lp.hi[-1:])):
+        with pytest.raises(ValueError, match="malformed rectangle arrays: "):
+            LabeledRobp(lp.p, lo, hi)

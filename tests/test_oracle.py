@@ -23,7 +23,7 @@ from robpcount import (
     validate,
     verify,
 )
-from robpcount.oracle import BudgetError
+from robpcount.oracle import BudgetError, _maximal_obligations, _prune_dominated, _runs
 
 
 def test_exhaustive_verify_examples():
@@ -57,6 +57,53 @@ def test_random_robp_always_valid():
         rep = validate(p)
         assert rep.valid, (seed, rep.violations[:3])
         assert rep.width <= w
+
+
+def set_partitions(items, max_blocks):
+    """All partitions of items into at most max_blocks nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest, max_blocks):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
+        if len(part) < max_blocks:
+            yield part + [[first]]
+
+
+def antichain(intervals):
+    uniq = sorted(set(intervals))
+    return tuple(
+        i for i in uniq if not any(j != i and j[0] <= i[0] and i[1] <= j[1] for j in uniq)
+    )
+
+
+def random_state(rng, t, size):
+    """A sorted antichain of at most size intervals inside [0, t]."""
+    return antichain(
+        tuple(sorted(rng.randint(0, t) for _ in range(2))) for _ in range(rng.randint(1, size))
+    )
+
+
+def minimal(states, limit):
+    return _prune_dominated({h for h in states if all(b - a <= limit for a, b in h)})
+
+
+def test_runs_give_the_minimal_successors_of_all_set_partitions():
+    rng = random.Random(4)
+    for _ in range(150):
+        w = rng.randint(1, 4)
+        state = random_state(rng, rng.randint(0, 8), w)
+        obs = _maximal_obligations(state)
+        runs = list(_runs(obs, w))
+        assert all(antichain(h) == h for h in runs)
+        partitions = {
+            antichain((min(a for a, _ in blk), max(b for _, b in blk)) for blk in part)
+            for part in set_partitions(obs, w)
+        }
+        for limit in (0, 1, 2, 4, 8):
+            assert minimal(runs, limit) == minimal(partitions, limit), (state, w, limit)
 
 
 def test_frontier_base_cases():

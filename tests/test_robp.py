@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -141,6 +142,32 @@ def test_parse_error_reports_field():
             '{"n": 0, "alphabet": {"kind": "binary", "k": 1}, "layers": [1],'
             ' "edges": [], "outputs": [["1.5"]]}'
         )
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param({"n": True}, "n: expected a nonnegative integer", id="n"),
+        pytest.param(
+            {"alphabet": {"kind": "binary", "k": True}}, "alphabet.k: expected an integer",
+            id="alphabet.k",
+        ),
+        pytest.param({"layers": [True, 1]}, "layers: expected a list of integers", id="layers"),
+        pytest.param({"edges": [[[0, True]]]}, "edges[0][0][1]: expected an integer", id="edges"),
+    ],
+)
+def test_parse_rejects_json_booleans(doc, message):
+    base = {
+        "n": 1,
+        "alphabet": {"kind": "binary", "k": 1},
+        "layers": [1, 1],
+        "edges": [[[0, 0]]],
+        "outputs": [["0"]],
+    }
+    assert validate(read_robp(json.dumps(base))).valid
+    with pytest.raises(RobpParseError) as err:
+        read_robp(json.dumps({**base, **doc}))
+    assert str(err.value) == message
 
 
 def test_parse_defers_semantics_to_validate():
