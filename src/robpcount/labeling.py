@@ -17,6 +17,10 @@ Label modes:
              binary programs the two modes coincide) -- what the potential
              audits consume. Both modes run the same DP over a column slice
              of one shift table.
+
+Each layer of the DP is one scatter-min of packed (lo, -hi) rows. It runs
+in the C kernel (_kernel.label_step) when a C compiler is available, and
+in numpy (_step_numpy, also the tests' reference) otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernel
 from .robp import Alphabet, Robp, validate
 
 
@@ -92,6 +97,27 @@ class LabeledRobp:
         return self.lo[t], self.hi[t]
 
 
+def _step_numpy(state, edges, shifts2, nxt) -> None:
+    """Min state[u] + shifts2[z] into nxt[edges[u, z]] for every vertex u
+    and symbol z; nxt arrives filled with its dtype's max. The numpy DP
+    step: the fallback when the C kernel cannot be built, and the reference
+    the tests compare the kernel against."""
+    v_next = nxt.shape[0]
+    sentinel = np.iinfo(nxt.dtype).max
+    for sym in range(shifts2.shape[0]):
+        tgt = edges[:, sym]
+        cand = state + shifts2[sym]
+        if np.bincount(tgt, minlength=v_next).max() <= 1:
+            if sym == 0:
+                nxt[tgt] = cand
+            else:
+                tmp = np.full(nxt.shape, sentinel, dtype=nxt.dtype)
+                tmp[tgt] = cand
+                np.minimum(nxt, tmp, out=nxt)
+        else:
+            np.minimum.at(nxt, tgt, cand)
+
+
 def _label_layers(p: Robp, shifts: np.ndarray):
     """Forward DP over layers; exact by induction on achieved prefixes.
 
@@ -103,30 +129,17 @@ def _label_layers(p: Robp, shifts: np.ndarray):
     if not report.valid:
         raise ValueError(f"program is invalid: {report.violations[:3]}")
     d = shifts.shape[1]
-    size = p.alphabet.size
     # counts fit int16 at desk scale; sentinel is the dtype max
     dtype = np.int16 if p.n <= 30_000 else np.int32
     sentinel = np.iinfo(dtype).max
     # lo and negated hi ride in one array so every step is a scatter-min
     shifts2 = np.concatenate([shifts, -shifts], axis=1).astype(dtype)
+    step = _kernel.label_step() or _step_numpy
     state = np.zeros((1, 2 * d), dtype=dtype)
     yield state
     for t in range(p.n):
-        edges = p.edge_array(t)
-        v_next = p.layer_sizes[t + 1]
-        nxt = np.full((v_next, 2 * d), sentinel, dtype=dtype)
-        for sym in range(size):
-            tgt = edges[:, sym]
-            cand = state + shifts2[sym]
-            if np.bincount(tgt, minlength=v_next).max() <= 1:
-                if sym == 0:
-                    nxt[tgt] = cand
-                else:
-                    tmp = np.full((v_next, 2 * d), sentinel, dtype=dtype)
-                    tmp[tgt] = cand
-                    np.minimum(nxt, tmp, out=nxt)
-            else:
-                np.minimum.at(nxt, tgt, cand)
+        nxt = np.full((p.layer_sizes[t + 1], 2 * d), sentinel, dtype=dtype)
+        step(state, p.edge_array(t), shifts2, nxt)
         state = nxt
         yield state
 

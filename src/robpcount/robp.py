@@ -208,9 +208,9 @@ def validate(p: Robp) -> ValidationReport:
             v.append((t, -1, f"layer has {expect} vertices but {len(rows)} edge rows"))
         if isinstance(rows, np.ndarray):
             nxt = sizes[t + 1] if t + 1 < len(sizes) else 0
-            bad = (rows < 0) | (rows >= nxt)
-            if bad.any():
+            if rows.size and (rows.min() < 0 or rows.max() >= nxt):
                 targets_ok = False
+                bad = (rows < 0) | (rows >= nxt)
                 for u in np.unique(np.nonzero(bad)[0])[:32]:
                     v.append((t, int(u), "edge target outside next layer"))
         else:
@@ -241,7 +241,8 @@ def validate(p: Robp) -> ValidationReport:
             rows = p.edges[t]
             nxt = np.zeros(sizes[t + 1], dtype=bool)
             if isinstance(rows, np.ndarray):
-                nxt[rows[reached]] = True
+                # the mask gather copies rows; skip it when nothing is masked
+                nxt[rows if reached.all() else rows[reached]] = True
             else:
                 for u in np.nonzero(reached)[0]:
                     for z in rows[u]:

@@ -1,4 +1,5 @@
-"""The compiled paint-and-sum kernel against the numpy painter, and its loader."""
+"""The compiled kernels against their numpy references (the painter and the
+label DP step), and their loader."""
 
 import random
 import shutil
@@ -13,17 +14,20 @@ from hypothesis import strategies as st
 
 from robpcount import (
     LabeledRobp,
+    Robp,
     binary_alphabet,
     compute_labels,
     constant_program,
     counter_alphabet,
+    minimal_error,
     parallel_alphabet,
     profile_counter,
     profile_parallel,
     random_robp,
     rounded_counter,
+    verify,
 )
-from robpcount import _kernel, potential
+from robpcount import _kernel, labeling, potential
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 REPO = Path(__file__).resolve().parents[1]
@@ -239,3 +243,124 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def stepper():
+    step = _kernel.label_step()
+    if step is None:
+        pytest.skip("label kernel not built; test_kernel_loads_here says why")
+    return step
+
+
+def _label_cases():
+    """(program, shift table) pairs: seeded random programs in the full and
+    the potential column slice (parallel programs have only the full one),
+    and a 3-counter rounded program with merging layers."""
+    rng = random.Random(41)
+    problems = [counter_alphabet(2), counter_alphabet(3), binary_alphabet(), parallel_alphabet(2)]
+    for seed in range(40):
+        problem = problems[seed % 4]
+        p = random_robp(rng.randint(1, 12), problem, rng.randint(1, 6), seed)
+        shifts = labeling._shift_table(problem)
+        yield p, shifts
+        if problem.kind != "parallel":
+            yield p, shifts[:, : labeling._potential_k(problem) - 1]
+    p = rounded_counter(100, 3, 10)
+    shifts = labeling._shift_table(p.alphabet)
+    yield p, shifts
+    yield p, shifts[:, :2]
+
+
+def _int32_program(n=30_001, seed=3):
+    """A width-2 2-counter program deep enough for the DP's int32 labels."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for _ in range(n):
+        # vertex 0 reaches both next vertices; vertex 1 goes anywhere
+        layer = np.array([rng.permutation(2), rng.integers(0, 2, size=2)], dtype=np.int32)
+        edges.append(layer)
+    edges[0] = edges[0][:1]
+    outputs = [(Fraction(n, 2), Fraction(n, 2))] * 2
+    return Robp(n, counter_alphabet(2), [1] + [2] * n, edges, outputs)
+
+
+def _layers(p, shifts):
+    return [(a.dtype, a.shape, a.tobytes()) for a in labeling._label_layers(p, shifts)]
+
+
+def _numpy_only(monkeypatch):
+    monkeypatch.setattr(_kernel, "label_step", lambda: None)
+
+
+def test_label_step_equals_the_numpy_dp(monkeypatch):
+    stepper()
+    cases = list(_label_cases())
+    fast = [_layers(p, shifts) for p, shifts in cases]
+    finals = [(verify(p, p.alphabet, 1), minimal_error(p, p.alphabet)) for p, _ in cases]
+    _numpy_only(monkeypatch)
+    assert [_layers(p, shifts) for p, shifts in cases] == fast
+    assert [(verify(p, p.alphabet, 1), minimal_error(p, p.alphabet)) for p, _ in cases] == finals
+
+
+def test_label_step_equals_the_numpy_dp_on_int32_labels(monkeypatch):
+    stepper()
+    p = _int32_program()
+    shifts = labeling._shift_table(p.alphabet)
+    fast = _layers(p, shifts)
+    assert fast[-1][0] == np.int32
+    # the all-zeros input reaches a final hi of n in the first coordinate
+    assert -p.n in np.frombuffer(fast[-1][2], dtype=np.int32)
+    _numpy_only(monkeypatch)
+    # verify and minimal_error read only the final layer compared here
+    assert _layers(p, shifts) == fast
+
+
+def test_label_step_guards_reject_what_the_c_code_cannot_take():
+    step = stepper()
+    state = np.array([[0, 0], [1, -1]], dtype=np.int16)
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int32)
+    shifts2 = np.array([[0, 0], [1, -1]], dtype=np.int16)
+    nxt = np.full((3, 2), np.iinfo(np.int16).max, dtype=np.int16)
+    untouched = nxt.copy()
+    bad = [
+        (state.astype(np.int64), edges, shifts2.astype(np.int64), nxt.astype(np.int64)),
+        (state.astype(np.int32), edges, shifts2, nxt),  # dtypes differ
+        (state, edges.astype(np.int64), shifts2, nxt),  # edges not int32
+        (np.array([[0, 9, 0, 9], [1, 9, -1, 9]], dtype=np.int16)[:, ::2], edges, shifts2, nxt),
+        (state, np.asfortranarray(edges), shifts2, nxt),  # strided edges
+        (state, edges, np.zeros((2, 4), np.int16), nxt),  # columns differ
+        (state[:, :1].copy(), edges, shifts2[:, :1].copy(), nxt),  # odd columns
+        (state, edges[:, :1].copy(), shifts2, nxt),  # one edge column per symbol
+        (state, edges - [[1, 0], [0, 0]], shifts2, nxt),  # negative target
+        (state, edges + [[0, 0], [0, 1]], shifts2, nxt),  # target past the next layer
+        (state[0], edges, shifts2, nxt),  # not 2-d
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match="label step"):
+            step(*args)
+        assert np.array_equal(nxt, untouched)  # rejected calls wrote nothing
+    step(state, edges, shifts2, nxt)
+    assert nxt.tolist() == [[0, 0], [1, -1], [2, -2]]
+
+
+def test_no_compiler_runs_the_numpy_label_dp(monkeypatch, tmp_path):
+    stepper()
+    p = random_robp(10, counter_alphabet(3), 4, 7)
+    problem = p.alphabet
+
+    def results():
+        full, pot = compute_labels(p, "full"), compute_labels(p, "potential")
+        labels = [[a.tobytes() for a in lp.lo + lp.hi] for lp in (full, pot)]
+        return labels, verify(p, problem, 1), minimal_error(p, problem)
+
+    expected = results()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
+    assert _kernel.load_library() is None
+    calls = []
+    numpy_step = labeling._step_numpy
+    monkeypatch.setattr(labeling, "_step_numpy", lambda *a: calls.append(1) or numpy_step(*a))
+    monkeypatch.setattr(_kernel, "library", _kernel.load_library)
+    assert results() == expected
+    assert len(calls) == 4 * p.n  # two label modes, verify and minimal_error
+    assert list(tmp_path.rglob("*.so")) == []

@@ -45,6 +45,41 @@ def test_validate_reports_unreachable():
     assert (1, 1, "unreachable") in rep.violations
 
 
+def _unreachable_reference(p):
+    """(layer, vertex, "unreachable") for every vertex no path reaches,
+    layer by layer in vertex order, by plain forward search."""
+    found, reached = [], {0}
+    for t in range(p.n + 1):
+        found += [(t, u, "unreachable") for u in range(p.layer_sizes[t]) if u not in reached]
+        if t < p.n:
+            reached = {int(z) for u in reached for z in p.edges[t][u]}
+    return found
+
+
+def test_validate_reports_unreachable_on_random_programs():
+    # redirect every edge into one vertex v of layer t to another vertex, so
+    # v and any vertex only v reached become unreachable
+    checked = 0
+    for seed in range(16):
+        problem = [binary_alphabet(), counter_alphabet(2), counter_alphabet(3)][seed % 3]
+        rng = random.Random(seed)
+        p = random_robp(rng.randint(2, 10), problem, 5, seed)
+        layers = [t for t in range(1, p.n + 1) if p.layer_sizes[t] > 1]
+        if not layers:
+            continue
+        t = rng.choice(layers)
+        v = rng.randrange(p.layer_sizes[t])
+        edges = [e.copy() for e in p.edges]
+        edges[t - 1][edges[t - 1] == v] = (v + 1) % p.layer_sizes[t]
+        q = Robp(p.n, p.alphabet, p.layer_sizes, edges, p.outputs)
+        expected = _unreachable_reference(q)
+        assert (t, v, "unreachable") in expected
+        assert validate(q).violations == tuple(expected)
+        assert validate(p).violations == ()
+        checked += 1
+    assert checked >= 10
+
+
 def test_validate_tribes():
     rep = validate(tribes(100, 3))
     assert rep.valid and rep.width == 3
