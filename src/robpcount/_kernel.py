@@ -265,16 +265,6 @@ def load_library():
     return lib
 
 
-def _painter(lib):
-    return None if lib is None else functools.partial(_paint_sum, lib.paint_sum)
-
-
-def load_kernel():
-    """The guarded paint-and-sum callable of a fresh load_library(); None
-    when the library cannot be built or loaded."""
-    return _painter(load_library())
-
-
 @functools.cache
 def library():
     """load_library(), once per process."""
@@ -283,7 +273,8 @@ def library():
 
 def kernel():
     """The guarded paint-and-sum callable of library(), or None."""
-    return _painter(library())
+    lib = library()
+    return None if lib is None else functools.partial(_paint_sum, lib.paint_sum)
 
 
 def label_step():

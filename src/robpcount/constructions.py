@@ -7,9 +7,10 @@
 * constant_program -- the width-1 baseline.
 
 Layer vertices of counting phases are count vectors with a fixed sum,
-indexed by a combinatorial rank so that edges are computed arithmetically
-(no per-vertex hashing); for k = 2 the index of a vector equals its second
-coordinate.
+indexed by a combinatorial rank that does not depend on the sum, so the
+layer of sum t and its edges are the first C(t+k-1, k-1) rows of one
+shared, read-only table built once per program; for k = 2 the index of a
+vector equals its second coordinate.
 """
 
 from __future__ import annotations
@@ -39,83 +40,85 @@ def _binom_table(max_s: int, max_i: int) -> np.ndarray:
     return tab
 
 
-# Count vectors (c_1..c_k) with a fixed sum are indexed by the colex rank of
-# the partial-sum set of the reversed vector: with d = (c_k..c_1) and
-# S_i = d_1+..+d_i + (i-1), the index is sum_i C(S_i, i). The rank formula
-# does not mention the layer sum, so rank(c + e_z) indexes the next layer
-# directly, and rank(c + e_z) - rank(c) telescopes to sum_{i >= k+1-z}
-# C(S_i, i-1) by Pascal's rule. The counting phases therefore carry the
-# S-columns from layer to layer and never re-derive them from the vectors.
+# Count vectors (c_1..c_k) with sum t are indexed by the colex rank of the
+# partial-sum set of the reversed vector: with d = (c_k..c_1) and
+# S_i = d_1+..+d_i + (i-1), {S_1 < .. < S_{k-1}} is a (k-1)-subset of
+# range(t+k-1) and the index is sum_i C(S_i, i). Colex order lists every
+# subset of range(t+k-1) before any subset that reaches t+k-1, and the rank
+# formula does not mention t, so the layer of sum t is the first
+# C(t+k-1, k-1) rows of the colex table of a wider layer. The same holds
+# for the edges: rank(c + e_z) - rank(c) telescopes to
+# sum_{i >= k+1-z} C(S_i, i-1) by Pascal's rule, again without t. So every
+# counting layer is a row prefix of one table of S-columns and one table
+# of edges.
 
 
-class _ColexCounter:
-    """Shared machinery for layers of fixed-sum count vectors."""
-
-    def __init__(self, k: int, max_s: int):
-        tab = _binom_table(max_s + k + 2, k)
-        self.k = k
-        self.cols = [np.ascontiguousarray(tab[:, i]) for i in range(k)]
-        # step[sym][i] = 1 iff letter sym+1 bumps partial sum i+1
-        self.steps = [
-            np.array([1 if i + 1 >= k - sym else 0 for i in range(k - 1)], np.int32)
-            for sym in range(k)
-        ]
-
-    def symbol_targets(self, s_arr: np.ndarray) -> list[np.ndarray]:
-        """Per-symbol next-layer indices for every vector (int64 arrays)."""
-        k = self.k
-        rank = self.cols[1][s_arr[:, 0]]
-        for i in range(2, k):
-            rank = rank + self.cols[i][s_arr[:, i - 1]]
-        suffix = self.cols[k - 2][s_arr[:, k - 2]] if k >= 2 else None
-        targets = [None] * k
-        targets[0] = rank
-        running = suffix
-        for sym in range(1, k):
-            targets[sym] = rank + running
-            if sym < k - 1:
-                running = running + self.cols[k - 2 - sym][s_arr[:, k - 2 - sym]]
-        return targets
-
-    def advance(
-        self, s_arr: np.ndarray, targets: list[np.ndarray], next_size: int
-    ) -> np.ndarray:
-        """Scatter the S-columns of c + e_sym into the next layer."""
-        nxt = np.empty((next_size, self.k - 1), dtype=np.int32)
-        for sym in range(self.k):
-            nxt[targets[sym]] = s_arr + self.steps[sym]
-        return nxt
-
-    def vectors(self, s_arr: np.ndarray, total: int) -> np.ndarray:
-        """Recover count vectors from S-columns (layer sum is `total`)."""
-        k = self.k
-        v = len(s_arr)
-        d = np.empty((v, k), dtype=np.int32)
-        d[:, 0] = s_arr[:, 0]
-        for i in range(1, k - 1):
-            d[:, i] = s_arr[:, i] - s_arr[:, i - 1] - 1
-        d[:, k - 1] = total - (s_arr[:, k - 2] - (k - 2))
-        return d[:, ::-1].copy()
-
-    def s_columns(self, vecs: np.ndarray, total: int) -> np.ndarray:
-        k = self.k
-        out = np.empty((len(vecs), k - 1), dtype=np.int32)
-        prefix = np.zeros(len(vecs), dtype=np.int32)
-        # S_i = total - (c_1+..+c_{k-i}) + i - 1
-        prefixes = []
-        for j in range(k - 1):
-            prefix = prefix + vecs[:, j]
-            prefixes.append(prefix)
-        for i in range(1, k):
-            out[:, i - 1] = total - prefixes[k - i - 1] + (i - 1)
-        return out
-
-
-def _stack_targets(targets: list[np.ndarray]) -> np.ndarray:
-    out = np.empty((len(targets[0]), len(targets)), dtype=np.int32)
-    for sym, col in enumerate(targets):
-        out[:, sym] = col
+def _colex_subsets(r: int, size: int, binom: np.ndarray) -> np.ndarray:
+    """The S-columns of all count vectors of sum size - r over r + 1
+    letters: the r-subsets of range(size) as sorted int32 rows, in colex
+    order."""
+    out = np.zeros((1, 0), dtype=np.int32)
+    for j in range(1, r + 1):
+        # the j-subsets with largest element x are the first C(x, j-1)
+        # (j-1)-subsets, each followed by x, after the C(x, j) j-subsets
+        # of range(x)
+        last = np.repeat(np.arange(size - r + j, dtype=np.int32), binom[: size - r + j, j - 1])
+        rows = np.arange(len(last)) - binom[last, j]
+        out = np.column_stack([out[rows], last])
     return out
+
+
+def _rank(s_cols: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Layer index of each count vector from its S-columns (int64)."""
+    rank = np.zeros(len(s_cols), dtype=np.int64)
+    for i in range(1, s_cols.shape[1] + 1):
+        rank += binom[s_cols[:, i - 1], i]
+    return rank
+
+
+def _symbol_targets(s_cols: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Next-layer index of c + e_z for each row's vector c and letter z, as
+    a (rows, k) int32 table."""
+    k = s_cols.shape[1] + 1
+    out = np.empty((len(s_cols), k), dtype=np.int32)
+    target = _rank(s_cols, binom)
+    out[:, 0] = target
+    for z in range(1, k):
+        # letter z+1 bumps S_i for every i >= k-z
+        target += binom[s_cols[:, k - z - 1], k - z - 1]
+        out[:, z] = target
+    return out
+
+
+def _vectors(s_cols: np.ndarray, total: int) -> np.ndarray:
+    """Recover count vectors from S-columns (layer sum is `total`)."""
+    v, r = s_cols.shape
+    d = np.empty((v, r + 1), dtype=np.int32)
+    d[:, 0] = s_cols[:, 0]
+    d[:, 1:r] = np.diff(s_cols, axis=1) - 1
+    d[:, r] = total - (s_cols[:, r - 1] - (r - 1))
+    return d[:, ::-1].copy()
+
+
+def _s_columns(vecs: np.ndarray, total: int) -> np.ndarray:
+    """S-columns of count vectors with sum `total`: S_i = total -
+    (c_1+..+c_{k-i}) + i - 1."""
+    r = vecs.shape[1] - 1
+    prefixes = np.cumsum(vecs[:, :r], axis=1, dtype=np.int64)
+    return (total - prefixes[:, ::-1] + np.arange(r)).astype(np.int32)
+
+
+def _counting_tables(k: int, max_sum: int):
+    """(binom, S, E) for one program's counting layers. S holds the
+    S-columns of the count vectors of sum at most max_sum, so the layer of
+    sum t is S[:C(t+k-1, k-1)]; E is the read-only edge table of those of
+    sum below max_sum, so that layer's edges are E[:C(t+k-1, k-1)]."""
+    size = max_sum + k - 1
+    binom = _binom_table(size, k - 1)
+    s_cols = _colex_subsets(k - 1, size, binom)
+    table = _symbol_targets(s_cols[: math.comb(size - 1, k - 1)], binom)
+    table.flags.writeable = False
+    return binom, s_cols, table
 
 
 def exact_counter(n: int, k: int, *, max_width: int = DEFAULT_MAX_WIDTH) -> Robp:
@@ -127,15 +130,9 @@ def exact_counter(n: int, k: int, *, max_width: int = DEFAULT_MAX_WIDTH) -> Robp
     width = math.comb(n + k - 1, k - 1)
     if width > max_width:
         raise WidthBudgetError(f"width {width} exceeds budget {max_width}")
-    cx = _ColexCounter(k, n)
-    s_arr = np.zeros((1, k - 1), dtype=np.int32)
-    s_arr[0] = np.arange(k - 1)
-    edges = []
-    for t in range(n):
-        targets = cx.symbol_targets(s_arr)
-        edges.append(_stack_targets(targets))
-        s_arr = cx.advance(s_arr, targets, math.comb(t + k, k - 1))
-    vecs = cx.vectors(s_arr, n)
+    _, s_cols, table = _counting_tables(k, n)
+    edges = [table[: math.comb(t + k - 1, k - 1)] for t in range(n)]
+    vecs = _vectors(s_cols, n)
     outputs = RationalTable(vecs.astype(np.int64), np.ones(vecs.shape, np.int64))
     return Robp.build(counter_alphabet(k), edges, outputs)
 
@@ -333,45 +330,26 @@ def rounded_counter(n: int, k: int, delta, *, max_width: int = DEFAULT_MAX_WIDTH
             f"width bound {rounded_counter_width_bound(n, k, delta)} exceeds "
             f"budget {max_width}"
         )
-    cx = _ColexCounter(k, n)
-    edges = []
+    # phase 1 counts exactly through the layer of sum n-m; phase 2 counts
+    # on top of the rounded tuples (sum s) through the layer of sum s+m
+    first = n - m
+    binom, s_cols, table = _counting_tables(k, max(first, s + m))
+    edges = [table[: math.comb(t + k - 1, k - 1)] for t in range(first)]
+    b = _round_vectors(_vectors(s_cols[: math.comb(first + k - 1, k - 1)], first), l, s)
 
-    # phase 1: exact counting through layer n-m
-    s_arr = np.zeros((1, k - 1), dtype=np.int32)
-    s_arr[0] = np.arange(k - 1)
-    for t in range(n - m):
-        targets = cx.symbol_targets(s_arr)
-        edges.append(_stack_targets(targets))
-        s_arr = cx.advance(s_arr, targets, math.comb(t + k, k - 1))
-
-    # rounding transition out of layer n-m; phase 2 runs over the full
-    # fixed-sum layers first and prunes unreachable vertices afterwards
-    avecs = cx.vectors(s_arr, n - m)
-    b = _round_vectors(avecs, l, s)
-    full_sizes = [math.comb(s + j + k - 1, k - 1) for j in range(1, m + 1)]
-    sb = cx.s_columns(b, s)
-    tb = cx.symbol_targets(sb)
-    trans = _stack_targets(tb)
-    phase2 = []
-    s_arr = cx.advance(sb, tb, full_sizes[0])
-    for j in range(1, m):
-        targets = cx.symbol_targets(s_arr)
-        phase2.append(_stack_targets(targets))
-        s_arr = cx.advance(s_arr, targets, full_sizes[j])
-    vecs = cx.vectors(s_arr, s + m)
-
-    # reachability over the full phase-2 layers
-    masks = [np.zeros(full_sizes[0], dtype=bool)]
-    masks[0][trans] = True
-    for j in range(1, m):
-        nxt = np.zeros(full_sizes[j], dtype=bool)
-        nxt[phase2[j - 1][masks[j - 1]]] = True
-        masks.append(nxt)
-    remaps = [np.cumsum(mk, dtype=np.int64).astype(np.int32) - 1 for mk in masks]
-    edges.append(remaps[0][trans])
-    for j in range(1, m):
-        edges.append(remaps[j][phase2[j - 1][masks[j - 1]]])
-    vecs = vecs[masks[-1]]
+    # the rounding transition goes where the rounded tuple's own edges go.
+    # Phase-2 layer j keeps the vertices of the full layer of sum s+j that
+    # layer j-1 reaches, renumbered in order, and their edges are those rows
+    # of the table (take() gathers whole rows faster than fancy indexing)
+    targets = table.take(_rank(_s_columns(b, s), binom), axis=0)
+    for j in range(1, m + 1):
+        reached = np.zeros(math.comb(s + j + k - 1, k - 1), dtype=bool)
+        reached[targets] = True
+        edges.append((np.cumsum(reached, dtype=np.int32) - 1)[targets])
+        kept = np.flatnonzero(reached)
+        if j < m:
+            targets = table.take(kept, axis=0)
+    vecs = _vectors(s_cols.take(kept, axis=0), s + m)
 
     num = vecs.astype(np.int64) * l
     den = np.full(vecs.shape, l - 1, dtype=np.int64)

@@ -22,6 +22,7 @@ import numpy as np
 from .exact import RationalTable, format_rational, parse_rational
 
 ALPHABET_KINDS = ("counter", "parallel", "binary")
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass(frozen=True)
@@ -73,17 +74,41 @@ def binary_alphabet() -> Alphabet:
     return Alphabet("binary")
 
 
+def _target(v) -> int:
+    """An edge target as an int; ValueError for anything but an integer,
+    since a cast would truncate 1.9 to 1 and read a bool as 0 or 1."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"edge target {v!r} is not an integer")
+    return int(v)
+
+
 def _edge_array(rows, n_symbols: int):
-    """Dense (vertices, symbols) int32 array, or None if the rows are ragged."""
-    if isinstance(rows, np.ndarray):
-        if rows.ndim == 2 and rows.shape[1] == n_symbols:
-            return np.ascontiguousarray(rows, dtype=np.int32)
-        return None
-    rows = list(rows)
-    if any(not isinstance(r, (list, tuple, np.ndarray)) or len(r) != n_symbols for r in rows):
-        return None
-    arr = np.array([[int(v) for v in r] for r in rows], dtype=np.int32)
-    return arr.reshape(len(rows), n_symbols)
+    """One layer's edges as a dense read-only (vertices, symbols) int32
+    array; a C-contiguous int32 array is kept as is, without a copy. Rows
+    that are ragged or hold a target outside int32 are kept verbatim as
+    lists of ints, for validate to report. A non-integer target raises
+    ValueError."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind != "O":
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"edge targets must be integers, not {rows.dtype}")
+        if rows.ndim == 2 and rows.shape[1] == n_symbols and (
+            np.can_cast(rows.dtype, np.int32)
+            or not rows.size
+            or (rows.min() >= _INT32.min and rows.max() <= _INT32.max)
+        ):
+            arr = np.ascontiguousarray(rows, dtype=np.int32)
+            arr.flags.writeable = False
+            return arr
+    rows = [[v if type(v) is int else _target(v) for v in r] for r in rows]
+    if any(len(r) != n_symbols for r in rows):
+        return rows
+    try:
+        arr = np.array(rows, dtype=np.int32)
+    except OverflowError:
+        return rows
+    arr = arr.reshape(len(rows), n_symbols)
+    arr.flags.writeable = False
+    return arr
 
 
 class Robp:
@@ -96,16 +121,7 @@ class Robp:
         self.alphabet = alphabet
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         size = alphabet.size
-        norm_edges = []
-        for rows in edges:
-            arr = _edge_array(rows, size)
-            if arr is None:
-                # ragged candidate; kept verbatim for validate to report
-                norm_edges.append([list(int(v) for v in r) for r in rows])
-            else:
-                arr.flags.writeable = False
-                norm_edges.append(arr)
-        self.edges = tuple(norm_edges)
+        self.edges = tuple(_edge_array(rows, size) for rows in edges)
         if not isinstance(outputs, RationalTable):
             try:
                 outputs = RationalTable.from_rows(outputs)

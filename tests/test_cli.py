@@ -66,6 +66,21 @@ def test_build_validate_verify_pipeline(tmp_path, capsys):
     assert code == 1 and json.loads(out)["valid"] is False
 
 
+def test_validate_reports_an_edge_target_outside_int32(tmp_path, capsys):
+    doc = {
+        "n": 1,
+        "alphabet": {"kind": "binary", "k": 1},
+        "layers": [1, 2],
+        "edges": [[[0, 2**32 + 1]]],
+        "outputs": [["0"], ["1"]],
+    }
+    path = tmp_path / "wide-target.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "validate", "-i", str(path))
+    assert code == 1
+    assert json.loads(out)["violations"] == [[0, 0, "edge target outside next layer"]]
+
+
 def test_pipeline_through_stdin():
     build = subprocess.run(
         [sys.executable, "-m", "robpcount.cli", "build", "--kind", "tribes",

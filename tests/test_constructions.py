@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,11 +8,13 @@ import pytest
 
 from robpcount import (
     binary_alphabet,
+    compute_labels,
     constant_program,
     counter_alphabet,
     evaluate,
     exact_counter,
     minimal_error,
+    profile_counter,
     rounded_counter,
     rounded_counter_width_bound,
     rounding_plan,
@@ -19,8 +22,10 @@ from robpcount import (
     tribes_plan,
     validate,
     verify,
+    write_robp,
 )
-from robpcount.constructions import WidthBudgetError, _round_vectors
+from robpcount.constructions import WidthBudgetError, _binom_table, _round_vectors
+from robpcount.exact import RationalTable
 
 
 def test_exact_counter_shape():
@@ -226,3 +231,168 @@ def test_exact_roundtrip_serialization():
     for n, k in [(6, 2), (4, 3)]:
         p = exact_counter(n, k)
         assert read_robp(write_robp(p)) == p
+
+
+class _ReferenceColex:
+    """The per-layer construction the shared colex table replaced: each
+    layer's S-columns are scattered into the next layer through its edges."""
+
+    def __init__(self, k: int, max_s: int):
+        tab = _binom_table(max_s + k + 2, k)
+        self.k = k
+        self.cols = [np.ascontiguousarray(tab[:, i]) for i in range(k)]
+        # step[sym][i] = 1 iff letter sym+1 bumps partial sum i+1
+        self.steps = [
+            np.array([1 if i + 1 >= k - sym else 0 for i in range(k - 1)], np.int32)
+            for sym in range(k)
+        ]
+
+    def symbol_targets(self, s_arr):
+        k = self.k
+        rank = self.cols[1][s_arr[:, 0]]
+        for i in range(2, k):
+            rank = rank + self.cols[i][s_arr[:, i - 1]]
+        targets = [rank]
+        running = self.cols[k - 2][s_arr[:, k - 2]]
+        for sym in range(1, k):
+            targets.append(rank + running)
+            if sym < k - 1:
+                running = running + self.cols[k - 2 - sym][s_arr[:, k - 2 - sym]]
+        return targets
+
+    def stack(self, targets):
+        out = np.empty((len(targets[0]), len(targets)), dtype=np.int32)
+        for sym, col in enumerate(targets):
+            out[:, sym] = col
+        return out
+
+    def advance(self, s_arr, targets, next_size):
+        nxt = np.empty((next_size, self.k - 1), dtype=np.int32)
+        for sym in range(self.k):
+            nxt[targets[sym]] = s_arr + self.steps[sym]
+        return nxt
+
+    def vectors(self, s_arr, total):
+        k = self.k
+        d = np.empty((len(s_arr), k), dtype=np.int32)
+        d[:, 0] = s_arr[:, 0]
+        for i in range(1, k - 1):
+            d[:, i] = s_arr[:, i] - s_arr[:, i - 1] - 1
+        d[:, k - 1] = total - (s_arr[:, k - 2] - (k - 2))
+        return d[:, ::-1].copy()
+
+    def s_columns(self, vecs, total):
+        k = self.k
+        out = np.empty((len(vecs), k - 1), dtype=np.int32)
+        prefix = np.zeros(len(vecs), dtype=np.int32)
+        prefixes = []
+        for j in range(k - 1):
+            prefix = prefix + vecs[:, j]
+            prefixes.append(prefix)
+        for i in range(1, k):
+            out[:, i - 1] = total - prefixes[k - i - 1] + (i - 1)
+        return out
+
+    def start(self):
+        return np.arange(self.k - 1, dtype=np.int32)[None, :]
+
+
+def _reference_exact(n, k):
+    """exact_counter's edge layers, one at a time, then its outputs."""
+    cx = _ReferenceColex(k, n)
+    s_arr = cx.start()
+    for t in range(n):
+        targets = cx.symbol_targets(s_arr)
+        yield cx.stack(targets)
+        s_arr = cx.advance(s_arr, targets, math.comb(t + k, k - 1))
+    vecs = cx.vectors(s_arr, n).astype(np.int64)
+    yield RationalTable(vecs, np.ones(vecs.shape, np.int64))
+
+
+def _reference_rounded(n, k, delta):
+    """rounded_counter's edge layers, one at a time, then its outputs."""
+    plan = rounding_plan(n, k, delta)
+    l, m, s = plan.l, plan.m, plan.target_sum
+    cx = _ReferenceColex(k, n)
+    s_arr = cx.start()
+    for t in range(n - m):
+        targets = cx.symbol_targets(s_arr)
+        yield cx.stack(targets)
+        s_arr = cx.advance(s_arr, targets, math.comb(t + k, k - 1))
+    b = _round_vectors(cx.vectors(s_arr, n - m), l, s)
+    full_sizes = [math.comb(s + j + k - 1, k - 1) for j in range(1, m + 1)]
+    sb = cx.s_columns(b, s)
+    tb = cx.symbol_targets(sb)
+    trans = cx.stack(tb)
+    phase2 = []
+    s_arr = cx.advance(sb, tb, full_sizes[0])
+    for j in range(1, m):
+        targets = cx.symbol_targets(s_arr)
+        phase2.append(cx.stack(targets))
+        s_arr = cx.advance(s_arr, targets, full_sizes[j])
+    vecs = cx.vectors(s_arr, s + m)
+    masks = [np.zeros(full_sizes[0], dtype=bool)]
+    masks[0][trans] = True
+    for j in range(1, m):
+        nxt = np.zeros(full_sizes[j], dtype=bool)
+        nxt[phase2[j - 1][masks[j - 1]]] = True
+        masks.append(nxt)
+    remaps = [np.cumsum(mk, dtype=np.int64).astype(np.int32) - 1 for mk in masks]
+    yield remaps[0][trans]
+    for j in range(1, m):
+        yield remaps[j][phase2[j - 1][masks[j - 1]]]
+    vecs = vecs[masks[-1]].astype(np.int64)
+    yield RationalTable(vecs * l, np.full(vecs.shape, l - 1, dtype=np.int64))
+
+
+def _assert_same_as_reference(p, reference):
+    """Layer by layer, so the reference never holds more than the old
+    construction held at once."""
+    for t, want in zip(range(p.n), reference):
+        got = p.edges[t]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), t
+        assert np.array_equal(got, want), t
+    assert next(reference) == p.outputs
+    assert next(reference, None) is None
+
+
+def test_exact_counter_equals_the_per_layer_reference():
+    for k in (2, 3, 4, 5):
+        for n in range(10 if k < 5 else 8):
+            _assert_same_as_reference(exact_counter(n, k), _reference_exact(n, k))
+
+
+@pytest.mark.parametrize("n, k, delta", [(100, 2, 10), (100, 3, 10), (100, 4, 10), (200, 4, 10)])
+def test_rounded_counter_equals_the_per_layer_reference(n, k, delta):
+    _assert_same_as_reference(rounded_counter(n, k, delta), _reference_rounded(n, k, delta))
+
+
+def _edge_digest(p):
+    h = hashlib.sha256()
+    for layer in p.edges:
+        h.update(layer.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build, args, delta, phase1",
+    [
+        (exact_counter, (9, 4), 0, 9),
+        (rounded_counter, (100, 3, 10), 10, 100 - rounding_plan(100, 3, 10).m),
+    ],
+    ids=["exact", "rounded"],
+)
+def test_counting_layers_are_read_only_views_of_one_table(build, args, delta, phase1):
+    p = build(*args)
+    for layer in p.edges:
+        assert not layer.flags.writeable
+        with pytest.raises(ValueError):
+            layer[0, 0] = 1
+    counting = p.edges[:phase1]
+    assert all(np.shares_memory(a, b) for a, b in zip(counting, counting[1:]))
+    before = _edge_digest(p)
+    assert verify(p, p.alphabet, delta).valid
+    compute_labels(p, "full")
+    profile_counter(compute_labels(p, "potential"))
+    write_robp(p)
+    assert _edge_digest(p) == before

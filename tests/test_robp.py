@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from robpcount import (
@@ -92,6 +93,49 @@ def test_validate_reports_bad_outdegree_and_targets():
     assert any("out-degree" in r for (_, _, r) in rep.violations)
     p2 = Robp(1, binary_alphabet(), [1, 1], [[[0, 5]]], [(Fraction(0),)])
     assert any("target" in r for (_, _, r) in validate(p2).violations)
+
+
+def _two_leaves(layer):
+    return Robp(1, binary_alphabet(), [1, 2], [layer], [(Fraction(0),), (Fraction(1),)])
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        pytest.param(np.array([[0, 1.9]]), id="float-array"),
+        pytest.param(np.array([[False, True]]), id="bool-array"),
+        pytest.param([[0, 1.0]], id="float-in-row"),
+        pytest.param([[0, True]], id="bool-in-row"),
+        pytest.param([(0, np.True_)], id="numpy-bool-in-row"),
+        pytest.param([[0, 1, 2.5]], id="float-in-ragged-row"),
+    ],
+)
+def test_non_integer_edge_targets_raise(layer):
+    with pytest.raises(ValueError, match="integer"):
+        _two_leaves(layer)
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        pytest.param(np.array([[0, 2**32 + 1]], dtype=np.int64), id="int64-array"),
+        pytest.param(np.array([[0, 2**64 - 1]], dtype=np.uint64), id="uint64-array"),
+        pytest.param([[0, 2**32 + 1]], id="int-in-row"),
+        pytest.param([[0, -(2**31) - 1]], id="negative-int-in-row"),
+        pytest.param([[0, 2**70]], id="int-past-int64"),
+    ],
+)
+def test_edge_targets_outside_int32_are_kept_for_validate(layer):
+    p = _two_leaves(layer)
+    assert p.edges[0] == [[int(v) for v in row] for row in layer]
+    assert validate(p).violations == ((0, 0, "edge target outside next layer"),)
+
+
+def test_integer_edge_arrays_become_read_only_int32():
+    for dtype in (np.int16, np.int64, np.uint64):
+        p = _two_leaves(np.array([[0, 1]], dtype=dtype))
+        assert p.edges[0].dtype == np.int32 and not p.edges[0].flags.writeable
+        assert validate(p).valid
 
 
 def test_validate_reports_ragged_outputs():
