@@ -53,8 +53,11 @@ def _budgets():
 
 
 def _read_program(path: str | None) -> Robp:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
-    return read_robp(text)
+    if path in (None, "-"):
+        return read_robp(sys.stdin.buffer.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return read_robp(data)
 
 
 def _write_text(path: str | None, text: str):
@@ -290,7 +293,11 @@ def _cmd_fuzz(args) -> int:
 
 
 def _read_stream(path: str | None) -> list[int]:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     return [int(tok) for tok in text.split()]
 
 

@@ -345,7 +345,9 @@ def rounded_counter(n: int, k: int, delta, *, max_width: int = DEFAULT_MAX_WIDTH
     for j in range(1, m + 1):
         reached = np.zeros(math.comb(s + j + k - 1, k - 1), dtype=bool)
         reached[targets] = True
-        edges.append((np.cumsum(reached, dtype=np.int32) - 1)[targets])
+        remapped = (np.cumsum(reached, dtype=np.int32) - 1)[targets]
+        remapped.flags.writeable = False  # so Robp keeps it without a copy
+        edges.append(remapped)
         kept = np.flatnonzero(reached)
         if j < m:
             targets = table.take(kept, axis=0)

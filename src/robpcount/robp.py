@@ -12,7 +12,11 @@ parsers routinely produce near-misses that the caller wants described.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -84,10 +88,11 @@ def _target(v) -> int:
 
 def _edge_array(rows, n_symbols: int):
     """One layer's edges as a dense read-only (vertices, symbols) int32
-    array; a C-contiguous int32 array is kept as is, without a copy. Rows
-    that are ragged or hold a target outside int32 are kept verbatim as
-    lists of ints, for validate to report. A non-integer target raises
-    ValueError."""
+    array. A read-only C-contiguous int32 array is kept as is, without a
+    copy; any other array is copied, so the caller's array keeps its flags
+    and cannot change the program afterwards. Rows that are ragged or hold
+    a target outside int32 are kept verbatim as lists of ints, for validate
+    to report. A non-integer target raises ValueError."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind != "O":
         if rows.dtype.kind not in "iu":
             raise ValueError(f"edge targets must be integers, not {rows.dtype}")
@@ -96,7 +101,9 @@ def _edge_array(rows, n_symbols: int):
             or not rows.size
             or (rows.min() >= _INT32.min and rows.max() <= _INT32.max)
         ):
-            arr = np.ascontiguousarray(rows, dtype=np.int32)
+            if rows.dtype == np.int32 and rows.flags.c_contiguous and not rows.flags.writeable:
+                return rows
+            arr = np.array(rows, dtype=np.int32, order="C")
             arr.flags.writeable = False
             return arr
     rows = [[v if type(v) is int else _target(v) for v in r] for r in rows]
@@ -296,12 +303,115 @@ def _expect(cond: bool, where: str, what: str):
         raise RobpParseError(f"{where}: {what}")
 
 
-def read_robp(text: str) -> Robp:
-    """Parse the JSON serialization. Structural errors raise RobpParseError;
-    semantic problems (bad out-degrees, unreachable vertices, arity drift)
-    are left for validate() to report."""
+# One output cell the bulk parser takes: at most 18 digits, so that every
+# numerator and denominator fits the int64 table RationalTable.from_rows
+# would choose. Other spellings parse_rational accepts (" 3", "+3", longer
+# numbers) go through the walk.
+_CELL = r"-?[0-9]{1,18}(?:/[1-9][0-9]{0,17})?"
+_CELL_LINES = re.compile(rf"(?:{_CELL}\n)*{_CELL}")
+_WHOLE_LINE = re.compile(r"^-?[0-9]+$", re.M)
+
+
+def _bulk_edge_layer(rows, n_symbols: int):
+    """One edge layer as a read-only int32 array, or None for anything the
+    walk must see: a non-integer or out-of-int32 target, ragged or deeper
+    rows, rows of the wrong length, an empty layer. JSON booleans would
+    pass as 1 and 0; the caller rules them out first."""
     try:
-        doc = json.loads(text)
+        arr = np.array(rows)
+    except (ValueError, OverflowError):
+        return None
+    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != n_symbols:
+        return None
+    if arr.min() < _INT32.min or arr.max() > _INT32.max:
+        return None
+    arr = arr.astype(np.int32)
+    arr.flags.writeable = False
+    return arr
+
+
+def _bulk_outputs(rows):
+    """The output rows as a RationalTable, or None for anything the walk
+    must see: no rows, a row that is not a list, ragged or empty rows, a
+    cell that is not a string or not in the form _CELL."""
+    if not rows or set(map(type, rows)) != {list}:
+        return None
+    arity = len(rows[0])
+    if not arity or set(map(len, rows)) != {arity}:
+        return None
+    try:
+        text = "\n".join(itertools.chain.from_iterable(rows))
+    except TypeError:
+        return None
+    cells = len(rows) * arity
+    if text.count("\n") != cells - 1 or not _CELL_LINES.fullmatch(text):
+        return None
+    if "/" in text:
+        text = _WHOLE_LINE.sub(r"\g<0>/1", text).replace("/", "\n")
+        pairs = np.array(text.split("\n"), dtype=np.int64).reshape(len(rows), arity, 2)
+        num, den = pairs[..., 0], pairs[..., 1]
+    else:
+        num = np.array(text.split("\n"), dtype=np.int64).reshape(len(rows), arity)
+        den = np.ones_like(num)
+    return RationalTable(num, den)
+
+
+def _walk_edge_layer(t: int, rows):
+    _expect(isinstance(rows, list), f"edges[{t}]", "expected a list of vertex rows")
+    for u, row in enumerate(rows):
+        _expect(isinstance(row, list), f"edges[{t}][{u}]", "expected a list of targets")
+        for z, tgt in enumerate(row):
+            _expect(type(tgt) is int, f"edges[{t}][{u}][{z}]", "expected an integer")
+
+
+def _walk_outputs(rows) -> list[tuple[Fraction, ...]]:
+    outputs = []
+    for i, row in enumerate(rows):
+        _expect(isinstance(row, list), f"outputs[{i}]", "expected a list of rationals")
+        parsed = []
+        for j, s in enumerate(row):
+            _expect(isinstance(s, str), f"outputs[{i}][{j}]", "expected a string rational")
+            try:
+                parsed.append(parse_rational(s))
+            except ValueError as e:
+                raise RobpParseError(f"outputs[{i}][{j}]: {e}") from None
+        outputs.append(tuple(parsed))
+    return outputs
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector. json.loads builds a list per
+    vertex and none of them is in a cycle, but the full collections their
+    number triggers scan every one made so far: on a 252 MB document this
+    halves the parse."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def read_robp(text: str | bytes) -> Robp:
+    """Parse the JSON serialization, given as text or UTF-8 bytes.
+    Structural errors raise RobpParseError; semantic problems (bad
+    out-degrees, unreachable vertices, arity drift) are left for validate()
+    to report.
+
+    Each edge layer and the output table are converted in bulk. A layer or
+    table the bulk converters do not take goes through the element walk,
+    which is the one source of located error messages and keeps rows
+    verbatim for validate."""
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise RobpParseError(f"byte {e.start}: not UTF-8 text") from None
+    try:
+        with _gc_paused():
+            doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise RobpParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
     _expect(isinstance(doc, dict), "document", "expected a JSON object")
@@ -326,54 +436,70 @@ def read_robp(text: str) -> Robp:
         "layers", "expected a list of integers",
     )
     _expect(len(layers) == n + 1, "layers", f"expected {n + 1} entries, found {len(layers)}")
+    # np.array reads JSON true/false as 1/0, so a document holding either
+    # token anywhere goes through the walk
+    bulk = "true" not in text and "false" not in text
     edges = doc["edges"]
     _expect(isinstance(edges, list), "edges", "expected a list")
     for t, rows in enumerate(edges):
-        _expect(isinstance(rows, list), f"edges[{t}]", "expected a list of vertex rows")
-        for u, row in enumerate(rows):
-            _expect(isinstance(row, list), f"edges[{t}][{u}]", "expected a list of targets")
-            for z, tgt in enumerate(row):
-                _expect(type(tgt) is int, f"edges[{t}][{u}][{z}]", "expected an integer")
+        arr = _bulk_edge_layer(rows, alphabet.size) if bulk else None
+        if arr is None:
+            _walk_edge_layer(t, rows)
+        else:
+            edges[t] = arr  # frees the layer's lists as it goes
     outputs_doc = doc["outputs"]
     _expect(isinstance(outputs_doc, list), "outputs", "expected a list")
-    outputs = []
-    for i, row in enumerate(outputs_doc):
-        _expect(isinstance(row, list), f"outputs[{i}]", "expected a list of rationals")
-        parsed = []
-        for j, s in enumerate(row):
-            _expect(isinstance(s, str), f"outputs[{i}][{j}]", "expected a string rational")
-            try:
-                parsed.append(parse_rational(s))
-            except ValueError as e:
-                raise RobpParseError(f"outputs[{i}][{j}]: {e}") from None
-        outputs.append(tuple(parsed))
+    outputs = _bulk_outputs(outputs_doc) if bulk else None
+    if outputs is None:
+        outputs = _walk_outputs(outputs_doc)
     return Robp(n, alphabet, layers, edges, outputs)
+
+
+def _layer_json(rows) -> str:
+    """One edge layer as the text json.dumps gives it with separators
+    (",", ":"). An array of 256 targets or more is formatted from digit
+    columns, one numpy pass per decimal place, instead of one Python int
+    per target; below that the fixed cost of those passes is the larger."""
+    if not isinstance(rows, np.ndarray):
+        return json.dumps([[int(v) for v in r] for r in rows], separators=(",", ":"))
+    if rows.size < 256:
+        return json.dumps(rows.tolist(), separators=(",", ":"))
+    v, s = rows.shape
+    x = rows.ravel().astype(np.int64)
+    q = np.abs(x).astype(np.uint32)
+    width = len(str(q.max()))
+    # per target: "[" before a row's first, "-", its digits, then "," or
+    # "],"; the zero bytes left over are dropped
+    cells = np.zeros((v * s, width + 4), np.uint8)
+    cells[::s, 0] = ord("[")
+    cells[x < 0, 1] = ord("-")
+    for j in range(width + 1, 1, -1):
+        nq = q // 10
+        digit = (q - nq * 10 + ord("0")).astype(np.uint8)
+        if j <= width:
+            digit[q == 0] = 0  # a leading zero
+        cells[:, j] = digit
+        q = nq
+    cells[:, -2] = ord(",")
+    cells[s - 1 :: s, -2:] = (ord("]"), ord(","))
+    return "[" + cells[cells != 0][:-1].tobytes().decode("ascii") + "]"
 
 
 def write_robp(p: Robp) -> str:
     """Serialize to the documented JSON format (round-trips through read_robp)."""
-    edges = []
-    for rows in p.edges:
-        if isinstance(rows, np.ndarray):
-            edges.append(rows.tolist())
-        else:
-            edges.append([list(int(v) for v in r) for r in rows])
     if isinstance(p.outputs, RationalTable):
-        num, den = p.outputs.num, p.outputs.den
         outputs = [
-            [
-                str(int(pn)) if q == 1 else f"{int(pn)}/{int(q)}"
-                for pn, q in zip(num[i], den[i])
-            ]
-            for i in range(num.shape[0])
+            [str(a) if b == 1 else f"{a}/{b}" for a, b in zip(nums, dens)]
+            for nums, dens in zip(p.outputs.num.tolist(), p.outputs.den.tolist())
         ]
     else:
         outputs = [[format_rational(v) for v in row] for row in p.outputs]
-    doc = {
-        "n": p.n,
-        "alphabet": {"kind": p.alphabet.kind, "k": p.alphabet.k},
-        "layers": list(p.layer_sizes),
-        "edges": edges,
-        "outputs": outputs,
-    }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    alphabet = {"kind": p.alphabet.kind, "k": p.alphabet.k}
+    compact = dict(separators=(",", ":"), sort_keys=True)
+    # the keys in sorted order, with each edge layer formatted on its own
+    return (
+        f'{{"alphabet":{json.dumps(alphabet, **compact)},'
+        f'"edges":[{",".join(map(_layer_json, p.edges))}],'
+        f'"layers":{json.dumps(list(p.layer_sizes), **compact)},"n":{p.n},'
+        f'"outputs":{json.dumps(outputs, **compact)}}}'
+    )

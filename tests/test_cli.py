@@ -96,6 +96,20 @@ def test_pipeline_through_stdin():
     assert json.loads(verify.stdout)["valid"] is True
 
 
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
+    text = '{"n": 0, "alphabet": {"kind": "binary"}, "layers": [1], "edges": [], "outputs": [["\xe9"]]}'
+    message = f"error: byte {text.index(chr(0xE9))}: not UTF-8 text\n"
+    path = tmp_path / "latin-1.json"
+    path.write_bytes(text.encode("latin-1"))
+    code = main(["validate", "-i", str(path)])
+    assert code == 2 and capsys.readouterr().err == message
+    piped = subprocess.run(
+        [sys.executable, "-m", "robpcount.cli", "validate"],
+        input=text.encode("latin-1"), capture_output=True, env=CHILD_ENV,
+    )
+    assert piped.returncode == 2 and piped.stderr.decode() == message
+
+
 def test_build_exact_and_labels(tmp_path, capsys):
     path = tmp_path / "exact.json"
     run_cli(capsys, "build", "--kind", "exact", "--n", "2", "--k", "2", "-o", str(path))

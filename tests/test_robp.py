@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import robpcount.robp as robp_module
 from robpcount import (
     Robp,
     RobpParseError,
@@ -15,10 +16,12 @@ from robpcount import (
     parallel_alphabet,
     random_robp,
     read_robp,
+    rounded_counter,
     tribes,
     validate,
     write_robp,
 )
+from robpcount.exact import RationalTable
 
 
 def test_alphabet_sizes():
@@ -138,6 +141,18 @@ def test_integer_edge_arrays_become_read_only_int32():
         assert validate(p).valid
 
 
+def test_a_callers_array_stays_writeable_and_apart_from_the_program():
+    a = np.array([[0, 1]], dtype=np.int32)
+    p = _two_leaves(a)
+    assert a.flags.writeable
+    a[0, 1] = 0
+    assert p.edges[0].tolist() == [[0, 1]]
+    assert validate(p).valid
+    frozen = np.array([[0, 1]], dtype=np.int32)
+    frozen.flags.writeable = False
+    assert _two_leaves(frozen).edges[0] is frozen
+
+
 def test_validate_reports_ragged_outputs():
     p = Robp(
         1,
@@ -193,11 +208,155 @@ def test_roundtrip_exact_counter():
     assert read_robp(write_robp(p)) == p
 
 
-def test_roundtrip_random_programs():
-    for seed in range(30):
-        alphabet = [binary_alphabet(), counter_alphabet(2), parallel_alphabet(2)][seed % 3]
-        p = random_robp(seed % 6, alphabet, 3, seed)
-        assert read_robp(write_robp(p)) == p
+def _reference_text(p):
+    """The serialization as one json.dumps over Python lists, the
+    straightforward form write_robp must match byte for byte."""
+    edges = [e.tolist() if isinstance(e, np.ndarray) else e for e in p.edges]
+    outputs = [[str(v) for v in row] for row in p.output_rows()]
+    doc = {
+        "n": p.n,
+        "alphabet": {"kind": p.alphabet.kind, "k": p.alphabet.k},
+        "layers": list(p.layer_sizes),
+        "edges": edges,
+        "outputs": outputs,
+    }
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def _kinds(p):
+    """What each edge layer and the output table are stored as."""
+    return (
+        [e.dtype if isinstance(e, np.ndarray) else type(e) for e in p.edges],
+        p.outputs.num.dtype if isinstance(p.outputs, RationalTable) else type(p.outputs),
+    )
+
+
+def _outcome(text):
+    try:
+        p = read_robp(text)
+    except RobpParseError as e:
+        return str(e)
+    return p, _kinds(p)
+
+
+def _walk_outcome(text, monkeypatch):
+    """The outcome with every layer and the outputs sent through the walk."""
+    with monkeypatch.context() as m:
+        m.setattr(robp_module, "_bulk_edge_layer", lambda rows, n_symbols: None)
+        m.setattr(robp_module, "_bulk_outputs", lambda rows: None)
+        return _outcome(text)
+
+
+def test_roundtrip_random_programs(monkeypatch):
+    rng = random.Random(11)
+    for seed in range(36):
+        alphabet = [binary_alphabet(), counter_alphabet(3), parallel_alphabet(2)][seed % 3]
+        p = random_robp(rng.randint(0, 8), alphabet, rng.choice([1, 3, 40, 200]), seed)
+        text = write_robp(p)
+        assert text == _reference_text(p)
+        assert read_robp(text) == p
+        assert _outcome(text) == _walk_outcome(text, monkeypatch)
+
+
+def _negative_and_wide_values():
+    edges = [np.arange(-300, 300, dtype=np.int32).reshape(300, 2)]
+    outputs = [(Fraction(-7, 3), Fraction(2**70, 3))] * 2
+    return Robp(1, counter_alphabet(2), [300, 2], edges, outputs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: exact_counter(6, 3), id="exact(6,3)"),
+        # layers of up to 1540 x 4 targets, past the writer's 256-target switch
+        pytest.param(lambda: exact_counter(20, 4), id="exact(20,4)"),
+        pytest.param(lambda: rounded_counter(100, 3, 10), id="rounded(100,3,10)"),
+        pytest.param(lambda: tribes(100, 4), id="tribes(100,4)"),
+        pytest.param(_negative_and_wide_values, id="negative-and-wide"),
+    ],
+)
+def test_write_matches_the_reference_text(build):
+    p = build()
+    assert write_robp(p) == _reference_text(p)
+    assert read_robp(write_robp(p)) == p
+
+
+def test_bulk_reading_runs_on_written_programs(monkeypatch):
+    def walked(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(robp_module, "_walk_edge_layer", walked)
+    monkeypatch.setattr(robp_module, "_walk_outputs", walked)
+    for p in (exact_counter(6, 3), rounded_counter(100, 3, 10)):
+        q = read_robp(write_robp(p))
+        assert q == p and all(not e.flags.writeable for e in q.edges)
+        assert read_robp(write_robp(p).encode()) == p
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_set(("extra",), True), id="bool-top-level"),
+        pytest.param(_set(("edges", 1, 0, 0), False), id="bool-nested"),
+        pytest.param(_set(("outputs", 0, 0), True), id="bool-output"),
+        pytest.param(_set(("edges", -1, -1), [0, True]), id="bool-last-layer"),
+        pytest.param(_set(("edges", 1, 1, 0), 1.0), id="target-1.0"),
+        pytest.param(_set(("edges", 1, 1, 0), 1.5), id="target-1.5"),
+        pytest.param(_set(("edges", 1, 1, 0), None), id="target-null"),
+        pytest.param(_set(("edges", 1, 1, 0), "1"), id="target-string"),
+        pytest.param(_set(("edges", 1, 1), [0]), id="ragged-rows"),
+        pytest.param(_set(("edges", 1, 1), [[0, 1], [1, 2]]), id="three-deep"),
+        pytest.param(_set(("edges", 1), []), id="empty-layer"),
+        pytest.param(_set(("edges", 1, 1), []), id="empty-row"),
+        pytest.param(_set(("edges", 1), {}), id="layer-object"),
+        pytest.param(_set(("edges", 1, 1, 0), 2**31), id="target-2**31"),
+        pytest.param(_set(("edges", 1, 1, 0), 2**70), id="target-2**70"),
+        pytest.param(_set(("edges", 1, 1, 0), -1), id="target-negative"),
+        pytest.param(_set(("edges", 1, 1, 0), -(2**31) - 1), id="target-below-int32"),
+        pytest.param(_set(("outputs", 1, 0), " 3"), id="output-space"),
+        pytest.param(_set(("outputs", 1, 0), "+3"), id="output-plus"),
+        pytest.param(_set(("outputs", 1, 0), "-0"), id="output-minus-zero"),
+        pytest.param(_set(("outputs", 1, 0), "2/4"), id="output-unreduced"),
+        pytest.param(_set(("outputs", 1, 0), "1/0"), id="output-zero-denominator"),
+        pytest.param(_set(("outputs", 1, 0), "1.5"), id="output-decimal"),
+        pytest.param(_set(("outputs", 1, 0), "1\n2"), id="output-newline"),
+        pytest.param(_set(("outputs", 1, 0), str(2**70)), id="output-2**70"),
+        pytest.param(_set(("outputs", 1, 0), f"{2**70}/3"), id="output-2**70/3"),
+        pytest.param(_set(("outputs", 1, 0), 3), id="output-not-a-string"),
+        pytest.param(_set(("outputs", 1), ["1"]), id="output-ragged"),
+        pytest.param(_set(("outputs", 1), "12"), id="output-row-string"),
+        pytest.param(_set(("outputs",), []), id="outputs-empty"),
+    ],
+)
+def test_bulk_reading_matches_the_walk(edit, monkeypatch):
+    doc = json.loads(write_robp(exact_counter(4, 2)))
+    edit(doc)
+    text = json.dumps(doc)
+    assert _outcome(text) == _walk_outcome(text, monkeypatch)
+
+
+@pytest.mark.parametrize("target", [2**31, 2**70, -(2**31) - 1])
+def test_read_keeps_an_out_of_range_target_for_validate(target):
+    doc = json.loads(write_robp(exact_counter(2, 2)))
+    doc["edges"][1][1][0] = target
+    p = read_robp(json.dumps(doc))
+    assert p.edges[1] == [[0, 1], [target, 2]]
+    assert validate(p).violations == ((1, 1, "edge target outside next layer"),)
+
+
+def test_read_refuses_bytes_that_are_not_utf8():
+    with pytest.raises(RobpParseError, match="not UTF-8"):
+        read_robp(b'{"n": 0, "\xff": 1}')
 
 
 def test_roundtrip_rational_output():
