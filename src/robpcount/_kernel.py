@@ -1,15 +1,19 @@
-"""The compiled kernels behind the potential profiles and the label DP.
+"""The kernels behind the potential profiles and the label DP.
 
-The C source below holds two functions: paint_sum, which paints and sums
-the potential grids, and label_step, one layer of the label DP (in an
-int16 and an int32 body). It is compiled once per machine with the system
-C compiler (`cc`) into $XDG_CACHE_HOME/robpcount/ (default
-~/.cache/robpcount/) and loaded with ctypes, once per process. The
-library's file name is a 64-bit checksum of the source, the compile
-command and the machine type, so a cache hit costs a stat and a dlopen.
-When no compiler is found, the compile fails or the cache cannot be
-written, kernel() and label_step() return None and the callers run their
-numpy code instead.
+paint_sum paints and sums the potential grids, and label_step runs one
+layer of the label DP. Each checks its arguments, then runs the C source
+below if its library loaded, and otherwise the same computation in numpy
+(_paint_numpy, _step_numpy; also the references the tests compare the C
+code against). Both paths give identical results, so callers never ask
+which one ran.
+
+The C source holds paint_sum and label_step (in an int16 and an int32
+body). It is compiled once per machine with the system C compiler (`cc`)
+into $XDG_CACHE_HOME/robpcount/ (default ~/.cache/robpcount/) and loaded
+with ctypes, once per process. The library's file name is a 64-bit
+checksum of the source, the compile command and the machine type, so a
+cache hit costs a stat and a dlopen. When no compiler is found, the
+compile fails or the cache cannot be written, library() returns None.
 """
 
 from __future__ import annotations
@@ -134,11 +138,14 @@ LABEL_STEP(label_step_i32, int32_t)
 """
 
 
-def _paint_sum(fn, lo, hi, vals, shape, s0: int, t: int, grid) -> int:
-    """Check what the C code relies on, then paint and sum through fn.
+def paint_sum(lo, hi, vals, shape, s0: int, t: int, grid) -> int:
+    """Max-paint the boxes [lo[r], hi[r]] with value vals[r] onto the flat
+    int64 grid over shape, then return the sum of cell - coordinate sum over
+    the cells >= 0 whose coordinate sum is at most t.
 
-    lo and hi are the rectangles relative to the grid base, s0 the base's
-    coordinate sum; grid is the caller's flat int64 grid over shape."""
+    lo and hi are relative to the grid origin, s0 is the origin's coordinate
+    sum; grid is the caller's. The arguments are checked for what the C code
+    relies on, then the C code runs, or _paint_numpy without a library."""
     arrays = (lo, hi, vals, grid)
     if not all(
         isinstance(a, np.ndarray) and a.dtype == np.int64 and a.flags.c_contiguous
@@ -155,13 +162,58 @@ def _paint_sum(fn, lo, hi, vals, shape, s0: int, t: int, grid) -> int:
         raise ValueError("paint kernel grid does not match its shape")
     if n and ((lo < 0).any() or (hi < lo).any() or (hi >= shape_arr).any()):
         raise ValueError("paint kernel needs 0 <= lo <= hi < shape for every rectangle")
-    return fn(n, d, lo.ctypes.data, hi.ctypes.data, vals.ctypes.data,
-              shape_arr.ctypes.data, s0, t, grid.ctypes.data)
+    lib = library()
+    if lib is None:
+        return _paint_numpy(lo, hi, vals, shape_arr, s0, t, grid)
+    return lib.paint_sum(n, d, lo.ctypes.data, hi.ctypes.data, vals.ctypes.data,
+                         shape_arr.ctypes.data, s0, t, grid.ctypes.data)
 
 
-def _label_step(lib, state, edges, shifts2, nxt) -> None:
-    """Check what the C code relies on, then min state[u] + shifts2[z] into
-    nxt[edges[u, z]] for every vertex u and symbol z through lib."""
+def _paint_numpy(lo, hi, vals, shape, s0: int, t: int, grid) -> int:
+    """paint_sum in numpy, on the arguments paint_sum has checked: the
+    fallback without a C library, and the reference the tests compare the
+    C code against.
+
+    Boxes are grouped by shape, so each group shares one offset table; a
+    chunk of same-shape boxes is painted with one np.maximum.at, which
+    handles the overlaps."""
+    strides = np.ones(len(shape), dtype=np.int64)
+    for j in range(len(shape) - 2, -1, -1):
+        strides[j] = strides[j + 1] * shape[j + 1]
+    starts = lo @ strides
+    widths = hi - lo + 1
+    order = np.lexsort(widths.T[::-1])
+    widths = widths[order]
+    first = np.ones(len(order), dtype=bool)  # where a new box shape starts
+    first[1:] = (widths[1:] != widths[:-1]).any(axis=1)
+    group_starts = np.flatnonzero(first)
+    for g0, g1 in zip(group_starts, [*group_starts[1:], len(order)]):
+        idx = order[g0:g1]
+        w = widths[g0]
+        offs = np.zeros(1, dtype=np.int64)
+        for j in range(len(strides)):
+            offs = (offs[:, None] + np.arange(w[j], dtype=np.int64) * strides[j]).ravel()
+        vol = len(offs)
+        chunk = max(1, 4_000_000 // vol)
+        for c0 in range(0, len(idx), chunk):
+            sel = idx[c0 : c0 + chunk]
+            pos = (starts[sel][:, None] + offs[None, :]).ravel()
+            painted = np.broadcast_to(vals[sel][:, None], (len(sel), vol)).ravel()
+            np.maximum.at(grid, pos, painted)
+    # coordinate sums of the cells in grid order, last axis fastest
+    sums = np.full(1, s0, dtype=np.int64)
+    for s in shape:
+        sums = (sums[:, None] + np.arange(s, dtype=np.int64)).ravel()
+    covered = (grid >= 0) & (sums <= t)
+    return int((grid[covered] - sums[covered]).sum())
+
+
+def label_step(state, edges, shifts2, nxt) -> None:
+    """Min state[u] + shifts2[z] into nxt[edges[u, z]] for every vertex u
+    and symbol z: one layer of the label DP over packed (lo, -hi) rows.
+
+    The arguments are checked for what the C code relies on, then the C
+    code runs, or _step_numpy without a library."""
     arrays = (state, edges, shifts2, nxt)
     if not all(
         isinstance(a, np.ndarray) and a.ndim == 2 and a.flags.c_contiguous for a in arrays
@@ -171,11 +223,7 @@ def _label_step(lib, state, edges, shifts2, nxt) -> None:
     symbols = shifts2.shape[0]
     if edges.dtype != np.int32 or edges.shape != (vertices, symbols):
         raise ValueError("label step needs int32 edges of shape (vertices, symbols)")
-    if state.dtype == np.int16:
-        fn = lib.label_step_i16
-    elif state.dtype == np.int32:
-        fn = lib.label_step_i32
-    else:
+    if state.dtype not in (np.int16, np.int32):
         raise ValueError("label step needs int16 or int32 labels")
     if shifts2.dtype != state.dtype or nxt.dtype != state.dtype:
         raise ValueError("label step needs state, shifts2 and nxt of one dtype")
@@ -183,8 +231,33 @@ def _label_step(lib, state, edges, shifts2, nxt) -> None:
         raise ValueError("label step needs state, shifts2 and nxt with the same 2d columns")
     if edges.size and (edges.min() < 0 or edges.max() >= nxt.shape[0]):
         raise ValueError("label step needs every edge target inside the next layer")
+    lib = library()
+    if lib is None:
+        _step_numpy(state, edges, shifts2, nxt)
+        return
+    fn = lib.label_step_i16 if state.dtype == np.int16 else lib.label_step_i32
     fn(vertices, symbols, cols, state.ctypes.data, edges.ctypes.data,
        shifts2.ctypes.data, nxt.ctypes.data)
+
+
+def _step_numpy(state, edges, shifts2, nxt) -> None:
+    """label_step in numpy, on the arguments label_step has checked, with
+    nxt filled with its dtype's max: the fallback without a C library, and
+    the reference the tests compare the C code against."""
+    v_next = nxt.shape[0]
+    sentinel = np.iinfo(nxt.dtype).max
+    for sym in range(shifts2.shape[0]):
+        tgt = edges[:, sym]
+        cand = state + shifts2[sym]
+        if np.bincount(tgt, minlength=v_next).max() <= 1:
+            if sym == 0:
+                nxt[tgt] = cand
+            else:
+                tmp = np.full(nxt.shape, sentinel, dtype=nxt.dtype)
+                tmp[tgt] = cand
+                np.minimum(nxt, tmp, out=nxt)
+        else:
+            np.minimum.at(nxt, tgt, cand)
 
 
 def cache_dir() -> str | None:
@@ -269,15 +342,3 @@ def load_library():
 def library():
     """load_library(), once per process."""
     return load_library()
-
-
-def kernel():
-    """The guarded paint-and-sum callable of library(), or None."""
-    lib = library()
-    return None if lib is None else functools.partial(_paint_sum, lib.paint_sum)
-
-
-def label_step():
-    """The guarded label DP step of library(), or None."""
-    lib = library()
-    return None if lib is None else functools.partial(_label_step, lib)

@@ -320,6 +320,7 @@ def _cmd_mg(args, with_query: bool) -> int:
 
 def _cmd_plot_data(args) -> int:
     budgets = _budgets()
+    limits = {"max_n": budgets["frontier_n"], "max_w": budgets["frontier_w"]}
     writer = csv.writer(sys.stdout)
     writer.writerow(["series", "x", "y"])
 
@@ -335,8 +336,10 @@ def _cmd_plot_data(args) -> int:
             gap = constructions.tribes_plan(n, w).gap
             emit("upper_bound", w, Fraction(n) / 2 - Fraction(gap, 2))
             if n <= budgets["frontier_n"] and w <= budgets["frontier_w"]:
-                emit("oracle", w, oracle.frontier(n, w).delta_star)
+                emit("oracle", w, oracle.frontier(n, w, **limits).delta_star)
     elif args.mode == "small-err":
+        if args.delta_step <= 0:
+            raise ValueError(f"--delta-step must be positive, got {args.delta_step}")
         if args.delta_min > args.delta_max:
             raise SystemExit("empty sweep")
         n, k = args.n, args.k
@@ -352,7 +355,7 @@ def _cmd_plot_data(args) -> int:
     else:  # frontier
         for n in range(1, args.n_max + 1):
             for w in range(1, min(args.w_max, budgets["frontier_w"]) + 1):
-                point = oracle.frontier(n, w, max_n=budgets["frontier_n"])
+                point = oracle.frontier(n, w, **limits)
                 emit("oracle", f"{n}:{w}", point.delta_star)
                 if w >= 3:
                     emit("lower_bound", f"{n}:{w}", bounds_mod.lb_small_w(n, 2, w))

@@ -18,9 +18,8 @@ Label modes:
              audits consume. Both modes run the same DP over a column slice
              of one shift table.
 
-Each layer of the DP is one scatter-min of packed (lo, -hi) rows. It runs
-in the C kernel (_kernel.label_step) when a C compiler is available, and
-in numpy (_step_numpy, also the tests' reference) otherwise.
+Each layer of the DP is one scatter-min of packed (lo, -hi) rows,
+_kernel.label_step (in C, or in numpy without a C compiler).
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernel
+from .exact import RationalTable
 from .robp import Alphabet, Robp, validate
 
 
@@ -97,27 +97,6 @@ class LabeledRobp:
         return self.lo[t], self.hi[t]
 
 
-def _step_numpy(state, edges, shifts2, nxt) -> None:
-    """Min state[u] + shifts2[z] into nxt[edges[u, z]] for every vertex u
-    and symbol z; nxt arrives filled with its dtype's max. The numpy DP
-    step: the fallback when the C kernel cannot be built, and the reference
-    the tests compare the kernel against."""
-    v_next = nxt.shape[0]
-    sentinel = np.iinfo(nxt.dtype).max
-    for sym in range(shifts2.shape[0]):
-        tgt = edges[:, sym]
-        cand = state + shifts2[sym]
-        if np.bincount(tgt, minlength=v_next).max() <= 1:
-            if sym == 0:
-                nxt[tgt] = cand
-            else:
-                tmp = np.full(nxt.shape, sentinel, dtype=nxt.dtype)
-                tmp[tgt] = cand
-                np.minimum(nxt, tmp, out=nxt)
-        else:
-            np.minimum.at(nxt, tgt, cand)
-
-
 def _label_layers(p: Robp, shifts: np.ndarray):
     """Forward DP over layers; exact by induction on achieved prefixes.
 
@@ -134,12 +113,11 @@ def _label_layers(p: Robp, shifts: np.ndarray):
     sentinel = np.iinfo(dtype).max
     # lo and negated hi ride in one array so every step is a scatter-min
     shifts2 = np.concatenate([shifts, -shifts], axis=1).astype(dtype)
-    step = _kernel.label_step() or _step_numpy
     state = np.zeros((1, 2 * d), dtype=dtype)
     yield state
     for t in range(p.n):
         nxt = np.full((p.layer_sizes[t + 1], 2 * d), sentinel, dtype=dtype)
-        step(state, p.edge_array(t), shifts2, nxt)
+        _kernel.label_step(state, p.edge_array(t), shifts2, nxt)
         state = nxt
         yield state
 
@@ -243,13 +221,10 @@ def verify(p: Robp, problem: Alphabet, delta) -> VerifyCertificate:
 
 def minimal_error(p: Robp, problem: Alphabet):
     """Best achievable additive error for p's structure, with the outputs
-    that achieve it (interval midpoints). Existing outputs are ignored."""
+    that achieve it: the interval midpoints, as a RationalTable. Existing
+    outputs are ignored."""
     _check_problem(p, problem)
     lo, hi = _final_labels(p)
     length = (hi - lo).max() if lo.size else 0
     delta_star = Fraction(int(length), 2)
-    # midpoints: one Fraction per distinct lo+hi sum, shared across vertices
-    sums = lo + hi
-    half = {s: Fraction(s, 2) for s in np.unique(sums).tolist()}
-    optimal = [tuple(map(half.__getitem__, row)) for row in sums.tolist()]
-    return delta_star, optimal
+    return delta_star, RationalTable(lo + hi, np.full(lo.shape, 2))

@@ -12,10 +12,8 @@ per-layer growth lower bound nor inflate the final-layer sum.
 
 phi_counter/phi_parallel are the pointwise definitions; profiles are
 computed by painting rectangles onto dense grids, which the tests check
-against the pointwise form. The painting and the masked sum run in one small
-C kernel (_kernel.py), compiled on first use when a C compiler is present;
-otherwise the numpy painter (_paint, _paint_numpy, _coord_sums) runs. The
-numpy painter is also the reference the tests compare the kernel against.
+against the pointwise form. The painting and the masked sum are one call of
+_kernel.paint_sum (in C, or in numpy without a C compiler).
 """
 
 from __future__ import annotations
@@ -76,35 +74,6 @@ class PotentialProfile:
         return self.phi_values[t - t0]
 
 
-def _paint_numpy(flat, starts, widths, vals, strides):
-    """Max-paint each rectangle's value over its cells of the flat grid.
-
-    The numpy painter: the fallback when the C kernel cannot be built, and
-    the reference the tests compare the kernel against. Rectangles are
-    grouped by shape, so each group shares one offset table; a chunk of
-    same-shape rectangles is painted with one np.maximum.at, which handles
-    the overlaps."""
-    order = np.lexsort(widths.T[::-1])
-    widths_sorted = widths[order]
-    group_starts = np.flatnonzero(
-        np.concatenate([[True], (np.diff(widths_sorted, axis=0) != 0).any(axis=1)])
-    )
-    for gi, g0 in enumerate(group_starts):
-        g1 = group_starts[gi + 1] if gi + 1 < len(group_starts) else len(order)
-        idx = order[g0:g1]
-        w = widths_sorted[g0]
-        offs = np.zeros(1, dtype=np.int64)
-        for j in range(len(strides)):
-            offs = (offs[:, None] + np.arange(w[j], dtype=np.int64) * strides[j]).ravel()
-        vol = len(offs)
-        chunk = max(1, 4_000_000 // vol)
-        for c0 in range(0, len(idx), chunk):
-            sel = idx[c0 : c0 + chunk]
-            pos = (starts[sel][:, None] + offs[None, :]).ravel()
-            painted = np.broadcast_to(vals[sel][:, None], (len(sel), vol)).ravel()
-            np.maximum.at(flat, pos, painted)
-
-
 def _col_sum(a: np.ndarray) -> np.ndarray:
     """Row sums of a narrow 2-d array as int64, one column add at a time
     (much cheaper than a.sum(axis=1) over a few columns)."""
@@ -125,55 +94,14 @@ def _charge(budget, lo: np.ndarray, hi: np.ndarray) -> None:
         raise GridBudgetError("painting budget exhausted; raise the limit")
 
 
-def _paint(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, base, shape, budget):
-    """Dense max-paint of value boxes onto a d-dimensional grid.
-
-    Returns a flat int64 array over `shape` initialized to -1; cell x ends
-    up holding max(vals[r]) over rectangles r containing x.
-    """
-    d = len(shape)
-    cells = int(np.prod(shape))
-    flat = np.full(cells, -1, dtype=np.int64)
-    if len(lo) == 0:
-        return flat
-    strides = np.ones(d, dtype=np.int64)
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * shape[j + 1]
-    rel = (lo - np.asarray(base, dtype=np.int64)).astype(np.int64)
-    starts = rel @ strides
-    widths = (hi - lo + 1).astype(np.int64)
-    _charge(budget, lo, hi)
-    _paint_numpy(flat, starts, widths, np.asarray(vals, dtype=np.int64), strides)
-    return flat
-
-
-def _coord_sums(base, shape) -> np.ndarray:
-    total = np.zeros(shape, dtype=np.int64)
-    d = len(shape)
-    for j, (b, s) in enumerate(zip(base, shape)):
-        view = [1] * d
-        view[j] = s
-        total = total + (np.arange(s, dtype=np.int64) + b).reshape(view)
-    return total.ravel()
-
-
-def _paint_sum(paint, lo, hi, vals, base, shape, t: int, budget, sums=None) -> int:
+def _paint_sum(lo, hi, vals, base, shape, t: int, budget) -> int:
     """Max-paint the int64 rectangles onto the grid over `shape` at `base`
     and return the sum of (cell - coordinate sum) over the painted cells
-    whose coordinate sum is <= t.
-
-    paint is the C kernel, or None for the numpy painter; sums optionally
-    holds the numpy painter's _coord_sums(base, shape)."""
-    if paint is None:
-        flat = _paint(lo, hi, vals, base, shape, budget)
-        if sums is None:
-            sums = _coord_sums(base, shape)
-        covered = (flat >= 0) & (sums <= t)
-        return int((flat[covered] - sums[covered]).sum())
+    whose coordinate sum is <= t."""
     _charge(budget, lo, hi)
     base = np.asarray(base, dtype=np.int64)
     grid = np.full(math.prod(shape), -1, dtype=np.int64)
-    return paint(lo - base, hi - base, vals, shape, int(base.sum()), t, grid)
+    return _kernel.paint_sum(lo - base, hi - base, vals, shape, int(base.sum()), t, grid)
 
 
 def _check_rectangles(lp: LabeledRobp, layers) -> None:
@@ -189,7 +117,7 @@ def _check_rectangles(lp: LabeledRobp, layers) -> None:
             raise ValueError(f"malformed rectangle in layer {t}: need 0 <= lo <= hi")
 
 
-def _phi_sum_counter(paint, lo: np.ndarray, hi: np.ndarray, t: int, budget, max_cells) -> int:
+def _phi_sum_counter(lo: np.ndarray, hi: np.ndarray, t: int, budget, max_cells) -> int:
     vals = np.minimum(_col_sum(hi), t)
     keep = vals > _col_sum(lo)
     if not keep.any():
@@ -203,7 +131,7 @@ def _phi_sum_counter(paint, lo: np.ndarray, hi: np.ndarray, t: int, budget, max_
     shape = tuple(int(hi64[:, j].max() - b + 1) for j, b in enumerate(base))
     if math.prod(shape) > max_cells:
         raise GridBudgetError(f"layer grid of {math.prod(shape)} cells over budget")
-    return _paint_sum(paint, lo64, hi64, vals, base, shape, t, budget)
+    return _paint_sum(lo64, hi64, vals, base, shape, t, budget)
 
 
 def profile_counter(
@@ -217,12 +145,11 @@ def profile_counter(
         raise ValueError("profile_counter needs the k-1 potential labels of a counter program")
     n = lp.p.n
     _check_rectangles(lp, range(n + 1))
-    paint = _kernel.kernel()
     budget = [max_paint]
     phis = []
     for t in range(n + 1):
         lo, hi = lp.layer_rectangles(t)
-        phis.append(_phi_sum_counter(paint, lo, hi, t, budget, max_cells))
+        phis.append(_phi_sum_counter(lo, hi, t, budget, max_cells))
     return PotentialProfile(
         phi_values=tuple(phis),
         grid_kind="simplex",
@@ -247,12 +174,10 @@ def profile_parallel(
         raise GridBudgetError(f"box of {side ** k} cells over budget")
     t0 = n // 10
     _check_rectangles(lp, range(t0, n + 1))
-    paint = _kernel.kernel()
     budget = [max_paint]
     base = (0,) * k
     shape = (side,) * k
     top = k * (side - 1)  # the box's largest coordinate sum: no cell is capped
-    sums = _coord_sums(base, shape) if paint is None else None
     phis = []
     for t in range(t0, n + 1):
         lo, hi = lp.layer_rectangles(t)
@@ -261,9 +186,7 @@ def profile_parallel(
         if keep.any():
             lo64 = lo[keep].astype(np.int64, order="C")
             clipped_hi = np.minimum(hi[keep].astype(np.int64, order="C"), side - 1)
-            phis.append(
-                _paint_sum(paint, lo64, clipped_hi, vals[keep], base, shape, top, budget, sums)
-            )
+            phis.append(_paint_sum(lo64, clipped_hi, vals[keep], base, shape, top, budget))
         else:
             phis.append(0)
     return PotentialProfile(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,42 @@ def test_plot_data_modes(capsys):
                         "--w-max", "3")
     assert code == 0
     assert any(ln.startswith("oracle") for ln in out.splitlines()[1:])
+
+
+def test_plot_data_frontier_takes_raised_budgets(capsys, monkeypatch):
+    monkeypatch.setenv("ROBPCOUNT_FRONTIER_W", "5")
+    code, out = run_cli(capsys, "plot-data", "--mode", "frontier", "--n-max", "2",
+                        "--w-max", "5")
+    assert code == 0
+    assert "oracle,2:5,0" in out.splitlines()
+
+
+def test_plot_data_small_w_takes_raised_budgets(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from robpcount import oracle
+
+    calls = []
+
+    def frontier(n, w, **limits):
+        calls.append((n, w, limits))
+        return SimpleNamespace(delta_star=Fraction(7))
+
+    monkeypatch.setattr(oracle, "frontier", frontier)
+    monkeypatch.setenv("ROBPCOUNT_FRONTIER_N", "30")
+    code, out = run_cli(capsys, "plot-data", "--mode", "small-w", "--n", "30",
+                        "--w-min", "3", "--w-max", "3")
+    assert code == 0
+    assert "oracle,3,7" in out.splitlines()
+    assert calls == [(30, 3, {"max_n": 30, "max_w": oracle.DEFAULT_FRONTIER_W})]
+
+
+@pytest.mark.parametrize("step", ["0", "-1/2"])
+def test_plot_data_rejects_a_step_that_never_ends_the_sweep(capsys, step):
+    code = main(["plot-data", "--mode", "small-err", f"--delta-step={step}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out.splitlines() == ["series,x,y"]
+    assert captured.err == f"error: --delta-step must be positive, got {step}\n"
 
 
 def test_deterministic_reruns(capsys):

@@ -1,6 +1,7 @@
 """The compiled kernels against their numpy references (the painter and the
 label DP step), and their loader."""
 
+import math
 import random
 import shutil
 import subprocess
@@ -27,17 +28,24 @@ from robpcount import (
     rounded_counter,
     verify,
 )
-from robpcount import _kernel, labeling, potential
+from robpcount import _kernel, labeling
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 REPO = Path(__file__).resolve().parents[1]
 
 
 def compiled():
-    paint = _kernel.kernel()
-    if paint is None:
-        pytest.skip("paint kernel not built; test_kernel_loads_here says why")
-    return paint
+    if _kernel.library() is None:
+        pytest.skip("C library not built; test_kernel_loads_here says why")
+
+
+def _both_paths(numpy_kernels):
+    """Run the caller's loop body on the C library, when it loaded, then on
+    the numpy code."""
+    if _kernel.library() is not None:
+        yield "C"
+    numpy_kernels()
+    yield "numpy"
 
 
 @st.composite
@@ -76,15 +84,14 @@ def paint_cases(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_kernel_paints_and_sums_like_numpy(case):
-    paint = compiled()
+    compiled()
     lo, hi, vals, base, shape, t = case
-    flat = potential._paint(lo, hi, vals, base, shape, [10**9])
-    sums = potential._coord_sums(base, shape)
-    covered = (flat >= 0) & (sums <= t)
-    grid = np.full(flat.size, -1, dtype=np.int64)
-    total = paint(lo - base, hi - base, vals, shape, int(base.sum()), t, grid)
-    assert np.array_equal(grid, flat)
-    assert total == int((flat[covered] - sums[covered]).sum())
+    args = (lo - base, hi - base, vals, shape, int(base.sum()), t)
+    grid = np.full(math.prod(shape), -1, dtype=np.int64)
+    expected = grid.copy()
+    total = _kernel.paint_sum(*args, grid)
+    assert total == _kernel._paint_numpy(*args, expected)
+    assert np.array_equal(grid, expected)
 
 
 def _counter_cases():
@@ -109,11 +116,11 @@ def _parallel_cases():
 @pytest.mark.parametrize(
     "profile, cases", [(profile_counter, _counter_cases), (profile_parallel, _parallel_cases)]
 )
-def test_profiles_equal_on_both_paint_paths(monkeypatch, profile, cases):
+def test_profiles_equal_on_both_paint_paths(numpy_kernels, profile, cases):
     compiled()
     labels = list(cases())
     fast = [profile(lp).phi_values for lp in labels]
-    monkeypatch.setattr(_kernel, "kernel", lambda: None)
+    numpy_kernels()
     assert [profile(lp).phi_values for lp in labels] == fast
 
 
@@ -133,7 +140,7 @@ def _wide_labels(p, rng, lo_max, reach):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_profiles_equal_on_both_paint_paths_past_16_columns(monkeypatch, seed):
+def test_profiles_equal_on_both_paint_paths_past_16_columns(numpy_kernels, seed):
     compiled()
     rng = np.random.default_rng(seed)
     # counter k = 18: 17 label columns, each layer's grid within 2**17 cells
@@ -144,33 +151,33 @@ def test_profiles_equal_on_both_paint_paths_past_16_columns(monkeypatch, seed):
     parallel = _wide_labels(p, rng, 1, lambda t: t)
     fast = (profile_counter(counter).phi_values, profile_parallel(parallel).phi_values)
     assert any(fast[0]) and any(fast[1])
-    monkeypatch.setattr(_kernel, "kernel", lambda: None)
+    numpy_kernels()
     assert (profile_counter(counter).phi_values, profile_parallel(parallel).phi_values) == fast
 
 
-def test_kernel_guards_reject_what_the_c_code_cannot_take():
-    paint = compiled()
+def test_kernel_guards_reject_what_the_c_code_cannot_take(numpy_kernels):
     lo = np.array([[0, 1]], dtype=np.int64)
     hi = np.array([[1, 2]], dtype=np.int64)
     vals = np.array([5], dtype=np.int64)
-    grid = np.full(9, -1, dtype=np.int64)
-    bad = [
-        (lo.astype(np.int32), hi, vals, (3, 3), grid),  # not int64
-        (lo, np.array([[1, 9, 2]], dtype=np.int64)[:, ::2], vals, (3, 3), grid),  # strided
-        (lo, hi, vals[:0], (3, 3), grid),  # one value per rectangle
-        (lo, hi, vals, (3, 3, 1), grid),  # shape of length d
-        (lo, hi, vals, (3, 4), grid),  # grid size
-        (lo - 1, hi, vals, (3, 3), grid),  # lo >= 0
-        (lo, lo - [[0, 1]], vals, (3, 3), grid),  # hi >= lo
-        (lo, hi + 1, vals, (3, 3), grid),  # hi < shape
-        (np.zeros((1, 0), np.int64), np.zeros((1, 0), np.int64), vals, (), grid[:1]),  # d >= 1
-    ]
-    for lo_, hi_, vals_, shape, grid_ in bad:
-        with pytest.raises(ValueError, match="paint kernel"):
-            paint(lo_, hi_, vals_, shape, 0, 9, grid_)
-    assert (grid == -1).all()  # rejected calls wrote nothing
-    # cells (0,1), (0,2), (1,1), (1,2) each give 5 - coordinate sum
-    assert paint(lo, hi, vals, (3, 3), 0, 9, grid) == 4 + 3 + 3 + 2
+    for path in _both_paths(numpy_kernels):
+        grid = np.full(9, -1, dtype=np.int64)
+        bad = [
+            (lo.astype(np.int32), hi, vals, (3, 3), grid),  # not int64
+            (lo, np.array([[1, 9, 2]], dtype=np.int64)[:, ::2], vals, (3, 3), grid),  # strided
+            (lo, hi, vals[:0], (3, 3), grid),  # one value per rectangle
+            (lo, hi, vals, (3, 3, 1), grid),  # shape of length d
+            (lo, hi, vals, (3, 4), grid),  # grid size
+            (lo - 1, hi, vals, (3, 3), grid),  # lo >= 0
+            (lo, lo - [[0, 1]], vals, (3, 3), grid),  # hi >= lo
+            (lo, hi + 1, vals, (3, 3), grid),  # hi < shape
+            (np.zeros((1, 0), np.int64), np.zeros((1, 0), np.int64), vals, (), grid[:1]),  # d >= 1
+        ]
+        for lo_, hi_, vals_, shape, grid_ in bad:
+            with pytest.raises(ValueError, match="paint kernel"):
+                _kernel.paint_sum(lo_, hi_, vals_, shape, 0, 9, grid_)
+        assert (grid == -1).all(), path  # rejected calls wrote nothing
+        # cells (0,1), (0,2), (1,1), (1,2) each give 5 - coordinate sum
+        assert _kernel.paint_sum(lo, hi, vals, (3, 3), 0, 9, grid) == 4 + 3 + 3 + 2, path
 
 
 def _one_program():
@@ -206,9 +213,9 @@ def test_no_compiler_runs_the_numpy_painter(monkeypatch, tmp_path):
     assert _kernel.load_library() is None
     assert list(tmp_path.rglob("*.so")) == []
     calls = []
-    numpy_painter = potential._paint_numpy
+    numpy_painter = _kernel._paint_numpy
     monkeypatch.setattr(
-        potential, "_paint_numpy", lambda *a: calls.append(1) or numpy_painter(*a)
+        _kernel, "_paint_numpy", lambda *a: calls.append(1) or numpy_painter(*a)
     )
     monkeypatch.setattr(_kernel, "library", _kernel.load_library)
     assert profile_counter(lp).phi_values == expected
@@ -244,13 +251,6 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-
-
-def stepper():
-    step = _kernel.label_step()
-    if step is None:
-        pytest.skip("label kernel not built; test_kernel_loads_here says why")
-    return step
 
 
 def _label_cases():
@@ -289,63 +289,59 @@ def _layers(p, shifts):
     return [(a.dtype, a.shape, a.tobytes()) for a in labeling._label_layers(p, shifts)]
 
 
-def _numpy_only(monkeypatch):
-    monkeypatch.setattr(_kernel, "label_step", lambda: None)
-
-
-def test_label_step_equals_the_numpy_dp(monkeypatch):
-    stepper()
+def test_label_step_equals_the_numpy_dp(numpy_kernels):
+    compiled()
     cases = list(_label_cases())
     fast = [_layers(p, shifts) for p, shifts in cases]
     finals = [(verify(p, p.alphabet, 1), minimal_error(p, p.alphabet)) for p, _ in cases]
-    _numpy_only(monkeypatch)
+    numpy_kernels()
     assert [_layers(p, shifts) for p, shifts in cases] == fast
     assert [(verify(p, p.alphabet, 1), minimal_error(p, p.alphabet)) for p, _ in cases] == finals
 
 
-def test_label_step_equals_the_numpy_dp_on_int32_labels(monkeypatch):
-    stepper()
+def test_label_step_equals_the_numpy_dp_on_int32_labels(numpy_kernels):
+    compiled()
     p = _int32_program()
     shifts = labeling._shift_table(p.alphabet)
     fast = _layers(p, shifts)
     assert fast[-1][0] == np.int32
     # the all-zeros input reaches a final hi of n in the first coordinate
     assert -p.n in np.frombuffer(fast[-1][2], dtype=np.int32)
-    _numpy_only(monkeypatch)
+    numpy_kernels()
     # verify and minimal_error read only the final layer compared here
     assert _layers(p, shifts) == fast
 
 
-def test_label_step_guards_reject_what_the_c_code_cannot_take():
-    step = stepper()
+def test_label_step_guards_reject_what_the_c_code_cannot_take(numpy_kernels):
     state = np.array([[0, 0], [1, -1]], dtype=np.int16)
     edges = np.array([[0, 1], [1, 2]], dtype=np.int32)
     shifts2 = np.array([[0, 0], [1, -1]], dtype=np.int16)
-    nxt = np.full((3, 2), np.iinfo(np.int16).max, dtype=np.int16)
-    untouched = nxt.copy()
-    bad = [
-        (state.astype(np.int64), edges, shifts2.astype(np.int64), nxt.astype(np.int64)),
-        (state.astype(np.int32), edges, shifts2, nxt),  # dtypes differ
-        (state, edges.astype(np.int64), shifts2, nxt),  # edges not int32
-        (np.array([[0, 9, 0, 9], [1, 9, -1, 9]], dtype=np.int16)[:, ::2], edges, shifts2, nxt),
-        (state, np.asfortranarray(edges), shifts2, nxt),  # strided edges
-        (state, edges, np.zeros((2, 4), np.int16), nxt),  # columns differ
-        (state[:, :1].copy(), edges, shifts2[:, :1].copy(), nxt),  # odd columns
-        (state, edges[:, :1].copy(), shifts2, nxt),  # one edge column per symbol
-        (state, edges - [[1, 0], [0, 0]], shifts2, nxt),  # negative target
-        (state, edges + [[0, 0], [0, 1]], shifts2, nxt),  # target past the next layer
-        (state[0], edges, shifts2, nxt),  # not 2-d
-    ]
-    for args in bad:
-        with pytest.raises(ValueError, match="label step"):
-            step(*args)
-        assert np.array_equal(nxt, untouched)  # rejected calls wrote nothing
-    step(state, edges, shifts2, nxt)
-    assert nxt.tolist() == [[0, 0], [1, -1], [2, -2]]
+    untouched = np.full((3, 2), np.iinfo(np.int16).max, dtype=np.int16)
+    for path in _both_paths(numpy_kernels):
+        nxt = untouched.copy()
+        bad = [
+            (state.astype(np.int64), edges, shifts2.astype(np.int64), nxt.astype(np.int64)),
+            (state.astype(np.int32), edges, shifts2, nxt),  # dtypes differ
+            (state, edges.astype(np.int64), shifts2, nxt),  # edges not int32
+            (np.array([[0, 9, 0, 9], [1, 9, -1, 9]], dtype=np.int16)[:, ::2], edges, shifts2, nxt),
+            (state, np.asfortranarray(edges), shifts2, nxt),  # strided edges
+            (state, edges, np.zeros((2, 4), np.int16), nxt),  # columns differ
+            (state[:, :1].copy(), edges, shifts2[:, :1].copy(), nxt),  # odd columns
+            (state, edges[:, :1].copy(), shifts2, nxt),  # one edge column per symbol
+            (state, edges - [[1, 0], [0, 0]], shifts2, nxt),  # negative target
+            (state, edges + [[0, 0], [0, 1]], shifts2, nxt),  # target past the next layer
+            (state[0], edges, shifts2, nxt),  # not 2-d
+        ]
+        for args in bad:
+            with pytest.raises(ValueError, match="label step"):
+                _kernel.label_step(*args)
+            assert np.array_equal(nxt, untouched), path  # rejected calls wrote nothing
+        _kernel.label_step(state, edges, shifts2, nxt)
+        assert nxt.tolist() == [[0, 0], [1, -1], [2, -2]], path
 
 
 def test_no_compiler_runs_the_numpy_label_dp(monkeypatch, tmp_path):
-    stepper()
+    compiled()
     p = random_robp(10, counter_alphabet(3), 4, 7)
     problem = p.alphabet
 
@@ -359,8 +355,8 @@ def test_no_compiler_runs_the_numpy_label_dp(monkeypatch, tmp_path):
     monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
     assert _kernel.load_library() is None
     calls = []
-    numpy_step = labeling._step_numpy
-    monkeypatch.setattr(labeling, "_step_numpy", lambda *a: calls.append(1) or numpy_step(*a))
+    numpy_step = _kernel._step_numpy
+    monkeypatch.setattr(_kernel, "_step_numpy", lambda *a: calls.append(1) or numpy_step(*a))
     monkeypatch.setattr(_kernel, "library", _kernel.load_library)
     assert results() == expected
     assert len(calls) == 4 * p.n  # two label modes, verify and minimal_error

@@ -319,13 +319,13 @@ def test_profile_guards_reject_wrong_labels():
 
 
 @pytest.mark.parametrize("path", ["kernel", "numpy"])
-def test_profiles_reject_malformed_rectangles(monkeypatch, path):
+def test_profiles_reject_malformed_rectangles(numpy_kernels, path):
     from robpcount import LabeledRobp, _kernel
 
     if path == "numpy":
-        monkeypatch.setattr(_kernel, "kernel", lambda: None)
-    elif _kernel.kernel() is None:
-        pytest.skip("paint kernel not built")
+        numpy_kernels()
+    elif _kernel.library() is None:
+        pytest.skip("C library not built")
     counter = compute_labels(random_robp(6, counter_alphabet(3), 3, 2), "potential")
     parallel = compute_labels(random_robp(20, parallel_alphabet(2), 3, 2), "full")
     for lp, profile in ((counter, profile_counter), (parallel, profile_parallel)):
