@@ -241,21 +241,18 @@ def label_step(state, edges, shifts2, nxt) -> None:
 
 
 def _step_numpy(state, edges, shifts2, nxt) -> None:
-    """label_step in numpy, on the arguments label_step has checked, with
-    nxt filled with its dtype's max: the fallback without a C library, and
-    the reference the tests compare the C code against."""
+    """label_step in numpy, on the arguments label_step has checked: the
+    fallback without a C library, and the reference the tests compare the C
+    code against. Like the C code, it mins into whatever nxt holds."""
     v_next = nxt.shape[0]
     sentinel = np.iinfo(nxt.dtype).max
     for sym in range(shifts2.shape[0]):
         tgt = edges[:, sym]
         cand = state + shifts2[sym]
         if np.bincount(tgt, minlength=v_next).max() <= 1:
-            if sym == 0:
-                nxt[tgt] = cand
-            else:
-                tmp = np.full(nxt.shape, sentinel, dtype=nxt.dtype)
-                tmp[tgt] = cand
-                np.minimum(nxt, tmp, out=nxt)
+            tmp = np.full(nxt.shape, sentinel, dtype=nxt.dtype)
+            tmp[tgt] = cand
+            np.minimum(nxt, tmp, out=nxt)
         else:
             np.minimum.at(nxt, tgt, cand)
 

@@ -155,8 +155,6 @@ def _audit_reports(p: Robp, args, budgets):
         if args.check in ("growth", "both"):
             reports.append(potential.audit_growth_counter(lp, p.width, prof))
         if args.check in ("final", "both"):
-            if args.delta is None:
-                raise SystemExit("audit --family counter --check final needs --delta")
             reports.append(potential.audit_final_counter(lp, args.delta, prof))
         return reports
     lp = compute_labels(p, "full")
@@ -170,6 +168,8 @@ def _audit_reports(p: Robp, args, budgets):
 
 
 def _cmd_audit(args) -> int:
+    if args.family == "counter" and args.check != "growth" and args.delta is None:
+        raise ValueError(f"audit --family counter --check {args.check} needs --delta")
     p = _read_program(args.input)
     reports = _audit_reports(p, args, _budgets())
     writer = csv.writer(sys.stdout)
@@ -341,7 +341,9 @@ def _cmd_plot_data(args) -> int:
         if args.delta_step <= 0:
             raise ValueError(f"--delta-step must be positive, got {args.delta_step}")
         if args.delta_min > args.delta_max:
-            raise SystemExit("empty sweep")
+            raise ValueError(
+                f"empty sweep: --delta-min {args.delta_min} is above --delta-max {args.delta_max}"
+            )
         n, k = args.n, args.k
         delta = args.delta_min
         while delta <= args.delta_max:

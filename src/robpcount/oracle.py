@@ -8,6 +8,10 @@
 * frontier_brute_force -- the same quantity by exhaustive enumeration of
   program behaviors; the independent cross-check for the frontier.
 * system_to_robp -- the converse construction, one vertex per interval.
+
+Every state of the frontier search, ((0, 0),) and each tuple of run hulls
+_runs yields, is an antichain sorted by both endpoints: a_0 < a_1 < ... and
+b_0 < b_1 < ... . So obligations take one pass, dominance a two-pointer walk.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .labeling import minimal_error
-from .robp import Alphabet, Robp
+from .robp import Alphabet, Robp, binary_alphabet
 
 DEFAULT_MAX_INPUTS = 2**24
 DEFAULT_FRONTIER_N = 12
@@ -168,33 +172,36 @@ class FrontierPoint:
 
 
 def _maximal_obligations(state: tuple[Interval, ...]) -> list[Interval]:
-    obs = set()
+    """R and R+1 for every interval R of the state, less the nested ones, in
+    sorted order. Of the intervals R_i+1 and R_{i+1}, the first lies inside
+    the second when a_{i+1} = a_i + 1, the second inside the first when
+    b_{i+1} = b_i + 1; no other two can nest."""
+    obs: list[Interval] = []
     for a, b in state:
-        obs.add((a, b))
-        obs.add((a + 1, b + 1))
-    return sorted(
-        o
-        for o in obs
-        if not any(p != o and p[0] <= o[0] and o[1] <= p[1] for p in obs)
-    )
+        if obs and obs[-1][0] == a:  # the last, R_{i-1}+1, lies inside [a, b]
+            obs[-1] = (a, b)
+        elif not obs or obs[-1][1] != b:  # unless [a, b] lies inside the last
+            obs.append((a, b))
+        obs.append((a + 1, b + 1))
+    return obs
+
+
+def _inside(b: tuple[Interval, ...], a: tuple[Interval, ...]) -> bool:
+    """Every interval of b fits inside one of a: [x, y] can only fit in the
+    first interval of a that ends at or after y, and that one only moves right."""
+    i = 0
+    for x, y in b:
+        while i < len(a) and a[i][1] < y:
+            i += 1
+        if i == len(a) or a[i][0] > x:
+            return False
+    return True
 
 
 def _prune_dominated(states: set) -> set:
     """Keep states not dominated by another: B dominates A when every
     interval of B fits inside some interval of A (smaller is never worse)."""
-    keep = []
-    items = sorted(states)
-    for a in items:
-        dominated = False
-        for b in items:
-            if b != a and all(
-                any(c <= x and y <= d for c, d in a) for x, y in b  # b inside a
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(a)
-    return set(keep)
+    return {a for a in states if not any(b != a and _inside(b, a) for b in states)}
 
 
 def _runs(obs: list[Interval], w: int):
@@ -269,15 +276,14 @@ def frontier(
         raise BudgetError(f"frontier({n},{w}) over budget ({max_n},{max_w})")
     if n < 0 or w < 1:
         raise ValueError("need n >= 0, w >= 1")
-    lo, hi, chain = 0, n, None
+    # limit n always holds: the width-1 chain [0, t]
+    lo, hi, chain = 0, n, [((0, t),) for t in range(n + 1)]
     while lo < hi:
         mid = (lo + hi) // 2
         if found := _feasible(n, w, mid):
             hi, chain = mid, found
         else:
             lo = mid + 1
-    if chain is None:  # the search never tried limit n
-        chain = _feasible(n, w, n)
     system = _system_from_chain(n, chain)
     system.check()
     return FrontierPoint(n=n, w=w, delta_star=Fraction(lo, 2), witness=system)
@@ -288,15 +294,11 @@ def system_to_robp(s: IntervalSystem) -> Robp:
     The program's reachable counts stay inside the intervals, so its
     minimal error is at most half the longest final interval."""
     s.check()
-    from .robp import binary_alphabet
-
     edges = [
         [[int(s.witness0[t][i]), int(s.witness1[t][i])] for i in range(len(s.layers[t]))]
         for t in range(s.n)
     ]
-    outputs = [
-        (Fraction(a + b, 2),) for a, b in s.layers[-1]
-    ]
+    outputs = [(Fraction(a + b, 2),) for a, b in s.layers[-1]]
     return Robp.build(binary_alphabet(), edges, outputs)
 
 
@@ -305,12 +307,17 @@ def system_to_robp(s: IntervalSystem) -> Robp:
 # ---------------------------------------------------------------------------
 
 
-def _surjective_maps(slots: int, targets: int) -> list[tuple[int, ...]]:
-    out = []
-    for m in np.ndindex(*([targets] * slots)):
-        if len(set(m)) == targets:
-            out.append(tuple(int(v) for v in m))
-    return out
+def _set_partitions(slots: int, w: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of range(slots) into at most w blocks, once each:
+    slot i joins a block so far or opens the next one."""
+    parts: list[tuple[tuple[int, ...], ...]] = [()]
+    for i in range(slots):
+        parts = [
+            p[:j] + ((*p[j], i),) + p[j + 1 :] if j < len(p) else (*p, (i,))
+            for p in parts
+            for j in range(min(len(p) + 1, w))
+        ]
+    return parts
 
 
 def frontier_brute_force(n: int, w: int) -> Fraction:
@@ -320,27 +327,15 @@ def frontier_brute_force(n: int, w: int) -> Fraction:
     same minimal error)."""
     if w < 1 or n < 0:
         raise ValueError("need n >= 0, w >= 1")
-    maps_cache = {
-        (a, b): _surjective_maps(2 * a, b)
-        for a in range(1, w + 1)
-        for b in range(1, w + 1)
-    }
+    parts_cache = {a: _set_partitions(2 * a, w) for a in range(1, w + 1)}
     states = {((0, 0),)}
     for _ in range(n):
         nxt = set()
         for state in states:
-            a = len(state)
-            slots = [
-                (state[v][0] + z, state[v][1] + z) for v in range(a) for z in (0, 1)
-            ]
-            for b in range(1, w + 1):
-                for m in maps_cache[(a, b)]:
-                    labels = []
-                    for tgt in range(b):
-                        los = [slots[i][0] for i in range(2 * a) if m[i] == tgt]
-                        his = [slots[i][1] for i in range(2 * a) if m[i] == tgt]
-                        labels.append((min(los), max(his)))
-                    nxt.add(tuple(sorted(labels)))
+            los, his = zip(*((lo + z, hi + z) for lo, hi in state for z in (0, 1)))
+            for blocks in parts_cache[len(state)]:
+                hulls = ((min(los[i] for i in b), max(his[i] for i in b)) for b in blocks)
+                nxt.add(tuple(sorted(hulls)))
         states = nxt
     best = min(max(b - a for a, b in state) for state in states)
     return Fraction(best, 2)

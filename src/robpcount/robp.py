@@ -7,7 +7,8 @@ by (layer, index); edges are dense per-layer arrays indexed by symbol.
 
 Programs are immutable after construction and safe to share. validate()
 never raises on malformed candidates -- it reports, because generators and
-parsers routinely produce near-misses that the caller wants described.
+parsers routinely produce near-misses that the caller wants described. The
+report is kept on the program, so each program is checked once.
 """
 
 from __future__ import annotations
@@ -86,10 +87,20 @@ def _target(v) -> int:
     return int(v)
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """No array can write a's memory: a and every array it views are
+    read-only, and the last of them owns the memory."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
+
+
 def _edge_array(rows, n_symbols: int):
     """One layer's edges as a dense read-only (vertices, symbols) int32
-    array. A read-only C-contiguous int32 array is kept as is, without a
-    copy; any other array is copied, so the caller's array keeps its flags
+    array. A C-contiguous int32 array that is _frozen is kept as is, without
+    a copy; any other array is copied, so the caller's array keeps its flags
     and cannot change the program afterwards. Rows that are ragged or hold
     a target outside int32 are kept verbatim as lists of ints, for validate
     to report. A non-integer target raises ValueError."""
@@ -101,7 +112,7 @@ def _edge_array(rows, n_symbols: int):
             or not rows.size
             or (rows.min() >= _INT32.min and rows.max() <= _INT32.max)
         ):
-            if rows.dtype == np.int32 and rows.flags.c_contiguous and not rows.flags.writeable:
+            if rows.dtype == np.int32 and rows.flags.c_contiguous and _frozen(rows):
                 return rows
             arr = np.array(rows, dtype=np.int32, order="C")
             arr.flags.writeable = False
@@ -121,7 +132,7 @@ def _edge_array(rows, n_symbols: int):
 class Robp:
     """A read-once branching program. Construct via Robp() or Robp.build()."""
 
-    __slots__ = ("n", "alphabet", "layer_sizes", "edges", "outputs")
+    __slots__ = ("n", "alphabet", "layer_sizes", "edges", "outputs", "_report")
 
     def __init__(self, n, alphabet, layer_sizes, edges, outputs):
         self.n = int(n)
@@ -135,6 +146,7 @@ class Robp:
             except ValueError:
                 outputs = tuple(tuple(Fraction(v) for v in row) for row in outputs)
         self.outputs = outputs
+        self._report = None  # validate's report, once it has run
 
     @classmethod
     def build(cls, alphabet: Alphabet, edges: Sequence, outputs) -> "Robp":
@@ -207,8 +219,16 @@ def validate(p: Robp) -> ValidationReport:
     Checked: exactly one start vertex, one outgoing edge per symbol on every
     non-final vertex, edge targets inside the next layer, every vertex
     reachable from the start, and a consistent-arity output tuple on every
-    final vertex. Vertex -1 marks layer-level findings.
+    final vertex. Vertex -1 marks layer-level findings. The first call keeps
+    the report on p and later calls return it, since a program cannot change.
     """
+    if p._report is None:
+        p._report = _build_report(p)
+    return p._report
+
+
+def _build_report(p: Robp) -> ValidationReport:
+    """validate's checks, run once per program."""
     v: list[tuple[int, int, str]] = []
     sizes = p.layer_sizes
     size = p.alphabet.size

@@ -151,6 +151,20 @@ def test_audit_csv(tmp_path, capsys):
     assert lines[-1] == "4,10,10,0,true"
 
 
+@pytest.mark.parametrize("check", ["final", "both"])
+def test_audit_without_delta_is_a_usage_error(tmp_path, capsys, monkeypatch, check):
+    from robpcount import cli
+
+    path = tmp_path / "c.json"
+    run_cli(capsys, "build", "--kind", "constant", "--n", "3", "--value", "1", "-o", str(path))
+    # refused before the program is read or labelled
+    monkeypatch.setattr(cli, "_read_program", lambda _: pytest.fail("program was read"))
+    code = main(["audit", "-i", str(path), "--check", check])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: audit --family counter --check {check} needs --delta\n"
+
+
 def test_sweep_csv(capsys):
     code, out = run_cli(
         capsys, "sweep", "--n", "90", "--k", "2", "--delta", "30",
@@ -240,6 +254,13 @@ def test_plot_data_rejects_a_step_that_never_ends_the_sweep(capsys, step):
     captured = capsys.readouterr()
     assert code == 2 and captured.out.splitlines() == ["series,x,y"]
     assert captured.err == f"error: --delta-step must be positive, got {step}\n"
+
+
+def test_plot_data_rejects_an_empty_sweep(capsys):
+    code = main(["plot-data", "--mode", "small-err", "--delta-min", "20", "--delta-max", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out.splitlines() == ["series,x,y"]
+    assert captured.err == "error: empty sweep: --delta-min 20 is above --delta-max 10\n"
 
 
 def test_deterministic_reruns(capsys):

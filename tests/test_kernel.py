@@ -340,6 +340,17 @@ def test_label_step_guards_reject_what_the_c_code_cannot_take(numpy_kernels):
         assert nxt.tolist() == [[0, 0], [1, -1], [2, -2]], path
 
 
+def test_label_step_mins_into_what_nxt_holds(numpy_kernels):
+    # one symbol whose targets are distinct, into an nxt not filled with the sentinel
+    state = np.array([[5, -5]], dtype=np.int16)
+    edges = np.array([[0]], dtype=np.int32)
+    shifts2 = np.array([[0, 0]], dtype=np.int16)
+    for path in _both_paths(numpy_kernels):
+        nxt = np.array([[0, 0]], dtype=np.int16)
+        _kernel.label_step(state, edges, shifts2, nxt)
+        assert nxt.tolist() == [[0, -5]], path
+
+
 def test_no_compiler_runs_the_numpy_label_dp(monkeypatch, tmp_path):
     compiled()
     p = random_robp(10, counter_alphabet(3), 4, 7)

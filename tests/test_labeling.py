@@ -255,3 +255,50 @@ def test_labeled_robp_rejects_wrong_layer_counts():
     for lo, hi in (([], []), (lp.lo[:-1], lp.hi), (lp.lo, lp.hi + lp.hi[-1:])):
         with pytest.raises(ValueError, match="malformed rectangle arrays: "):
             LabeledRobp(lp.p, lo, hi)
+
+
+def test_one_program_is_validated_once(monkeypatch):
+    from robpcount import audit_final_counter, profile_counter
+    from robpcount import robp as robp_module
+
+    calls = []
+    build_report = robp_module._build_report
+    monkeypatch.setattr(
+        robp_module, "_build_report", lambda p: calls.append(p) or build_report(p)
+    )
+    p = exact_counter(6, 3)
+    problem = counter_alphabet(3)
+    assert verify(p, problem, 0).valid
+    assert minimal_error(p, problem)[0] == 0
+    compute_labels(p, "full")
+    lp = compute_labels(p, "potential")
+    assert audit_final_counter(lp, 0, profile_counter(lp)).overall_pass
+    assert calls == [p]
+
+
+def _leaves(sizes, rows, outputs):
+    return Robp(1, binary_alphabet(), sizes, [rows], [(Fraction(v),) for v in outputs])
+
+
+@pytest.mark.parametrize(
+    "p, violation",
+    [
+        pytest.param(_leaves([1, 3], [[0, 1]], [0, 1, 2]), "unreachable", id="unreachable"),
+        pytest.param(
+            _leaves([1, 2], [[0, 2]], [0, 1]), "edge target outside next layer", id="target"
+        ),
+        pytest.param(_leaves([1, 2], [[0, 1, 1]], [0, 1]), "out-degree 3", id="ragged-row"),
+        pytest.param(_leaves([1, 2], [[0, 1]], [0, 1, 2]), "3 output tuples", id="outputs"),
+    ],
+)
+def test_consumers_refuse_an_invalid_program(p, violation):
+    problem = binary_alphabet()
+    consumers = [
+        lambda: verify(p, problem, 1),
+        lambda: minimal_error(p, problem),
+        lambda: compute_labels(p, "full"),
+        lambda: compute_labels(p, "potential"),
+    ]
+    for consume in consumers:
+        with pytest.raises(ValueError, match=f"program is invalid: .*{violation}"):
+            consume()

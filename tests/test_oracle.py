@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robpcount import (
+    FrontierPoint,
     IntervalSystem,
     minimal_error,
     binary_alphabet,
@@ -23,7 +26,15 @@ from robpcount import (
     validate,
     verify,
 )
-from robpcount.oracle import BudgetError, _maximal_obligations, _prune_dominated, _runs
+from robpcount import oracle
+from robpcount.oracle import (
+    BudgetError,
+    _inside,
+    _maximal_obligations,
+    _prune_dominated,
+    _runs,
+    _set_partitions,
+)
 
 
 def test_exhaustive_verify_examples():
@@ -88,6 +99,126 @@ def random_state(rng, t, size):
 
 def minimal(states, limit):
     return _prune_dominated({h for h in states if all(b - a <= limit for a, b in h)})
+
+
+# The search helpers and the brute force as they were before they relied on
+# sorted antichains: states as unordered sets, O(m^2) filters, and every
+# surjective map of a layer's slots. They are the references for the
+# one-pass, two-pointer and one-map-per-partition versions.
+
+
+def reference_maximal_obligations(state):
+    obs = set()
+    for a, b in state:
+        obs.add((a, b))
+        obs.add((a + 1, b + 1))
+    return sorted(
+        o for o in obs if not any(p != o and p[0] <= o[0] and o[1] <= p[1] for p in obs)
+    )
+
+
+def reference_inside(b, a):
+    return all(any(c <= x and y <= d for c, d in a) for x, y in b)
+
+
+def reference_prune_dominated(states):
+    items = sorted(states)
+    return {a for a in items if not any(b != a and reference_inside(b, a) for b in items)}
+
+
+def reference_frontier(n, w, monkeypatch):
+    """frontier with the reference helpers, searching limit n only when the
+    binary search never tried it."""
+    monkeypatch.setattr(oracle, "_maximal_obligations", reference_maximal_obligations)
+    monkeypatch.setattr(oracle, "_prune_dominated", reference_prune_dominated)
+    lo, hi, chain = 0, n, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if found := oracle._feasible(n, w, mid):
+            hi, chain = mid, found
+        else:
+            lo = mid + 1
+    if chain is None:
+        chain = oracle._feasible(n, w, n)
+    system = oracle._system_from_chain(n, chain)
+    return FrontierPoint(n=n, w=w, delta_star=Fraction(lo, 2), witness=system)
+
+
+def reference_brute_force(n, w):
+    maps = {
+        (a, b): [m for m in itertools.product(range(b), repeat=2 * a) if len(set(m)) == b]
+        for a in range(1, w + 1)
+        for b in range(1, w + 1)
+    }
+    states = {((0, 0),)}
+    for _ in range(n):
+        nxt = set()
+        for state in states:
+            a = len(state)
+            slots = [(state[v][0] + z, state[v][1] + z) for v in range(a) for z in (0, 1)]
+            for b in range(1, w + 1):
+                for m in maps[(a, b)]:
+                    labels = []
+                    for tgt in range(b):
+                        los = [slots[i][0] for i in range(2 * a) if m[i] == tgt]
+                        his = [slots[i][1] for i in range(2 * a) if m[i] == tgt]
+                        labels.append((min(los), max(his)))
+                    nxt.add(tuple(sorted(labels)))
+        states = nxt
+    return Fraction(min(max(b - a for a, b in s) for s in states), 2)
+
+
+# sorted antichains of up to 6 intervals inside [0, 10]: small enough that
+# nested obligations and dominated states come up often
+sorted_antichains = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 3)), min_size=1, max_size=6
+).map(lambda pairs: antichain((a, a + length) for a, length in pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sorted_antichains)
+def test_obligations_equal_the_reference(state):
+    obs = _maximal_obligations(state)
+    assert obs == reference_maximal_obligations(state)
+    assert tuple(obs) == antichain(obs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sorted_antichains, sorted_antichains)
+def test_inside_equals_the_reference(b, a):
+    assert _inside(b, a) == reference_inside(b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(sorted_antichains, max_size=12))
+def test_prune_equals_the_reference(states):
+    assert _prune_dominated(states) == reference_prune_dominated(states)
+
+
+def test_set_partitions_give_each_partition_once():
+    for slots in range(7):
+        for w in range(1, 5):
+            got = sorted(tuple(sorted(p)) for p in _set_partitions(slots, w))
+            expected = sorted(
+                tuple(sorted(tuple(sorted(blk)) for blk in p))
+                for p in set_partitions(list(range(slots)), w)
+            )
+            assert got == expected
+
+
+# the point sets of the benchmark's frontier workload
+FRONTIER_POINTS = [(n, w) for w in range(1, 5) for n in range(13 if w < 4 else 10)]
+BRUTE_FORCE_POINTS = [(n, w) for w in range(1, 4) for n in range(7)]
+
+
+def test_frontier_equals_the_reference_search(monkeypatch):
+    points = [frontier(n, w) for n, w in FRONTIER_POINTS]
+    assert points == [reference_frontier(n, w, monkeypatch) for n, w in FRONTIER_POINTS]
+
+
+def test_brute_force_equals_the_surjective_map_reference():
+    for n, w in BRUTE_FORCE_POINTS:
+        assert frontier_brute_force(n, w) == reference_brute_force(n, w), (n, w)
 
 
 def test_runs_give_the_minimal_successors_of_all_set_partitions():

@@ -153,6 +153,28 @@ def test_a_callers_array_stays_writeable_and_apart_from_the_program():
     assert _two_leaves(frozen).edges[0] is frozen
 
 
+def test_a_read_only_view_of_a_writeable_array_is_copied():
+    a = np.array([[0, 1]], dtype=np.int32)
+    view = a.view()
+    view.flags.writeable = False
+    p = _two_leaves(view)
+    assert validate(p).valid
+    a[0, 1] = 0
+    assert p.edges[0].tolist() == [[0, 1]]
+    # the report validate kept on p still holds
+    assert validate(p) == robp_module._build_report(p) and validate(p).valid
+    # a read-only view of a read-only array cannot change, so it is kept
+    owner = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    owner.flags.writeable = False
+    assert _two_leaves(owner[:1]).edges[0].base is owner
+
+
+def test_validate_keeps_its_report_on_the_program():
+    p = exact_counter(5, 3)
+    assert validate(p) is validate(p)
+    assert validate(p) == robp_module._build_report(p)
+
+
 def test_validate_reports_ragged_outputs():
     p = Robp(
         1,
