@@ -148,22 +148,18 @@ def _cmd_labels(args) -> int:
 
 def _audit_reports(p: Robp, args, budgets):
     limits = {"max_cells": budgets["max_cells"], "max_paint": budgets["max_paint"]}
-    if args.family == "counter":
-        lp = compute_labels(p, "potential")
-        prof = potential.profile_counter(lp, **limits)
-        reports = []
-        if args.check in ("growth", "both"):
-            reports.append(potential.audit_growth_counter(lp, p.width, prof))
-        if args.check in ("final", "both"):
-            reports.append(potential.audit_final_counter(lp, args.delta, prof))
-        return reports
-    lp = compute_labels(p, "full")
-    prof = potential.profile_parallel(lp, **limits)
+    counter = args.family == "counter"
+    lp = compute_labels(p, "potential" if counter else "full")
+    prof = (potential.profile_counter if counter else potential.profile_parallel)(lp, **limits)
     reports = []
     if args.check in ("growth", "both"):
-        reports.append(potential.audit_growth_parallel(lp, p.width, prof))
+        growth = potential.audit_growth_counter if counter else potential.audit_growth_parallel
+        reports.append(growth(lp, p.width, prof))
     if args.check in ("final", "both"):
-        reports.append(potential.audit_final_parallel(lp, prof))
+        if counter:
+            reports.append(potential.audit_final_counter(lp, args.delta, prof))
+        else:
+            reports.append(potential.audit_final_parallel(lp, prof))
     return reports
 
 

@@ -10,7 +10,9 @@ Layer vertices of counting phases are count vectors with a fixed sum,
 indexed by a combinatorial rank that does not depend on the sum, so the
 layer of sum t and its edges are the first C(t+k-1, k-1) rows of one
 shared, read-only table built once per program; for k = 2 the index of a
-vector equals its second coordinate.
+vector equals its second coordinate. Every counting layer is such a
+prefix, rounded_counter's phase 2 included: its one rounding transition
+is the only edge layer that is not.
 """
 
 from __future__ import annotations
@@ -279,6 +281,12 @@ class RoundingPlan:
     m: int  # suffix length counted exactly on top of the rounded tuple
     target_sum: int  # floor((l-1)/l * (n-m)); every rounded tuple sums to this
 
+    @property
+    def width_bound(self) -> int:
+        """The wider of the two counting phases."""
+        n, k, m = self.n, self.k, self.m
+        return max(math.comb(n - m + k - 1, k - 1), math.comb(self.target_sum + m + k - 1, k - 1))
+
 
 def rounding_plan(n: int, k: int, delta) -> RoundingPlan:
     delta = Fraction(delta)
@@ -292,11 +300,7 @@ def rounding_plan(n: int, k: int, delta) -> RoundingPlan:
 
 def rounded_counter_width_bound(n: int, k: int, delta) -> int:
     """Explicit width bound: the wider of the two counting phases."""
-    plan = rounding_plan(n, k, delta)
-    return max(
-        math.comb(n - plan.m + k - 1, k - 1),
-        math.comb(plan.target_sum + plan.m + k - 1, k - 1),
-    )
+    return rounding_plan(n, k, delta).width_bound
 
 
 def _round_vectors(avecs: np.ndarray, l: int, target_sum: int) -> np.ndarray:
@@ -320,16 +324,13 @@ def rounded_counter(n: int, k: int, delta, *, max_width: int = DEFAULT_MAX_WIDTH
     Counts the first n-m symbols exactly, rounds the count tuple to one
     summing to floor((l-1)/l * (n-m)) on the next transition, counts the
     last m symbols exactly on top, and outputs l/(l-1) times the final
-    tuple. Verifies at the requested delta with width at most
+    tuple. Verifies at the requested delta with width equal to
     rounded_counter_width_bound(n, k, delta).
     """
     plan = rounding_plan(n, k, delta)
     l, m, s = plan.l, plan.m, plan.target_sum
-    if rounded_counter_width_bound(n, k, delta) > max_width:
-        raise WidthBudgetError(
-            f"width bound {rounded_counter_width_bound(n, k, delta)} exceeds "
-            f"budget {max_width}"
-        )
+    if plan.width_bound > max_width:
+        raise WidthBudgetError(f"width bound {plan.width_bound} exceeds budget {max_width}")
     # phase 1 counts exactly through the layer of sum n-m; phase 2 counts
     # on top of the rounded tuples (sum s) through the layer of sum s+m
     first = n - m
@@ -337,21 +338,20 @@ def rounded_counter(n: int, k: int, delta, *, max_width: int = DEFAULT_MAX_WIDTH
     edges = [table[: math.comb(t + k - 1, k - 1)] for t in range(first)]
     b = _round_vectors(_vectors(s_cols[: math.comb(first + k - 1, k - 1)], first), l, s)
 
-    # the rounding transition goes where the rounded tuple's own edges go.
-    # Phase-2 layer j keeps the vertices of the full layer of sum s+j that
-    # layer j-1 reaches, renumbered in order, and their edges are those rows
-    # of the table (take() gathers whole rows faster than fancy indexing)
-    targets = table.take(_rank(_s_columns(b, s), binom), axis=0)
-    for j in range(1, m + 1):
-        reached = np.zeros(math.comb(s + j + k - 1, k - 1), dtype=bool)
-        reached[targets] = True
-        remapped = (np.cumsum(reached, dtype=np.int32) - 1)[targets]
-        remapped.flags.writeable = False  # so Robp keeps it without a copy
-        edges.append(remapped)
-        kept = np.flatnonzero(reached)
-        if j < m:
-            targets = table.take(kept, axis=0)
-    vecs = _vectors(s_cols.take(kept, axis=0), s + m)
+    # The rounding transition goes where the rounded tuple's own edges go.
+    # Rounding maps the vectors of sum N = n-m onto those of sum s, so every
+    # phase-2 layer is full. With q = l-1, b_i rounds from b_i + floor(b_i/q)
+    # + 1 unbumped, b_i + ceil(b_i/q) - 1 bumped (b_i >= 1) and b_i + b_i/q
+    # exactly (q | b_i). Take coordinates 1..p bumped or exact, the rest
+    # unbumped, as _round_vectors bumps the earliest fractional ones. As p
+    # falls from k to 0 the preimage sum steps by 1, or by 2 with an exact
+    # coordinate between, from all bumped to all unbumped; those bracket N,
+    # as ceil(N/l) = N - s is floor(s/q) or floor(s/q) + 1.
+    rounding = table.take(_rank(_s_columns(b, s), binom), axis=0)
+    rounding.flags.writeable = False  # so Robp keeps it without a copy
+    edges.append(rounding)
+    edges += [table[: math.comb(s + j + k - 1, k - 1)] for j in range(1, m)]
+    vecs = _vectors(s_cols[: math.comb(s + m + k - 1, k - 1)], s + m)
 
     num = vecs.astype(np.int64) * l
     den = np.full(vecs.shape, l - 1, dtype=np.int64)

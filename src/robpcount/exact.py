@@ -53,11 +53,11 @@ def iroot_floor(x: int, k: int) -> int:
         raise ValueError("iroot_floor needs x >= 0, k >= 1")
     if x < 2 or k == 1:
         return x
-    r = int(round(x ** (1.0 / k)))  # float seed only; corrected below
-    while r > 0 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
+    # integer Newton steps fall monotonically from any seed at or above the
+    # root, here 2**ceil(bits/k), and stop at its floor
+    r = 1 << -(-int(x).bit_length() // k)
+    while (y := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+        r = y
     return r
 
 

@@ -58,12 +58,7 @@ def _shift_table(alphabet: Alphabet) -> np.ndarray:
         return np.eye(k, dtype=np.int32)
     if alphabet.kind == "binary":
         return np.array([[0], [1]], dtype=np.int32)
-    size = 2**k
-    shifts = np.zeros((size, k), dtype=np.int32)
-    for i in range(size):
-        for j in range(k):
-            shifts[i, j] = (i >> j) & 1
-    return shifts
+    return ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).astype(np.int32)
 
 
 def _potential_k(alphabet: Alphabet) -> int:

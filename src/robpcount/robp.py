@@ -79,11 +79,11 @@ def binary_alphabet() -> Alphabet:
     return Alphabet("binary")
 
 
-def _target(v) -> int:
-    """An edge target as an int; ValueError for anything but an integer,
-    since a cast would truncate 1.9 to 1 and read a bool as 0 or 1."""
+def _integer(v, what: str = "edge target") -> int:
+    """v as an int; ValueError for anything but an integer, since a cast
+    would truncate 1.9 to 1 and read a bool as 0 or 1."""
     if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"edge target {v!r} is not an integer")
+        raise ValueError(f"{what} {v!r} is not an integer")
     return int(v)
 
 
@@ -117,7 +117,7 @@ def _edge_array(rows, n_symbols: int):
             arr = np.array(rows, dtype=np.int32, order="C")
             arr.flags.writeable = False
             return arr
-    rows = [[v if type(v) is int else _target(v) for v in r] for r in rows]
+    rows = [[v if type(v) is int else _integer(v) for v in r] for r in rows]
     if any(len(r) != n_symbols for r in rows):
         return rows
     try:
@@ -135,18 +135,24 @@ class Robp:
     __slots__ = ("n", "alphabet", "layer_sizes", "edges", "outputs", "_report")
 
     def __init__(self, n, alphabet, layer_sizes, edges, outputs):
-        self.n = int(n)
-        self.alphabet = alphabet
-        self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        size = alphabet.size
-        self.edges = tuple(_edge_array(rows, size) for rows in edges)
+        sizes = tuple(int(s) for s in layer_sizes)
+        edges = tuple(_edge_array(rows, alphabet.size) for rows in edges)
         if not isinstance(outputs, RationalTable):
             try:
                 outputs = RationalTable.from_rows(outputs)
             except ValueError:
                 outputs = tuple(tuple(Fraction(v) for v in row) for row in outputs)
-        self.outputs = outputs
-        self._report = None  # validate's report, once it has run
+        # the last slot, _report, holds validate's report once it has run
+        for name, value in zip(self.__slots__, (int(n), alphabet, sizes, edges, outputs, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: a Robp is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Robp, (self.n, self.alphabet, self.layer_sizes, self.edges, self.outputs)
 
     @classmethod
     def build(cls, alphabet: Alphabet, edges: Sequence, outputs) -> "Robp":
@@ -219,12 +225,14 @@ def validate(p: Robp) -> ValidationReport:
     Checked: exactly one start vertex, one outgoing edge per symbol on every
     non-final vertex, edge targets inside the next layer, every vertex
     reachable from the start, and a consistent-arity output tuple on every
-    final vertex. Vertex -1 marks layer-level findings. The first call keeps
-    the report on p and later calls return it, since a program cannot change.
+    final vertex. Vertex -1 marks layer-level findings. The report is kept on
+    p, which cannot change, unless p holds list rows or ragged outputs.
     """
-    if p._report is None:
-        p._report = _build_report(p)
-    return p._report
+    if p._report is None and isinstance(p.outputs, RationalTable) and all(
+        isinstance(rows, np.ndarray) for rows in p.edges
+    ):
+        object.__setattr__(p, "_report", _build_report(p))
+    return p._report or _build_report(p)
 
 
 def _build_report(p: Robp) -> ValidationReport:
@@ -306,7 +314,7 @@ def evaluate(p: Robp, x: Sequence[int]) -> tuple[tuple[Fraction, ...], list[int]
     cur = 0
     path = [0]
     for t, sym in enumerate(x):
-        sym = int(sym)
+        sym = _integer(sym, "symbol")
         if not 0 <= sym < size:
             raise ValueError(f"symbol {sym} out of range at position {t}")
         cur = int(p.edge_array(t)[cur, sym])

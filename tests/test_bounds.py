@@ -82,6 +82,13 @@ def test_lb_small_w_clamps_to_zero():
     assert lb_small_w(5, 2, 6) == 0  # width covers exact counting
 
 
+def test_lb_small_w_takes_large_k():
+    # the scaled root argument is past the float range from k = 16 on
+    got = lb_small_w(10**6, 16, 3)
+    root = Fraction(10**6) - 30 * got  # (16! * 3 * 10**6)**(1/16), rounded up
+    assert root**16 >= math.factorial(16) * 3 * 10**6 > (root - Fraction(1, 2**64)) ** 16
+
+
 def test_lb_small_w_threshold_example():
     assert lb_small_w(90, 2, 4) > 30 >= lb_small_w(90, 2, 5)
 

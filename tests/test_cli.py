@@ -151,6 +151,34 @@ def test_audit_csv(tmp_path, capsys):
     assert lines[-1] == "4,10,10,0,true"
 
 
+def test_audit_csv_parallel(tmp_path, capsys):
+    from robpcount import Robp, compute_labels, parallel_alphabet, write_robp
+    from robpcount.potential import audit_final_parallel, audit_growth_parallel
+
+    # exact bit counter over the one-bit parallel alphabet: verifies at n/3
+    n = 21
+    edges = [[[u, u + 1] for u in range(t + 1)] for t in range(n)]
+    p = Robp.build(parallel_alphabet(1), edges, [(Fraction(v),) for v in range(n + 1)])
+    path = tmp_path / "par.json"
+    path.write_text(write_robp(p))
+    lp = compute_labels(p, "full")
+    for check, reports in [
+        ("growth", [audit_growth_parallel(lp, p.width)]),
+        ("final", [audit_final_parallel(lp)]),
+        ("both", [audit_growth_parallel(lp, p.width), audit_final_parallel(lp)]),
+    ]:
+        code, out = run_cli(
+            capsys, "audit", "-i", str(path), "--family", "parallel", "--check", check
+        )
+        assert code == 0
+        want = [
+            f"{r.t},{Fraction(r.lhs)},{Fraction(r.rhs)},{Fraction(r.slack)},{str(r.passed).lower()}"
+            for report in reports
+            for r in report.rows
+        ]
+        assert out.strip().splitlines() == ["t,lhs,rhs,slack,pass"] + want
+
+
 @pytest.mark.parametrize("check", ["final", "both"])
 def test_audit_without_delta_is_a_usage_error(tmp_path, capsys, monkeypatch, check):
     from robpcount import cli

@@ -24,7 +24,13 @@ from robpcount import (
     verify,
     write_robp,
 )
-from robpcount.constructions import WidthBudgetError, _binom_table, _round_vectors
+from robpcount.constructions import (
+    WidthBudgetError,
+    _binom_table,
+    _rank,
+    _round_vectors,
+    _s_columns,
+)
 from robpcount.exact import RationalTable
 
 
@@ -172,12 +178,39 @@ def test_rounding_rule_brackets_and_sum():
                 assert math.floor(scaled) <= bj <= math.ceil(scaled)
 
 
+def _sum_vectors(total, k):
+    """All count vectors of length k and sum `total`, as an int64 array."""
+    if k == 1:
+        return np.array([[total]], dtype=np.int64)
+    parts = []
+    for first in range(total + 1):
+        rest = _sum_vectors(total - first, k - 1)
+        parts.append(np.column_stack([np.full(len(rest), first), rest]))
+    return np.concatenate(parts)
+
+
+def test_rounding_is_onto_the_rounded_layer():
+    # rounded_counter's phase 2 starts from the full layer of sum s only
+    # because of this: every vector of sum s is the rounding of one of sum N
+    for k in (2, 3, 4, 5):
+        vectors = [_sum_vectors(total, k) for total in range((24 if k == 5 else 40) + 1)]
+        binom = _binom_table(40 + k, k - 1)
+        for l in range(2, 12):
+            for total, a in enumerate(vectors):
+                s = (l - 1) * total // l
+                b = _round_vectors(a, l, s)
+                assert b.min() >= 0
+                hit = np.zeros(math.comb(s + k - 1, k - 1), dtype=bool)
+                hit[_rank(_s_columns(b, s), binom)] = True
+                assert hit.all(), (k, l, total)
+
+
 def test_rounded_counter_verifies():
     for n, k, delta in [(100, 2, 10), (100, 3, 10), (150, 2, Fraction(25, 2))]:
         p = rounded_counter(n, k, delta)
         rep = validate(p)
         assert rep.valid
-        assert rep.width <= rounded_counter_width_bound(n, k, delta)
+        assert rep.width == p.width == rounded_counter_width_bound(n, k, delta)
         cert = verify(p, counter_alphabet(k), delta)
         assert cert.valid
         plan = rounding_plan(n, k, delta)
@@ -189,6 +222,7 @@ def test_rounded_counter_boundary_regime():
     for k in (2, 3, 4):
         p = rounded_counter(100, k, 10)
         assert validate(p).valid
+        assert p.width == rounded_counter_width_bound(100, k, 10)
         assert verify(p, counter_alphabet(k), 10).valid
 
 
@@ -375,14 +409,20 @@ def _edge_digest(p):
 
 
 @pytest.mark.parametrize(
-    "build, args, delta, phase1",
+    "build, args, delta, phase1, phase2",
     [
-        (exact_counter, (9, 4), 0, 9),
-        (rounded_counter, (100, 3, 10), 10, 100 - rounding_plan(100, 3, 10).m),
+        (exact_counter, (9, 4), 0, 9, 0),
+        (
+            rounded_counter,
+            (100, 3, 10),
+            10,
+            100 - rounding_plan(100, 3, 10).m,
+            rounding_plan(100, 3, 10).m - 1,
+        ),
     ],
     ids=["exact", "rounded"],
 )
-def test_counting_layers_are_read_only_views_of_one_table(build, args, delta, phase1):
+def test_counting_layers_are_read_only_views_of_one_table(build, args, delta, phase1, phase2):
     p = build(*args)
     for layer in p.edges:
         assert not layer.flags.writeable
@@ -390,6 +430,10 @@ def test_counting_layers_are_read_only_views_of_one_table(build, args, delta, ph
             layer[0, 0] = 1
     counting = p.edges[:phase1]
     assert all(np.shares_memory(a, b) for a, b in zip(counting, counting[1:]))
+    # after the rounding transition, phase 2 counts in prefixes of the same table
+    after = p.edges[phase1 + 1 :]
+    assert len(after) == phase2
+    assert all(np.shares_memory(counting[0], a) for a in after)
     before = _edge_digest(p)
     assert verify(p, p.alphabet, delta).valid
     compute_labels(p, "full")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from robpcount.exact import (
     RationalTable,
@@ -34,6 +34,10 @@ def test_format_parse_roundtrip(x):
 
 
 @given(st.integers(0, 10**24), st.integers(1, 6))
+@example(10**400, 3)  # past the float range: no float seed
+@example(10**400 - 1, 3)
+@example(2**1100, 16)
+@example(2**1100 - 1, 16)
 def test_iroot_floor_brackets(x, k):
     r = iroot_floor(x, k)
     assert r**k <= x < (r + 1) ** k
@@ -55,6 +59,10 @@ def test_kth_root_ceil_scaled_tight():
     assert (r - Fraction(1, 2**64)) ** 2 < 2
     r3 = kth_root_ceil_scaled(5, 3)
     assert r3**3 >= 5 > (r3 - Fraction(1, 2**64)) ** 3
+    # x << 64k is past the float range from k = 16 on
+    x = math.factorial(16) * 10**6 * 3
+    r16 = kth_root_ceil_scaled(x, 16)
+    assert r16**16 >= x > (r16 - Fraction(1, 2**64)) ** 16
 
 
 def test_rational_table_normalization():

@@ -175,6 +175,45 @@ def test_validate_keeps_its_report_on_the_program():
     assert validate(p) == robp_module._build_report(p)
 
 
+def test_a_program_with_list_rows_is_validated_afresh():
+    p = Robp(1, binary_alphabet(), [1, 2], [[[0, 1, 1]]], [(Fraction(0),), (Fraction(1),)])
+    assert not validate(p).valid
+    p.edges[0][0].pop()
+    assert p.edges[0] == [[0, 1]]
+    assert validate(p).valid and validate(p) == robp_module._build_report(p)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("layer_sizes", (1, 2, 3, 5)),
+        ("n", 4),
+        ("edges", ()),
+        ("outputs", RationalTable([[0]], [[1]])),
+        ("alphabet", counter_alphabet(3)),
+        ("_report", None),
+    ],
+)
+def test_a_program_refuses_new_fields(field, value):
+    q = exact_counter(3, 2)
+    assert validate(q).valid
+    with pytest.raises(AttributeError):
+        setattr(q, field, value)
+    with pytest.raises(AttributeError):
+        delattr(q, field)
+    assert validate(q).valid and validate(q) == robp_module._build_report(q)
+
+
+def test_a_program_copies_and_pickles():
+    import copy
+    import pickle
+
+    p = exact_counter(3, 2)
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and validate(q).valid
+        assert all(not layer.flags.writeable for layer in q.edges)
+
+
 def test_validate_reports_ragged_outputs():
     p = Robp(
         1,
@@ -210,6 +249,13 @@ def test_evaluate_errors():
         evaluate(p, (0, 1))
     with pytest.raises(ValueError):
         evaluate(p, (0, 1, 2))
+    q = exact_counter(2, 2)
+    # a cast would read 1.9 as 1 and True as 1
+    for x in ([1.9, 0.2], [True, 0], [1, np.bool_(False)], [1.0, 0], np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="not an integer"):
+            evaluate(q, x)
+    for x in ([np.int64(1), np.int8(0)], np.array([1, 0], dtype=np.uint16)):
+        assert evaluate(q, x) == evaluate(q, [1, 0])
 
 
 def test_evaluate_path_respects_edges():
