@@ -273,24 +273,9 @@ def library_name() -> str:
     return f"kernels-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
 
 
-def compile_library(target: str) -> None:
-    """Compile SOURCE into the shared library `target`; raises on failure."""
-    import subprocess
-
-    cc = shutil.which(COMPILE[0])
-    if cc is None:
-        raise FileNotFoundError("no C compiler on PATH")
-    subprocess.run(
-        [cc, *COMPILE[1:], "-x", "c", "-", "-o", target],
-        input=SOURCE.encode(),
-        capture_output=True,
-        check=True,
-        timeout=120,
-    )
-
-
 def _build(directory: str, path: str) -> bool:
-    """Compile to a temporary name in directory, then move it to path."""
+    """Compile SOURCE to a temporary name in directory with the system C
+    compiler, then move it to path; False when that fails."""
     import subprocess
 
     try:
@@ -298,7 +283,16 @@ def _build(directory: str, path: str) -> bool:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         os.close(fd)
         try:
-            compile_library(tmp)
+            cc = shutil.which(COMPILE[0])
+            if cc is None:
+                raise FileNotFoundError("no C compiler on PATH")
+            subprocess.run(
+                [cc, *COMPILE[1:], "-x", "c", "-", "-o", tmp],
+                input=SOURCE.encode(),
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

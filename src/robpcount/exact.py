@@ -81,7 +81,8 @@ class RationalTable:
     Rows map to final-layer vertices, columns to output coordinates.
     Normalized on construction (gcd-reduced, positive denominators).
     Entries that fit comfortably in int64 are stored that way; anything
-    larger falls back to object arrays of Python ints, still exact.
+    larger falls back to object arrays of Python ints, still exact. A table
+    cannot change: its arrays are read-only and its fields cannot be rebound.
     """
 
     __slots__ = ("num", "den")
@@ -112,10 +113,18 @@ class RationalTable:
             g[g == 0] = 1
             num = num // g
             den = den // g
-        self.num = num
-        self.den = den
-        self.num.flags.writeable = False
-        self.den.flags.writeable = False
+        num.flags.writeable = False
+        den.flags.writeable = False
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: a RationalTable is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return RationalTable, (self.num, self.den)
 
     @classmethod
     def from_rows(cls, rows) -> "RationalTable":

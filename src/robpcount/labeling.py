@@ -15,8 +15,8 @@ Label modes:
   potential  the first k-1 columns of the full labels for counter-family
              programs (the last letter's count is fixed by the others; for
              binary programs the two modes coincide) -- what the potential
-             audits consume. Both modes run the same DP over a column slice
-             of one shift table.
+             audits consume. Both modes run the one DP over the full shift
+             table; the mode only chooses which columns are copied out.
 
 Each layer of the DP is one scatter-min of packed (lo, -hi) rows,
 _kernel.label_step (in C, or in numpy without a C compiler).
@@ -66,7 +66,10 @@ def _potential_k(alphabet: Alphabet) -> int:
 
 
 class LabeledRobp:
-    """A program plus its per-vertex rectangle labels for every layer."""
+    """A program plus its per-vertex rectangle labels for every layer.
+
+    The constructor checks that every layer holds rectangles: lo and hi
+    2-d, of one shape, with one column count across layers, 0 <= lo <= hi."""
 
     __slots__ = ("p", "dims", "potential_k", "lo", "hi")
 
@@ -76,6 +79,13 @@ class LabeledRobp:
                 f"malformed rectangle arrays: {len(lo)} lo and {len(hi)} hi layers"
                 f" for {p.n + 1} program layers"
             )
+        for t, (a, b) in enumerate(zip(lo, hi)):
+            if a.ndim != 2 or a.shape != b.shape or a.shape[1] != lo[0].shape[1]:
+                raise ValueError(
+                    f"malformed rectangle arrays in layer {t}: lo {a.shape}, hi {b.shape}"
+                )
+            if len(a) and (a.min() < 0 or (b < a).any()):
+                raise ValueError(f"malformed rectangle in layer {t}: need 0 <= lo <= hi")
         self.p = p
         self.dims = lo[0].shape[1]
         self.potential_k = _potential_k(p.alphabet)
@@ -118,19 +128,19 @@ def _label_layers(p: Robp, shifts: np.ndarray):
 
 
 def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
-    """Labels of every layer; "potential" tracks the first k-1 columns."""
+    """Labels of every layer; "potential" keeps the first k-1 columns."""
     shifts = _shift_table(p.alphabet)
+    k = d = shifts.shape[1]
     if mode == "potential":
         if p.alphabet.kind == "parallel":
             raise ValueError("parallel programs have only the full labeling")
-        shifts = shifts[:, : _potential_k(p.alphabet) - 1]
+        d = _potential_k(p.alphabet) - 1
     elif mode != "full":
         raise ValueError(f"unknown label mode {mode!r}")
-    d = shifts.shape[1]
     lo, hi = [], []
     for state in _label_layers(p, shifts):
         lo.append(state[:, :d].copy())
-        hi.append(-state[:, d:])
+        hi.append(-state[:, k : k + d])
     return LabeledRobp(p, lo, hi)
 
 

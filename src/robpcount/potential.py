@@ -12,8 +12,13 @@ per-layer growth lower bound nor inflate the final-layer sum.
 
 phi_counter/phi_parallel are the pointwise definitions; profiles are
 computed by painting rectangles onto dense grids, which the tests check
-against the pointwise form. The painting and the masked sum are one call of
-_kernel.paint_sum (in C, or in numpy without a C compiler).
+against the pointwise form. Both profiles paint every layer through one
+function, _layer_phi: it keeps the rectangles that can contribute, charges
+their cells to the paint budget, and paints and sums them on their bounding
+grid in one call of _kernel.paint_sum (in C, or in numpy without a C
+compiler). The parallel profile first clips the rectangles to the box, so
+every cell outside that bounding grid is covered by nothing. LabeledRobp
+checks that its arrays are rectangles when it is built.
 """
 
 from __future__ import annotations
@@ -83,55 +88,35 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _charge(budget, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Take the rectangles' cell count from the paint budget before any
-    cell is written."""
+def _layer_phi(lo, hi, vals, keep, t: int, budget, max_cells) -> int:
+    """Phi of one layer: max-paint the kept boxes [lo, hi] with values vals
+    onto their bounding grid, then sum (cell - coordinate sum) over the
+    painted cells whose coordinate sum is <= t.
+
+    The grid is checked against max_cells, and the boxes' cells are taken
+    from the paint budget before any cell is written."""
+    if not keep.any():
+        return 0
+    if not keep.all():
+        lo, hi, vals = lo[keep], hi[keep], vals[keep]
+    lo = lo.astype(np.int64, order="C")
+    hi = hi.astype(np.int64, order="C")
+    # per-column reductions: min/max over axis 0 of a narrow array is slow
+    base = np.array([lo[:, j].min() for j in range(lo.shape[1])])
+    shape = tuple(int(hi[:, j].max() - b + 1) for j, b in enumerate(base))
+    cells = math.prod(shape)
+    if cells > max_cells:
+        raise GridBudgetError(f"layer grid of {cells} cells over budget")
+    lo -= base
+    hi -= base
     vol = hi[:, 0] - lo[:, 0] + 1
     for j in range(1, lo.shape[1]):
         vol *= hi[:, j] - lo[:, j] + 1
     budget[0] -= int(vol.sum())
     if budget[0] < 0:
         raise GridBudgetError("painting budget exhausted; raise the limit")
-
-
-def _paint_sum(lo, hi, vals, base, shape, t: int, budget) -> int:
-    """Max-paint the int64 rectangles onto the grid over `shape` at `base`
-    and return the sum of (cell - coordinate sum) over the painted cells
-    whose coordinate sum is <= t."""
-    _charge(budget, lo, hi)
-    base = np.asarray(base, dtype=np.int64)
-    grid = np.full(math.prod(shape), -1, dtype=np.int64)
-    return _kernel.paint_sum(lo - base, hi - base, vals, shape, int(base.sum()), t, grid)
-
-
-def _check_rectangles(lp: LabeledRobp, layers) -> None:
-    """Reject label arrays that are no rectangles: LabeledRobp checks only
-    the layer count, and the painters would misread them."""
-    for t in layers:
-        lo, hi = lp.layer_rectangles(t)
-        if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != lp.dims:
-            raise ValueError(
-                f"malformed rectangle arrays in layer {t}: lo {lo.shape}, hi {hi.shape}"
-            )
-        if len(lo) and (lo.min() < 0 or (hi < lo).any()):
-            raise ValueError(f"malformed rectangle in layer {t}: need 0 <= lo <= hi")
-
-
-def _phi_sum_counter(lo: np.ndarray, hi: np.ndarray, t: int, budget, max_cells) -> int:
-    vals = np.minimum(_col_sum(hi), t)
-    keep = vals > _col_sum(lo)
-    if not keep.any():
-        return 0
-    if not keep.all():
-        lo, hi, vals = lo[keep], hi[keep], vals[keep]
-    lo64 = lo.astype(np.int64, order="C")
-    hi64 = hi.astype(np.int64, order="C")
-    # per-column reductions: min/max over axis 0 of a narrow array is slow
-    base = np.array([lo64[:, j].min() for j in range(lo64.shape[1])])
-    shape = tuple(int(hi64[:, j].max() - b + 1) for j, b in enumerate(base))
-    if math.prod(shape) > max_cells:
-        raise GridBudgetError(f"layer grid of {math.prod(shape)} cells over budget")
-    return _paint_sum(lo64, hi64, vals, base, shape, t, budget)
+    grid = np.full(cells, -1, dtype=np.int64)
+    return _kernel.paint_sum(lo, hi, vals, shape, int(base.sum()), t, grid)
 
 
 def profile_counter(
@@ -144,12 +129,12 @@ def profile_counter(
     if lp.p.alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
         raise ValueError("profile_counter needs the k-1 potential labels of a counter program")
     n = lp.p.n
-    _check_rectangles(lp, range(n + 1))
     budget = [max_paint]
     phis = []
     for t in range(n + 1):
         lo, hi = lp.layer_rectangles(t)
-        phis.append(_phi_sum_counter(lo, hi, t, budget, max_cells))
+        vals = np.minimum(_col_sum(hi), t)
+        phis.append(_layer_phi(lo, hi, vals, vals > _col_sum(lo), t, budget, max_cells))
     return PotentialProfile(
         phi_values=tuple(phis),
         grid_kind="simplex",
@@ -173,22 +158,16 @@ def profile_parallel(
     if side**k > max_cells:
         raise GridBudgetError(f"box of {side ** k} cells over budget")
     t0 = n // 10
-    _check_rectangles(lp, range(t0, n + 1))
     budget = [max_paint]
-    base = (0,) * k
-    shape = (side,) * k
     top = k * (side - 1)  # the box's largest coordinate sum: no cell is capped
     phis = []
     for t in range(t0, n + 1):
         lo, hi = lp.layer_rectangles(t)
         vals = _col_sum(hi)
         keep = (vals > _col_sum(lo)) & (lo <= side - 1).all(axis=1)
-        if keep.any():
-            lo64 = lo[keep].astype(np.int64, order="C")
-            clipped_hi = np.minimum(hi[keep].astype(np.int64, order="C"), side - 1)
-            phis.append(_paint_sum(lo64, clipped_hi, vals[keep], base, shape, top, budget))
-        else:
-            phis.append(0)
+        # boxes clipped to the box grid; values stay unclipped
+        clipped = np.minimum(hi, side - 1)
+        phis.append(_layer_phi(lo, clipped, vals, keep, top, budget, max_cells))
     return PotentialProfile(
         phi_values=tuple(phis),
         grid_kind="box",

@@ -194,6 +194,7 @@ class Robp:
             self.n != other.n
             or self.alphabet != other.alphabet
             or self.layer_sizes != other.layer_sizes
+            or len(self.edges) != len(other.edges)
         ):
             return False
         for a, b in zip(self.edges, other.edges):
@@ -226,11 +227,10 @@ def validate(p: Robp) -> ValidationReport:
     non-final vertex, edge targets inside the next layer, every vertex
     reachable from the start, and a consistent-arity output tuple on every
     final vertex. Vertex -1 marks layer-level findings. The report is kept on
-    p, which cannot change, unless p holds list rows or ragged outputs.
+    p, which cannot change, unless p holds list rows (ragged outputs are
+    tuples of tuples, which cannot change either).
     """
-    if p._report is None and isinstance(p.outputs, RationalTable) and all(
-        isinstance(rows, np.ndarray) for rows in p.edges
-    ):
+    if p._report is None and all(isinstance(rows, np.ndarray) for rows in p.edges):
         object.__setattr__(p, "_report", _build_report(p))
     return p._report or _build_report(p)
 

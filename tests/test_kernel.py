@@ -198,10 +198,10 @@ def test_second_load_reuses_the_cached_library(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert _kernel.load_library() is not None
 
-    def fail(target):
+    def fail(directory, path):
         raise OSError("the compiler ran on a cache hit")
 
-    monkeypatch.setattr(_kernel, "compile_library", fail)
+    monkeypatch.setattr(_kernel, "_build", fail)
     assert _kernel.load_library() is not None
 
 

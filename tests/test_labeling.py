@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from robpcount import (
@@ -15,6 +16,7 @@ from robpcount import (
     minimal_error,
     parallel_alphabet,
     random_robp,
+    rounded_counter,
     tribes,
     tribes_plan,
     verify,
@@ -111,15 +113,16 @@ def test_potential_mode_drops_last_letter():
             [counter_alphabet(2), counter_alphabet(3), binary_alphabet()] * 3
         )
     ]
+    programs.append(rounded_counter(100, 4, 10))  # 3 of 4 columns copied out
     for p in programs:
         lp = compute_labels(p, "potential")
         full = compute_labels(p, "full")
         d = lp.potential_k - 1
         assert lp.dims == d
         for t in range(p.n + 1):
-            for v in range(p.layer_sizes[t]):
-                assert lp.label(t, v).lo == full.label(t, v).lo[:d]
-                assert lp.label(t, v).hi == full.label(t, v).hi[:d]
+            for a, b in ((lp.lo[t], full.lo[t]), (lp.hi[t], full.hi[t])):
+                assert a.dtype == b.dtype and a.flags.c_contiguous
+                assert np.array_equal(a, b[:, :d])
 
 
 def test_parallel_programs_have_no_potential_labels():
@@ -255,6 +258,32 @@ def test_labeled_robp_rejects_wrong_layer_counts():
     for lo, hi in (([], []), (lp.lo[:-1], lp.hi), (lp.lo, lp.hi + lp.hi[-1:])):
         with pytest.raises(ValueError, match="malformed rectangle arrays: "):
             LabeledRobp(lp.p, lo, hi)
+
+
+def test_labeled_robp_rejects_malformed_rectangles():
+    from robpcount import LabeledRobp
+
+    counter = compute_labels(random_robp(6, counter_alphabet(3), 3, 2), "potential")
+    parallel = compute_labels(random_robp(20, parallel_alphabet(2), 3, 2), "full")
+    for lp in (counter, parallel):
+        t = lp.p.n
+        for edit in ("inverted", "far inverted", "negative", "shape", "columns", "layers"):
+            lo = [a.copy() for a in lp.lo]
+            hi = [a.copy() for a in lp.hi]
+            if edit == "inverted":  # a width of 0
+                hi[t][0, 0] = lo[t][0, 0] - 1
+            elif edit == "far inverted":  # a negative width
+                hi[t][0, 1] = lo[t][0, 1] - 3
+            elif edit == "negative":
+                lo[t][0, 0] = -1
+            elif edit == "shape":
+                hi[t] = hi[t][:-1]
+            elif edit == "columns":
+                lo[t], hi[t] = lo[t][:, :-1], hi[t][:, :-1]
+            else:
+                lo, hi = lo[:-1], hi[:-1]
+            with pytest.raises(ValueError, match="malformed rectangle"):
+                LabeledRobp(lp.p, lo, hi)
 
 
 def test_one_program_is_validated_once(monkeypatch):

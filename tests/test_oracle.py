@@ -245,6 +245,14 @@ def test_frontier_base_cases():
     assert frontier(4, 4).delta_star == Fraction(1, 2)  # one merge forced
 
 
+def test_frontier_laws_at_widths_two_and_three():
+    for n in range(1, 31):
+        assert frontier(n, 2, max_n=30).delta_star == Fraction(n - 1, 2), n
+    for n in range(2, 21):
+        j = max(j for j in range(n) if j * j + j + 2 <= n)
+        assert frontier(n, 3, max_n=20).delta_star == Fraction(n, 2) - 1 - Fraction(j, 2), n
+
+
 def test_frontier_budget_guard():
     with pytest.raises(BudgetError):
         frontier(50, 2)

@@ -256,11 +256,46 @@ def test_parallel_profiles_and_audits_random():
             assert audit_final_parallel(lp, prof, verified=True).overall_pass
 
 
+def _last_bit_seen(n, k):
+    """A parallel program whose kept boxes all start at last-bit count 1.
+
+    One vertex holds every prefix that has set the last bit. Until then the
+    other bits are counted exactly below floor(n/10)+1, so those vertices'
+    labels are points, which paint nothing, and a bit that reaches that
+    count is remembered, so its box starts past the profile's box."""
+    from robpcount import Robp
+
+    side = n // 10 + 1
+
+    def step(state, z):
+        if state == "seen" or z >> (k - 1):
+            return "seen"
+        if isinstance(state, int):  # the bit that reached side
+            return state
+        counts = tuple(c + (z >> j & 1) for j, c in enumerate(state))
+        return next((j for j, c in enumerate(counts) if c == side), counts)
+
+    layer, edges = [(0,) * (k - 1)], []
+    for _ in range(n):
+        index = {}
+        edges.append(
+            [[index.setdefault(step(s, z), len(index)) for z in range(2**k)] for s in layer]
+        )
+        layer = list(index)
+    return Robp.build(parallel_alphabet(k), edges, [(Fraction(0),) * k] * len(layer))
+
+
 def test_parallel_profile_matches_pointwise():
     rng = random.Random(41)
-    for seed in range(15):
-        n = rng.randint(10, 20)
-        p = random_robp(n, parallel_alphabet(2), rng.randint(1, 5), seed)
+    programs = []
+    for k, n_low, n_high in ((2, 10, 20), (3, 20, 30)):
+        for seed in range(15):
+            n = rng.randint(n_low, n_high)
+            programs.append(random_robp(n, parallel_alphabet(k), rng.randint(1, 5), seed))
+    programs += [_last_bit_seen(n, k) for n, k in ((20, 1), (25, 2), (30, 3))]
+    off_origin = 0  # layers whose kept boxes do not reach the origin
+    for p in programs:
+        n, k = p.n, p.alphabet.k
         lp = compute_labels(p, "full")
         prof = profile_parallel(lp)
         side = n // 10 + 1
@@ -271,10 +306,12 @@ def test_parallel_profile_matches_pointwise():
                 for i in range(lo.shape[0])
             ]
             expected = sum(
-                phi_parallel(rects, x)
-                for x in itertools.product(range(side), repeat=2)
+                phi_parallel(rects, x) for x in itertools.product(range(side), repeat=k)
             )
-            assert prof.phi(t) == expected
+            assert prof.phi(t) == expected, (n, k, t)
+            keep = (hi.sum(axis=1) > lo.sum(axis=1)) & (lo <= side - 1).all(axis=1)
+            off_origin += bool(keep.any() and lo[keep].min(axis=0).any())
+    assert off_origin
 
 
 def test_parallel_final_requires_verification():
@@ -316,35 +353,6 @@ def test_profile_guards_reject_wrong_labels():
         profile_parallel(compute_labels(exact_counter(3, 3), "potential"))
     with pytest.raises(ValueError, match="profile_parallel"):
         profile_parallel(compute_labels(constant_program(20, Fraction(10)), "full"))
-
-
-@pytest.mark.parametrize("path", ["kernel", "numpy"])
-def test_profiles_reject_malformed_rectangles(numpy_kernels, path):
-    from robpcount import LabeledRobp, _kernel
-
-    if path == "numpy":
-        numpy_kernels()
-    elif _kernel.library() is None:
-        pytest.skip("C library not built")
-    counter = compute_labels(random_robp(6, counter_alphabet(3), 3, 2), "potential")
-    parallel = compute_labels(random_robp(20, parallel_alphabet(2), 3, 2), "full")
-    for lp, profile in ((counter, profile_counter), (parallel, profile_parallel)):
-        t = lp.p.n  # audited by both profiles
-        for edit in ("inverted", "far inverted", "negative", "shape", "layers"):
-            lo = [a.copy() for a in lp.lo]
-            hi = [a.copy() for a in lp.hi]
-            if edit == "inverted":  # a width of 0
-                hi[t][0, 0] = lo[t][0, 0] - 1
-            elif edit == "far inverted":  # a negative width
-                hi[t][0, 1] = lo[t][0, 1] - 3
-            elif edit == "negative":
-                lo[t][0, 0] = -1
-            elif edit == "shape":
-                hi[t] = hi[t][:-1]
-            else:
-                lo, hi = lo[:-1], hi[:-1]
-            with pytest.raises(ValueError, match="malformed rectangle"):
-                profile(LabeledRobp(lp.p, lo, hi))
 
 
 def test_profiles_take_fortran_ordered_labels():

@@ -204,6 +204,19 @@ def test_a_program_refuses_new_fields(field, value):
     assert validate(q).valid and validate(q) == robp_module._build_report(q)
 
 
+@pytest.mark.parametrize("field", ["num", "den"])
+def test_a_programs_outputs_refuse_new_fields(field):
+    q = exact_counter(3, 2)
+    assert validate(q).valid
+    with pytest.raises(AttributeError):
+        setattr(q.outputs, field, np.zeros(q.outputs.shape, np.int64))
+    with pytest.raises(AttributeError):
+        delattr(q.outputs, field)
+    with pytest.raises(ValueError):
+        getattr(q.outputs, field)[0, 0] = 7
+    assert validate(q).valid and validate(q) == robp_module._build_report(q)
+
+
 def test_a_program_copies_and_pickles():
     import copy
     import pickle
@@ -212,6 +225,15 @@ def test_a_program_copies_and_pickles():
     for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert q == p and validate(q).valid
         assert all(not layer.flags.writeable for layer in q.edges)
+        assert not q.outputs.num.flags.writeable and not q.outputs.den.flags.writeable
+
+
+def test_programs_with_more_edge_layers_differ():
+    outputs = [(Fraction(0),), (Fraction(1),)]
+    p = Robp(1, binary_alphabet(), [1, 2], [[[0, 1]]], outputs)
+    q = Robp(1, binary_alphabet(), [1, 2], [[[0, 1]], [[0, 0], [1, 1]]], outputs)
+    assert validate(p).valid and not validate(q).valid
+    assert p != q and q != p
 
 
 def test_validate_reports_ragged_outputs():
@@ -224,6 +246,8 @@ def test_validate_reports_ragged_outputs():
     )
     rep = validate(p)
     assert any("arity" in r for (_, _, r) in rep.violations)
+    # ragged outputs are tuples of tuples, so the report is kept
+    assert validate(p) is rep
 
 
 def test_evaluate_exact_counter_path():
