@@ -355,6 +355,36 @@ def test_profile_guards_reject_wrong_labels():
         profile_parallel(compute_labels(constant_program(20, Fraction(10)), "full"))
 
 
+@pytest.mark.parametrize("path", ["kernel", "numpy"])
+def test_profiles_reject_malformed_rectangles(numpy_kernels, path):
+    # LabeledRobp refuses these when built, so neither painter ever sees one
+    from robpcount import LabeledRobp, _kernel
+
+    if path == "numpy":
+        numpy_kernels()
+    elif _kernel.library() is None:
+        pytest.skip("C library not built")
+    counter = compute_labels(random_robp(6, counter_alphabet(3), 3, 2), "potential")
+    parallel = compute_labels(random_robp(20, parallel_alphabet(2), 3, 2), "full")
+    for lp, profile in ((counter, profile_counter), (parallel, profile_parallel)):
+        t = lp.p.n  # audited by both profiles
+        for edit in ("inverted", "far inverted", "negative", "shape", "layers"):
+            lo = [a.copy() for a in lp.lo]
+            hi = [a.copy() for a in lp.hi]
+            if edit == "inverted":  # a width of 0
+                hi[t][0, 0] = lo[t][0, 0] - 1
+            elif edit == "far inverted":  # a negative width
+                hi[t][0, 1] = lo[t][0, 1] - 3
+            elif edit == "negative":
+                lo[t][0, 0] = -1
+            elif edit == "shape":
+                hi[t] = hi[t][:-1]
+            else:
+                lo, hi = lo[:-1], hi[:-1]
+            with pytest.raises(ValueError, match="malformed rectangle"):
+                profile(LabeledRobp(lp.p, lo, hi))
+
+
 def test_profiles_take_fortran_ordered_labels():
     from robpcount import LabeledRobp
 
