@@ -38,7 +38,15 @@ from .robp import (
 
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        number = int(value)
+        if number >= 0:
+            return number
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
 
 
 def _budgets():

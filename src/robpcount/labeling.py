@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernel
 from .exact import RationalTable
-from .robp import Alphabet, Robp, validate
+from .robp import Alphabet, Robp, _frozen, validate
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,40 @@ def _potential_k(alphabet: Alphabet) -> int:
     return 2 if alphabet.kind == "binary" else alphabet.k
 
 
+def _label_arrays(lo, hi):
+    """One layer's lo and hi as read-only C-contiguous arrays of one dtype:
+    int16 when both are int16, else int32. An array that already is one and
+    that _frozen says nothing can write is kept as is; any other is copied,
+    so the caller's array keeps its flags and cannot change the labels
+    afterwards. Non-integer labels, or labels outside int32, raise
+    ValueError."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    dtype = np.int16 if lo.dtype == hi.dtype == np.int16 else np.int32
+    out = []
+    for a in (lo, hi):
+        if a.dtype == dtype and a.flags.c_contiguous and _frozen(a):
+            out.append(a)
+            continue
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, not {a.dtype}")
+        if a.size and not np.can_cast(a.dtype, dtype) and (
+            a.min() < np.iinfo(dtype).min or a.max() > np.iinfo(dtype).max
+        ):
+            raise ValueError("labels must fit int32")
+        a = np.array(a, dtype=dtype, order="C")
+        a.flags.writeable = False
+        out.append(a)
+    return tuple(out)
+
+
 class LabeledRobp:
     """A program plus its per-vertex rectangle labels for every layer.
 
     The constructor checks that every layer holds rectangles: lo and hi
-    2-d, of one shape, with one column count across layers, 0 <= lo <= hi."""
+    2-d, of one shape, with one column count across layers, 0 <= lo <= hi.
+    It keeps them as tuples of read-only arrays (see _label_arrays), and a
+    LabeledRobp refuses changes to its fields, so the labels stay as
+    checked."""
 
     __slots__ = ("p", "dims", "potential_k", "lo", "hi")
 
@@ -79,6 +108,7 @@ class LabeledRobp:
                 f"malformed rectangle arrays: {len(lo)} lo and {len(hi)} hi layers"
                 f" for {p.n + 1} program layers"
             )
+        lo, hi = zip(*(_label_arrays(a, b) for a, b in zip(lo, hi)))
         for t, (a, b) in enumerate(zip(lo, hi)):
             if a.ndim != 2 or a.shape != b.shape or a.shape[1] != lo[0].shape[1]:
                 raise ValueError(
@@ -86,11 +116,17 @@ class LabeledRobp:
                 )
             if len(a) and (a.min() < 0 or (b < a).any()):
                 raise ValueError(f"malformed rectangle in layer {t}: need 0 <= lo <= hi")
-        self.p = p
-        self.dims = lo[0].shape[1]
-        self.potential_k = _potential_k(p.alphabet)
-        self.lo = lo
-        self.hi = hi
+        fields = (p, lo[0].shape[1], _potential_k(p.alphabet), lo, hi)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: a LabeledRobp is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return LabeledRobp, (self.p, self.lo, self.hi)
 
     def label(self, t: int, v: int) -> RectLabel:
         return RectLabel(
@@ -141,6 +177,8 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
     for state in _label_layers(p, shifts):
         lo.append(state[:, :d].copy())
         hi.append(-state[:, k : k + d])
+        # read-only arrays that own their memory: LabeledRobp keeps them uncopied
+        lo[-1].flags.writeable = hi[-1].flags.writeable = False
     return LabeledRobp(p, lo, hi)
 
 

@@ -12,18 +12,25 @@ per-layer growth lower bound nor inflate the final-layer sum.
 
 phi_counter/phi_parallel are the pointwise definitions; profiles are
 computed by painting rectangles onto dense grids, which the tests check
-against the pointwise form. Both profiles paint every layer through one
-function, _layer_phi: it keeps the rectangles that can contribute, charges
-their cells to the paint budget, and paints and sums them on their bounding
-grid in one call of _kernel.paint_sum (in C, or in numpy without a C
-compiler). The parallel profile first clips the rectangles to the box, so
-every cell outside that bounding grid is covered by nothing. LabeledRobp
-checks that its arrays are rectangles when it is built.
+against the pointwise form. Both profiles run every layer through _phis,
+which reads the label arrays as LabeledRobp holds them. On the calling
+thread and in layer order, _kernel.layer_boxes finds in one pass the
+rectangles that can contribute and their bounding grid, and the grid is
+checked against max_cells and its cells charged to the paint budget, so a
+GridBudgetError names the layer it fires at. _kernel.layer_paint then paints
+and sums that layer's grid on a small thread pool (the usable cores, at most
+4), one grid per worker. Both kernels run in C, or in numpy without a C
+compiler. The parallel profile clips the rectangles to the box, so every
+cell outside a layer's bounding grid is covered by nothing. LabeledRobp
+checks that its arrays are rectangles when it is built, and layer_paint
+refuses a kept box outside the grid it was given.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +43,25 @@ from .robp import binary_alphabet, counter_alphabet, parallel_alphabet
 
 DEFAULT_MAX_BOX_CELLS = 40_000_000  # per-layer dense grid cells
 DEFAULT_MAX_PAINT = 8_000_000_000  # total painted cells across all layers
+
+# layers painted at once, one grid each: the usable cores, at most 4
+_WORKERS = min(
+    4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+# a layer whose grid and boxes hold fewer cells is painted on the calling
+# thread: handing it to a worker and back cost about as much as painting it
+# (a few tenths of a millisecond on a 2-vCPU x86-64 guest, GCC 12)
+_INLINE_CELLS = 1 << 18
+
+
+@functools.cache
+def _pool():
+    """The paint pool, made when a profile first hands a layer to it: the
+    import costs several milliseconds, which every short CLI process would
+    pay otherwise. It starts no thread until a layer is submitted."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="robpcount-paint")
 
 
 class GridBudgetError(ValueError):
@@ -79,44 +105,60 @@ class PotentialProfile:
         return self.phi_values[t - t0]
 
 
-def _col_sum(a: np.ndarray) -> np.ndarray:
-    """Row sums of a narrow 2-d array as int64, one column add at a time
-    (much cheaper than a.sum(axis=1) over a few columns)."""
-    total = a[:, 0].astype(np.int64)
-    for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
+def _phis(lp: LabeledRobp, layers, max_cells: int, max_paint: int) -> tuple[int, ...]:
+    """Phi of each layer (t, cap, clip, limit) in layers: max-paint the boxes
+    _kernel.layer_boxes keeps onto their bounding grid, then sum (cell -
+    coordinate sum) over the painted cells whose coordinate sum is at most
+    limit.
 
-
-def _layer_phi(lo, hi, vals, keep, t: int, budget, max_cells) -> int:
-    """Phi of one layer: max-paint the kept boxes [lo, hi] with values vals
-    onto their bounding grid, then sum (cell - coordinate sum) over the
-    painted cells whose coordinate sum is <= t.
-
-    The grid is checked against max_cells, and the boxes' cells are taken
-    from the paint budget before any cell is written."""
-    if not keep.any():
-        return 0
-    if not keep.all():
-        lo, hi, vals = lo[keep], hi[keep], vals[keep]
-    lo = lo.astype(np.int64, order="C")
-    hi = hi.astype(np.int64, order="C")
-    # per-column reductions: min/max over axis 0 of a narrow array is slow
-    base = np.array([lo[:, j].min() for j in range(lo.shape[1])])
-    shape = tuple(int(hi[:, j].max() - b + 1) for j, b in enumerate(base))
-    cells = math.prod(shape)
-    if cells > max_cells:
-        raise GridBudgetError(f"layer grid of {cells} cells over budget")
-    lo -= base
-    hi -= base
-    vol = hi[:, 0] - lo[:, 0] + 1
-    for j in range(1, lo.shape[1]):
-        vol *= hi[:, j] - lo[:, j] + 1
-    budget[0] -= int(vol.sum())
-    if budget[0] < 0:
-        raise GridBudgetError("painting budget exhausted; raise the limit")
-    grid = np.full(cells, -1, dtype=np.int64)
-    return _kernel.paint_sum(lo, hi, vals, shape, int(base.sum()), t, grid)
+    Each layer's grid is checked against max_cells and its boxes' cells are
+    taken from the max_paint budget on this thread, in layer order, before
+    any cell of it is painted. Then the layer is painted on _pool(), or on
+    this thread when it is small, on one of _WORKERS grids, so at most that
+    many layers are in flight. On an error the layers in flight are waited
+    for before it is raised."""
+    budget = max_paint
+    free = [np.empty(0, dtype=np.int32) for _ in range(_WORKERS)]  # idle grids
+    busy = []  # (job, the grid it paints), oldest first
+    phis = []
+    try:
+        for t, cap, clip, limit in layers:
+            lo, hi = lp.layer_rectangles(t)
+            kept, base, top, volume = _kernel.layer_boxes(lo, hi, cap, clip)
+            if not kept:
+                phis.append(0)
+                continue
+            shape = (top - base + 1).tolist()
+            cells = math.prod(shape)
+            if cells > max_cells:
+                raise GridBudgetError(
+                    f"layer grid of {cells} cells exceeds the limit of {max_cells} at layer {t}"
+                )
+            budget -= volume
+            if budget < 0:
+                raise GridBudgetError(
+                    f"painting budget of {max_paint} cells exhausted at layer {t}; raise the limit"
+                )
+            if not free:
+                job, grid = busy.pop(0)
+                job.result()
+                free.append(grid)
+            grid = free.pop()
+            if grid.size < cells:
+                del grid  # free the old grid before the new one is made
+                grid = np.empty(cells, dtype=np.int32)
+            args = (lo, hi, cap, clip, base, shape, limit, grid[:cells])
+            if cells + volume < _INLINE_CELLS:
+                phis.append(_kernel.layer_paint(*args))
+                free.append(grid)
+            else:
+                job = _pool().submit(_kernel.layer_paint, *args)
+                busy.append((job, grid))
+                phis.append(job)
+    finally:
+        for job, _ in busy:
+            job.exception()  # waits for the job without raising its error
+    return tuple(phi if isinstance(phi, int) else phi.result() for phi in phis)
 
 
 def profile_counter(
@@ -129,14 +171,10 @@ def profile_counter(
     if lp.p.alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
         raise ValueError("profile_counter needs the k-1 potential labels of a counter program")
     n = lp.p.n
-    budget = [max_paint]
-    phis = []
-    for t in range(n + 1):
-        lo, hi = lp.layer_rectangles(t)
-        vals = np.minimum(_col_sum(hi), t)
-        phis.append(_layer_phi(lo, hi, vals, vals > _col_sum(lo), t, budget, max_cells))
+    # values capped at t, and only cells with coordinate sum <= t count
+    layers = ((t, t, None, t) for t in range(n + 1))
     return PotentialProfile(
-        phi_values=tuple(phis),
+        phi_values=_phis(lp, layers, max_cells, max_paint),
         grid_kind="simplex",
         audited_range=(0, n),
         k=lp.potential_k,
@@ -156,20 +194,12 @@ def profile_parallel(
     k = lp.dims
     side = n // 10 + 1
     if side**k > max_cells:
-        raise GridBudgetError(f"box of {side ** k} cells over budget")
+        raise GridBudgetError(f"box of {side ** k} cells exceeds the limit of {max_cells}")
     t0 = n // 10
-    budget = [max_paint]
-    top = k * (side - 1)  # the box's largest coordinate sum: no cell is capped
-    phis = []
-    for t in range(t0, n + 1):
-        lo, hi = lp.layer_rectangles(t)
-        vals = _col_sum(hi)
-        keep = (vals > _col_sum(lo)) & (lo <= side - 1).all(axis=1)
-        # boxes clipped to the box grid; values stay unclipped
-        clipped = np.minimum(hi, side - 1)
-        phis.append(_layer_phi(lo, clipped, vals, keep, top, budget, max_cells))
+    # boxes clipped to the box grid, values unclipped, and every cell counts
+    layers = ((t, None, side - 1, None) for t in range(t0, n + 1))
     return PotentialProfile(
-        phi_values=tuple(phis),
+        phi_values=_phis(lp, layers, max_cells, max_paint),
         grid_kind="box",
         audited_range=(t0, n),
         k=k,

@@ -256,6 +256,17 @@ def test_plot_data_frontier_takes_raised_budgets(capsys, monkeypatch):
     assert "oracle,2:5,0" in out.splitlines()
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_a_budget_variable_that_is_not_a_count_names_itself(capsys, monkeypatch, value):
+    monkeypatch.setenv("ROBPCOUNT_MAX_CELLS", value)
+    code = main(["frontier", "--n-max", "2", "--w-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: ROBPCOUNT_MAX_CELLS must be a nonnegative integer, not {value!r}\n"
+    )
+
+
 def test_plot_data_small_w_takes_raised_budgets(capsys, monkeypatch):
     from types import SimpleNamespace
 

@@ -49,49 +49,56 @@ def _both_paths(numpy_kernels):
 
 
 @st.composite
-def paint_cases(draw):
-    """Rectangles on a small grid at a nonzero base: overlaps, nesting,
-    exact duplicates, single cells and boxes reaching the far corner, with
-    a cap t below, inside or above the grid's coordinate sums."""
+def layer_cases(draw):
+    """One layer's labels, int16 or int32 with d from 1 to 4, and the counter
+    profile's cap (t, also the coordinate-sum limit) or the parallel
+    profile's clip (side - 1, no limit): overlaps, nesting, exact
+    duplicates, single cells, empty layers and layers with nothing kept,
+    at an offset from the origin that passes the int16 range on int32."""
     d = draw(st.integers(1, 4))
-    shape = tuple(draw(st.integers(1, 6)) for _ in range(d))
-    base = np.array([draw(st.integers(0, 4)) for _ in range(d)], dtype=np.int64)
-    rects = []
+    dtype = draw(st.sampled_from([np.int16, np.int32]))
+    offset = draw(st.sampled_from([0, 3] if dtype == np.int16 else [0, 3, 40_000]))
+    rows = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["box", "duplicate", "cell", "far corner"]))
-        if kind == "duplicate" and rects:
-            rects.append(draw(st.sampled_from(rects)))
+        kind = draw(st.sampled_from(["box", "duplicate", "cell"]))
+        if kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)))
             continue
-        lo = [draw(st.integers(0, s - 1)) for s in shape]
-        if kind == "cell":
-            hi = lo
-        elif kind == "far corner":
-            hi = [s - 1 for s in shape]
-        else:
-            hi = [draw(st.integers(a, s - 1)) for a, s in zip(lo, shape)]
-        rects.append((tuple(lo), tuple(hi), draw(st.integers(0, 30))))
-    lo = np.array([r[0] for r in rects], dtype=np.int64).reshape(-1, d) + base
-    hi = np.array([r[1] for r in rects], dtype=np.int64).reshape(-1, d) + base
-    vals = np.array([r[2] for r in rects], dtype=np.int64)
-    s0 = int(base.sum())
-    t = draw(st.integers(s0 - 3, s0 + sum(shape) - d + 3))
-    return lo, hi, vals, base, shape, t
+        lo = [offset + draw(st.integers(0, 5)) for _ in range(d)]
+        hi = lo if kind == "cell" else [a + draw(st.integers(0, 4)) for a in lo]
+        rows.append((lo, hi))
+    lo = np.array([r[0] for r in rows], dtype=dtype).reshape(-1, d)
+    hi = np.array([r[1] for r in rows], dtype=dtype).reshape(-1, d)
+    if draw(st.booleans()):
+        t = draw(st.integers(offset * d - 2, offset * d + 9 * d + 2))
+        return lo, hi, t, None, t
+    return lo, hi, None, offset + draw(st.integers(-1, 9)), None
 
 
-@given(paint_cases())
-@example(  # one box over the whole grid, capped inside it
-    (np.array([[2, 0]]), np.array([[4, 3]]), np.array([9]), np.array([2, 0]), (3, 4), 4)
+@given(layer_cases())
+@example(  # nothing kept: every box is one cell, so no value exceeds its lo sum
+    (np.array([[1, 2], [0, 0]], np.int16), np.array([[1, 2], [0, 0]], np.int16), 5, None, 5)
 )
-@settings(max_examples=300, deadline=None)
+@example(  # one box over its whole grid, capped inside it
+    (np.array([[2, 0]], np.int32), np.array([[4, 3]], np.int32), 4, None, 4)
+)
+@settings(max_examples=400, deadline=None)
 def test_kernel_paints_and_sums_like_numpy(case):
     compiled()
-    lo, hi, vals, base, shape, t = case
-    args = (lo - base, hi - base, vals, shape, int(base.sum()), t)
-    grid = np.full(math.prod(shape), -1, dtype=np.int64)
-    expected = grid.copy()
-    total = _kernel.paint_sum(*args, grid)
-    assert total == _kernel._paint_numpy(*args, expected)
-    assert np.array_equal(grid, expected)
+    lo, hi, cap, clip, t = case
+    limits = [_kernel._limit(x) for x in (cap, clip, t)]
+    kept, base, top, volume = _kernel.layer_boxes(lo, hi, cap, clip)
+    expected = _kernel._boxes_numpy(lo, hi, *limits[:2])
+    assert (kept, volume) == (expected[0], expected[3])
+    assert np.array_equal(base, expected[1]) and np.array_equal(top, expected[2])
+    if not kept:
+        return
+    shape = top - base + 1
+    grid = np.zeros(math.prod(shape), dtype=np.int32)  # painting fills it first
+    reference = grid.copy()
+    total = _kernel.layer_paint(lo, hi, cap, clip, base, shape, t, grid)
+    assert total == _kernel._paint_layer_numpy(lo, hi, *limits[:2], base, shape, limits[2], reference)
+    assert np.array_equal(grid, reference)
 
 
 def _counter_cases():
@@ -156,28 +163,69 @@ def test_profiles_equal_on_both_paint_paths_past_16_columns(numpy_kernels, seed)
 
 
 def test_kernel_guards_reject_what_the_c_code_cannot_take(numpy_kernels):
-    lo = np.array([[0, 1]], dtype=np.int64)
-    hi = np.array([[1, 2]], dtype=np.int64)
-    vals = np.array([5], dtype=np.int64)
+    lo = np.array([[0, 1]], dtype=np.int16)
+    hi = np.array([[1, 2]], dtype=np.int16)
+    base, shape = np.array([0, 1]), (2, 2)
+    big = np.iinfo(np.int32).max
     for path in _both_paths(numpy_kernels):
-        grid = np.full(9, -1, dtype=np.int64)
-        bad = [
-            (lo.astype(np.int32), hi, vals, (3, 3), grid),  # not int64
-            (lo, np.array([[1, 9, 2]], dtype=np.int64)[:, ::2], vals, (3, 3), grid),  # strided
-            (lo, hi, vals[:0], (3, 3), grid),  # one value per rectangle
-            (lo, hi, vals, (3, 3, 1), grid),  # shape of length d
-            (lo, hi, vals, (3, 4), grid),  # grid size
-            (lo - 1, hi, vals, (3, 3), grid),  # lo >= 0
-            (lo, lo - [[0, 1]], vals, (3, 3), grid),  # hi >= lo
-            (lo, hi + 1, vals, (3, 3), grid),  # hi < shape
-            (np.zeros((1, 0), np.int64), np.zeros((1, 0), np.int64), vals, (), grid[:1]),  # d >= 1
+        grid = np.full(4, 7, dtype=np.int32)
+        bad_labels = [
+            (lo.astype(np.int64), hi.astype(np.int64)),  # not int16 or int32
+            (lo, hi.astype(np.int32)),  # dtypes differ
+            (np.array([[0, 9, 1, 9]], dtype=np.int16)[:, ::2], hi),  # strided
+            (lo[0], hi[0]),  # not 2-d
+            (lo, np.array([[1, 2, 3]], dtype=np.int16)),  # shapes differ
+            (np.zeros((1, 0), np.int16), np.zeros((1, 0), np.int16)),  # d >= 1
         ]
-        for lo_, hi_, vals_, shape, grid_ in bad:
-            with pytest.raises(ValueError, match="paint kernel"):
-                _kernel.paint_sum(lo_, hi_, vals_, shape, 0, 9, grid_)
-        assert (grid == -1).all(), path  # rejected calls wrote nothing
-        # cells (0,1), (0,2), (1,1), (1,2) each give 5 - coordinate sum
-        assert _kernel.paint_sum(lo, hi, vals, (3, 3), 0, 9, grid) == 4 + 3 + 3 + 2, path
+        for lo_, hi_ in bad_labels:
+            with pytest.raises(ValueError, match="layer boxes"):
+                _kernel.layer_boxes(lo_, hi_, 9)
+            with pytest.raises(ValueError, match="layer paint"):
+                _kernel.layer_paint(lo_, hi_, 9, None, base, shape, 9, grid)
+        read_only = grid.copy()
+        read_only.flags.writeable = False
+        bad_grids = [
+            (base, shape, grid[:3]),  # grid size
+            (base, shape, grid.astype(np.int64)),  # not int32
+            (base, shape, np.full(8, 7, dtype=np.int32)[::2]),  # strided
+            (base, shape, read_only),
+            (base[:1], shape, grid),  # base of length d
+            (base, (2, 2, 1), grid),  # shape of length d
+            (base, (-2, -2), grid),  # shape >= 1
+            (base - 2**40, shape, grid),  # base within int32
+        ]
+        for base_, shape_, grid_ in bad_grids:
+            with pytest.raises(ValueError, match="layer paint"):
+                _kernel.layer_paint(lo, hi, 9, None, base_, shape_, 9, grid_)
+        assert (grid == 7).all(), path  # rejected calls wrote nothing
+        # a kept box off the grid, or with a value past int32, is never painted
+        off_grid = [
+            (lo, hi, base + [0, 1]),  # lo below the base
+            (lo, hi, base - [0, 1]),  # hi past the shape
+            (lo.astype(np.int32) + big - 3, hi.astype(np.int32) + big - 3, base + big - 3),
+        ]
+        for lo_, hi_, base_ in off_grid:
+            with pytest.raises(ValueError, match="outside the grid or its value exceeds int32"):
+                _kernel.layer_paint(lo_, hi_, None, None, base_, shape, 9, grid)
+            assert (grid == -1).all(), path
+        # one box kept, with value min(1 + 2, 9) = 3 over cells of sum 1, 2, 2, 3
+        kept, base_, top, volume = _kernel.layer_boxes(lo, hi, 9)
+        assert (kept, base_.tolist(), top.tolist(), volume) == (1, [0, 1], [1, 2], 4), path
+        assert _kernel.layer_paint(lo, hi, 9, None, base, shape, 9, grid) == 2 + 1 + 1 + 0, path
+        # the cap keeps the box only while it exceeds the lo sum 1
+        assert _kernel.layer_boxes(lo, hi, 1)[0] == 0, path
+        # the clip cuts the box to its first column, and nothing is kept past lo
+        assert _kernel.layer_boxes(lo, hi, None, 1)[2].tolist() == [1, 1], path
+        assert _kernel.layer_boxes(lo, hi, None, 0)[0] == 0, path
+        # a volume past int64 is reported as the int64 maximum
+        wide = np.full((2, 4), big, dtype=np.int32)
+        assert _kernel.layer_boxes(wide * 0, wide, None)[3] == 2**63 - 1, path
+        # a kept box with hi < lo has no cells, and is never painted
+        # kept, since the lo sum 3 is below min(6, 9)
+        flipped = (np.array([[0, 3]], np.int16), np.array([[5, 1]], np.int16))
+        assert _kernel.layer_boxes(*flipped, 9)[::3] == (1, 0), path
+        with pytest.raises(ValueError, match="outside the grid"):
+            _kernel.layer_paint(*flipped, 9, None, [0, 1], (6, 3), 9, np.empty(18, np.int32))
 
 
 def _one_program():

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -284,6 +285,38 @@ def test_labeled_robp_rejects_malformed_rectangles():
                 lo, hi = lo[:-1], hi[:-1]
             with pytest.raises(ValueError, match="malformed rectangle"):
                 LabeledRobp(lp.p, lo, hi)
+
+
+def test_labeled_robp_freezes_its_labels():
+    from robpcount import LabeledRobp, profile_counter
+
+    lp = compute_labels(random_robp(8, counter_alphabet(3), 4, 5), "potential")
+    phi = profile_counter(lp).phi_values
+    assert phi[6] == 56
+    with pytest.raises(ValueError, match="read-only"):
+        lp.lo[6][0, 0] = -3
+    with pytest.raises(TypeError):
+        lp.lo[6] = lp.lo[6] - 3
+    for name in LabeledRobp.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(lp, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(lp, name)
+    # writeable arrays handed in are copied, so the caller's stay writeable
+    # and changing them afterwards leaves the labels as checked
+    lo, hi = [a.copy() for a in lp.lo], [a.astype(np.int64) for a in lp.hi]
+    copy = LabeledRobp(lp.p, lo, hi)
+    lo[6][0, 0] = -3
+    hi[6][:] = 0
+    assert profile_counter(copy).phi_values == phi
+    # lo int16 and hi int64: both are kept as int32
+    assert all(a.dtype == np.int32 and not a.flags.writeable for a in copy.lo + copy.hi)
+    assert all(a is b for a, b in zip(LabeledRobp(lp.p, lp.lo, lp.hi).lo, lp.lo))
+    assert profile_counter(pickle.loads(pickle.dumps(lp))).phi_values == phi
+    with pytest.raises(ValueError, match="integers"):
+        LabeledRobp(lp.p, lp.lo, [a.astype(float) for a in lp.hi])
+    with pytest.raises(ValueError, match="int32"):
+        LabeledRobp(lp.p, lp.lo, [a.astype(np.int64) + 2**31 for a in lp.hi])
 
 
 def test_one_program_is_validated_once(monkeypatch):

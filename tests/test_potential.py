@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from robpcount import (
     profile_counter,
     profile_parallel,
     random_robp,
+    rounded_counter,
     tribes,
     tribes_plan,
     verify,
@@ -344,6 +346,71 @@ def test_grid_budget_guard():
     q = random_robp(30, parallel_alphabet(2), 2, 0)
     with pytest.raises(GridBudgetError):
         profile_parallel(compute_labels(q, "full"), max_cells=3)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """A function that paints every layer of the profiles that follow on the
+    thread pool with the given number of grids (one per worker)."""
+    from robpcount import potential
+
+    potential._pool()  # made with its full thread count before the patch
+    monkeypatch.setattr(potential, "_INLINE_CELLS", 0)
+    return lambda count: monkeypatch.setattr(potential, "_WORKERS", count)
+
+
+def _pool_sizes():
+    from robpcount import potential
+
+    # one worker, the full pool, and more grids than threads
+    return [1, potential._WORKERS, 2 * potential._WORKERS]
+
+
+def test_one_worker_and_the_full_pool_give_the_same_profiles(workers):
+    # (100, 4, 10) paints layers of up to 20M cells, long enough for two
+    # workers to overlap on a shared grid if they could
+    counter = [compute_labels(rounded_counter(100, k, 10), "potential") for k in (3, 4)]
+    counter += [
+        compute_labels(random_robp(12, problem, 6, seed), "potential")
+        for seed, problem in enumerate([counter_alphabet(3), counter_alphabet(4)] * 4)
+    ]
+    parallel = [
+        compute_labels(random_robp(40, parallel_alphabet(k), 6, seed), "full")
+        for seed, k in enumerate([1, 2, 3] * 3)
+    ]
+    profiles = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+    try:
+        for count in _pool_sizes():
+            workers(count)
+            profiles.append(
+                [profile_counter(lp).phi_values for lp in counter]
+                + [profile_parallel(lp).phi_values for lp in parallel]
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert profiles[0] == profiles[1] == profiles[2]
+    assert sum(profiles[0][0]) > 0
+
+
+def test_grid_budget_errors_name_the_layer_and_the_limit(workers):
+    counter = compute_labels(rounded_counter(100, 3, 10), "potential")
+    parallel = compute_labels(random_robp(40, parallel_alphabet(2), 6, 0), "full")
+    cases = [
+        (profile_counter, counter, {"max_paint": 660_000},
+         "painting budget of 660000 cells exhausted at layer 90; raise the limit"),
+        (profile_counter, counter, {"max_cells": 8000},
+         "layer grid of 8100 cells exceeds the limit of 8000 at layer 89"),
+        (profile_parallel, parallel, {"max_paint": 1000},
+         "painting budget of 1000 cells exhausted at layer 21; raise the limit"),
+    ]
+    for count in _pool_sizes():
+        workers(count)
+        for profile, lp, limits, message in cases:
+            with pytest.raises(GridBudgetError) as err:
+                profile(lp, **limits)
+            assert str(err.value) == message, count
 
 
 def test_profile_guards_reject_wrong_labels():
