@@ -231,8 +231,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _refuse_over_budget(flag: str, value: int, variable: str, limit: int):
+    """Refuse a sweep flag over its frontier budget before any row is written."""
+    if value > limit:
+        raise oracle.BudgetError(f"{flag} {value} is over {variable}={limit}; raise it")
+
+
 def _cmd_frontier(args) -> int:
     budgets = _budgets()
+    _refuse_over_budget("--n-max", args.n_max, "ROBPCOUNT_FRONTIER_N", budgets["frontier_n"])
+    _refuse_over_budget("--w-max", args.w_max, "ROBPCOUNT_FRONTIER_W", budgets["frontier_w"])
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "w", "delta_num", "delta_den", "lb_num", "lb_den"])
     for n in range(1, args.n_max + 1):
@@ -359,6 +367,7 @@ def _cmd_plot_data(args) -> int:
             )
             delta += args.delta_step
     else:  # frontier
+        _refuse_over_budget("--n-max", args.n_max, "ROBPCOUNT_FRONTIER_N", budgets["frontier_n"])
         for n in range(1, args.n_max + 1):
             for w in range(1, min(args.w_max, budgets["frontier_w"]) + 1):
                 point = oracle.frontier(n, w, **limits)

@@ -9,9 +9,10 @@
   program behaviors; the independent cross-check for the frontier.
 * system_to_robp -- the converse construction, one vertex per interval.
 
-Every state of the frontier search, ((0, 0),) and each tuple of run hulls
-_runs yields, is an antichain sorted by both endpoints: a_0 < a_1 < ... and
-b_0 < b_1 < ... . So obligations take one pass, dominance a two-pointer walk.
+Every search state, ((0, 0),) and each tuple of run hulls _runs yields, is
+an antichain sorted by both endpoints: a_0 < a_1 < ... and b_0 < b_1 < ... .
+So obligations take one pass, dominance a two-pointer walk. _runs makes only
+the finest splits, as each coarser one has a refinement inside it.
 """
 
 from __future__ import annotations
@@ -205,14 +206,20 @@ def _prune_dominated(states: set) -> set:
 
 
 def _runs(obs: list[Interval], w: int):
-    """Hulls of every split of obs into at most w contiguous runs."""
+    """Hulls of every split of obs into exactly min(w, len(obs)) contiguous runs."""
     m = len(obs)
-    for blocks in range(1, min(w, m) + 1):
-        for cuts in combinations(range(1, m), blocks - 1):
-            bounds = (0, *cuts, m)
-            yield tuple(
-                (obs[i][0], obs[j - 1][1]) for i, j in zip(bounds, bounds[1:])
-            )
+    # Splits into fewer runs would always be pruned, so none is generated:
+    # - Refining a split gives hulls that each lie inside a hull of the
+    #   coarser split. The result is a different antichain, and it meets any
+    #   length limit the coarser split meets, so the coarser state is dominated.
+    # - "Inside" is transitive, and two antichains that lie inside each other
+    #   are equal, so every state the coarser split pruned is still pruned
+    #   by the refinement.
+    # - A surviving state is never a coarse split of any parent, so the parent
+    #   recorded for it, and hence the witness chain, do not change.
+    for cuts in combinations(range(1, m), min(w, m) - 1):
+        bounds = (0, *cuts, m)
+        yield tuple((obs[i][0], obs[j - 1][1]) for i, j in zip(bounds, bounds[1:]))
 
 
 def _feasible(n: int, w: int, limit: int):
@@ -223,7 +230,8 @@ def _feasible(n: int, w: int, limit: int):
     Contiguous runs of the sorted obligations are enough: they form an
     antichain sorted by both endpoints, so sending each to the first maximal
     hull of any partition that contains it is monotone, and the runs' hulls
-    fit inside that partition's hulls. The pruned states are the same."""
+    fit inside that partition's hulls. Only splits into min(w, m) runs are
+    made, since each coarser one is always pruned: the pruned states are the same."""
     frontier_states = {((0, 0),)}
     parents: list[dict] = []
     for _ in range(n):

@@ -274,8 +274,9 @@ def _build_report(p: Robp) -> ValidationReport:
                     v.append((t, u, "edge target outside next layer"))
 
     if isinstance(p.outputs, RationalTable):
-        if len(p.outputs) != (sizes[-1] if sizes else 0):
-            v.append((p.n, -1, f"{len(p.outputs)} output tuples for {sizes[-1]} final vertices"))
+        final = sizes[-1] if sizes else 0
+        if len(p.outputs) != final:
+            v.append((p.n, -1, f"{len(p.outputs)} output tuples for {final} final vertices"))
     else:
         v.append((p.n, -1, "inconsistent output arity across final vertices"))
 

@@ -256,6 +256,28 @@ def test_plot_data_frontier_takes_raised_budgets(capsys, monkeypatch):
     assert "oracle,2:5,0" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "argv, header, message",
+    [
+        (["frontier", "--n-max", "13", "--w-max", "1"], [],
+         "--n-max 13 is over ROBPCOUNT_FRONTIER_N=12; raise it"),
+        (["frontier", "--n-max", "2", "--w-max", "5"], [],
+         "--w-max 5 is over ROBPCOUNT_FRONTIER_W=4; raise it"),
+        (["plot-data", "--mode", "frontier", "--n-max", "13"], ["series,x,y"],
+         "--n-max 13 is over ROBPCOUNT_FRONTIER_N=12; raise it"),
+    ],
+)
+def test_a_frontier_sweep_over_budget_is_refused_before_any_row(
+    capsys, monkeypatch, argv, header, message
+):
+    monkeypatch.delenv("ROBPCOUNT_FRONTIER_N", raising=False)
+    monkeypatch.delenv("ROBPCOUNT_FRONTIER_W", raising=False)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out.splitlines() == header
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_a_budget_variable_that_is_not_a_count_names_itself(capsys, monkeypatch, value):
     monkeypatch.setenv("ROBPCOUNT_MAX_CELLS", value)

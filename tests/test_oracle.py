@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -126,11 +127,22 @@ def reference_prune_dominated(states):
     return {a for a in items if not any(b != a and reference_inside(b, a) for b in items)}
 
 
+def reference_runs(obs, w):
+    """Hulls of every split of obs into 1..w contiguous runs, the coarser
+    splits that the pruner always drops included."""
+    m = len(obs)
+    for blocks in range(1, min(w, m) + 1):
+        for cuts in itertools.combinations(range(1, m), blocks - 1):
+            bounds = (0, *cuts, m)
+            yield tuple((obs[i][0], obs[j - 1][1]) for i, j in zip(bounds, bounds[1:]))
+
+
 def reference_frontier(n, w, monkeypatch):
     """frontier with the reference helpers, searching limit n only when the
     binary search never tried it."""
     monkeypatch.setattr(oracle, "_maximal_obligations", reference_maximal_obligations)
     monkeypatch.setattr(oracle, "_prune_dominated", reference_prune_dominated)
+    monkeypatch.setattr(oracle, "_runs", reference_runs)
     lo, hi, chain = 0, n, None
     while lo < hi:
         mid = (lo + hi) // 2
@@ -219,6 +231,25 @@ def test_frontier_equals_the_reference_search(monkeypatch):
 def test_brute_force_equals_the_surjective_map_reference():
     for n, w in BRUTE_FORCE_POINTS:
         assert frontier_brute_force(n, w) == reference_brute_force(n, w), (n, w)
+
+
+def test_runs_give_only_the_finest_splits_and_each_coarser_one_holds_one():
+    intervals = [(a, b) for a in range(7) for b in range(a, 7)]
+    antichains = [
+        obs
+        for size in range(1, 5)
+        for obs in itertools.combinations(intervals, size)
+        if all(p[0] < q[0] and p[1] < q[1] for p, q in zip(obs, obs[1:]))
+    ]
+    for w in range(1, 5):
+        for obs in antichains:
+            m, k = len(obs), min(w, len(obs))
+            finest = list(_runs(list(obs), w))
+            assert len(finest) == math.comb(m - 1, k - 1), (obs, w)
+            assert finest == [h for h in reference_runs(obs, w) if len(h) == k], (obs, w)
+            for coarse in reference_runs(obs, w):
+                if len(coarse) < k:
+                    assert any(_inside(h, coarse) for h in finest), (obs, w, coarse)
 
 
 def test_runs_give_the_minimal_successors_of_all_set_partitions():

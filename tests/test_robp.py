@@ -250,6 +250,13 @@ def test_validate_reports_ragged_outputs():
     assert validate(p) is rep
 
 
+@pytest.mark.parametrize("n, edges", [(0, []), (1, [[[0, 0]]])])
+def test_validate_reports_outputs_without_layer_sizes(n, edges):
+    rep = validate(Robp(n, binary_alphabet(), [], edges, [(Fraction(0),)]))
+    assert not rep.valid and rep.width == 0
+    assert (n, -1, "1 output tuples for 0 final vertices") in rep.violations
+
+
 def test_evaluate_exact_counter_path():
     p = exact_counter(3, 2)
     out, path = evaluate(p, (1, 0, 1))
