@@ -241,13 +241,13 @@ def _cmd_frontier(args) -> int:
     budgets = _budgets()
     _refuse_over_budget("--n-max", args.n_max, "ROBPCOUNT_FRONTIER_N", budgets["frontier_n"])
     _refuse_over_budget("--w-max", args.w_max, "ROBPCOUNT_FRONTIER_W", budgets["frontier_w"])
+    limits = {"max_n": budgets["frontier_n"], "max_w": budgets["frontier_w"]}
+    columns = [oracle.frontier_column(args.n_max, w, **limits) for w in range(1, args.w_max + 1)]
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "w", "delta_num", "delta_den", "lb_num", "lb_den"])
     for n in range(1, args.n_max + 1):
-        for w in range(1, args.w_max + 1):
-            point = oracle.frontier(
-                n, w, max_n=budgets["frontier_n"], max_w=budgets["frontier_w"]
-            )
+        for w, column in enumerate(columns, 1):
+            point = column[n]
             row = [n, w, point.delta_star.numerator, point.delta_star.denominator]
             if w >= 3:
                 lb = bounds_mod.lb_small_w(n, 2, w)
@@ -368,9 +368,11 @@ def _cmd_plot_data(args) -> int:
             delta += args.delta_step
     else:  # frontier
         _refuse_over_budget("--n-max", args.n_max, "ROBPCOUNT_FRONTIER_N", budgets["frontier_n"])
+        widths = range(1, min(args.w_max, budgets["frontier_w"]) + 1)
+        columns = [oracle.frontier_column(args.n_max, w, **limits) for w in widths]
         for n in range(1, args.n_max + 1):
-            for w in range(1, min(args.w_max, budgets["frontier_w"]) + 1):
-                point = oracle.frontier(n, w, **limits)
+            for w, column in enumerate(columns, 1):
+                point = column[n]
                 emit("oracle", f"{n}:{w}", point.delta_star)
                 if w >= 3:
                     emit("lower_bound", f"{n}:{w}", bounds_mod.lb_small_w(n, 2, w))

@@ -5,6 +5,7 @@
 * frontier -- exact minimal binary-counting error at width w, by layered
   search over interval systems (sound and complete for the two-symbol
   case: programs induce systems, and systems convert back to programs).
+* frontier_column -- frontier(n, w) for every n up to n_max, from one search.
 * frontier_brute_force -- the same quantity by exhaustive enumeration of
   program behaviors; the independent cross-check for the frontier.
 * system_to_robp -- the converse construction, one vertex per interval.
@@ -13,6 +14,27 @@ Every search state, ((0, 0),) and each tuple of run hulls _runs yields, is
 an antichain sorted by both endpoints: a_0 < a_1 < ... and b_0 < b_1 < ... .
 So obligations take one pass, dominance a two-pointer walk. _runs makes only
 the finest splits, as each coarser one has a refinement inside it.
+
+The search takes no limit on interval lengths, and its layers give the whole
+column of optima at once. It keeps, within any limit L, exactly the states and
+parents that a search pruning every interval longer than L keeps:
+* A child is never shorter than its parent, so an over-limit parent has only
+  over-limit children, and the first parent recorded for a within-limit child
+  is the same with or without the limit.
+* A dominator is never longer than the state it dominates, so the pruner drops
+  the same within-limit states.
+* By induction, the limit-L survivors are exactly the survivors whose longest
+  interval is at most L. So the smallest longest interval among the layer-n
+  survivors is twice Delta*(n, w), and the witness is the survivor smallest by
+  (longest interval, state), backtracked through the parents.
+
+The pruner visits states in dominance order: by their interval lengths,
+longest first, compared lexicographically. Say B lies inside A, B != A. B's
+intervals of A's greatest length must equal A's intervals of that length: a
+B-interval strictly inside an A-interval that B also holds would break B's
+antichain. The same holds level by level down the lengths, so B's lengths come
+first. A state is kept unless a state kept before it lies inside it, and
+"inside" is transitive, so nothing needs removing afterwards.
 """
 
 from __future__ import annotations
@@ -199,10 +221,15 @@ def _inside(b: tuple[Interval, ...], a: tuple[Interval, ...]) -> bool:
     return True
 
 
-def _prune_dominated(states: set) -> set:
+def _prune_dominated(states) -> set:
     """Keep states not dominated by another: B dominates A when every
-    interval of B fits inside some interval of A (smaller is never worse)."""
-    return {a for a in states if not any(b != a and _inside(b, a) for b in states)}
+    interval of B fits inside some interval of A (smaller is never worse).
+    States come in dominance order, so each is checked against the kept ones."""
+    kept: list[tuple[Interval, ...]] = []
+    for a in sorted(states, key=lambda s: sorted((y - x for x, y in s), reverse=True)):
+        if not any(_inside(b, a) for b in kept):
+            kept.append(a)
+    return set(kept)
 
 
 def _runs(obs: list[Interval], w: int):
@@ -210,8 +237,8 @@ def _runs(obs: list[Interval], w: int):
     m = len(obs)
     # Splits into fewer runs would always be pruned, so none is generated:
     # - Refining a split gives hulls that each lie inside a hull of the
-    #   coarser split. The result is a different antichain, and it meets any
-    #   length limit the coarser split meets, so the coarser state is dominated.
+    #   coarser split. The result is a different antichain, so the coarser
+    #   state is dominated.
     # - "Inside" is transitive, and two antichains that lie inside each other
     #   are equal, so every state the coarser split pruned is still pruned
     #   by the refinement.
@@ -222,33 +249,26 @@ def _runs(obs: list[Interval], w: int):
         yield tuple((obs[i][0], obs[j - 1][1]) for i, j in zip(bounds, bounds[1:]))
 
 
-def _feasible(n: int, w: int, limit: int):
-    """The chain of states of an interval system with every length <= limit,
-    or None. Lengths never shrink along witness chains, so pruning long
-    intervals is lossless.
+def _search(n: int, w: int, max_n: int, max_w: int) -> list[dict]:
+    """Layers 0..n of surviving states, each mapped to its parent.
 
     Contiguous runs of the sorted obligations are enough: they form an
     antichain sorted by both endpoints, so sending each to the first maximal
     hull of any partition that contains it is monotone, and the runs' hulls
     fit inside that partition's hulls. Only splits into min(w, m) runs are
     made, since each coarser one is always pruned: the pruned states are the same."""
-    frontier_states = {((0, 0),)}
-    parents: list[dict] = []
+    if n > max_n or w > max_w:
+        raise BudgetError(f"frontier({n},{w}) over budget ({max_n},{max_w})")
+    if n < 0 or w < 1:
+        raise ValueError("need n >= 0, w >= 1")
+    layers: list[dict] = [{((0, 0),): None}]
     for _ in range(n):
         nxt: dict[tuple, tuple] = {}
-        for state in sorted(frontier_states):
+        for state in sorted(layers[-1]):
             for hulls in _runs(_maximal_obligations(state), w):
-                if hulls not in nxt and all(b - a <= limit for a, b in hulls):
-                    nxt[hulls] = state
-        frontier_states = _prune_dominated(set(nxt))
-        if not frontier_states:
-            return None
-        parents.append({s: nxt[s] for s in frontier_states})
-    chain = [min(frontier_states)]
-    for layer in reversed(parents):
-        chain.append(layer[chain[-1]])
-    chain.reverse()
-    return chain
+                nxt.setdefault(hulls, state)
+        layers.append({s: nxt[s] for s in _prune_dominated(nxt)})
+    return layers
 
 
 def _system_from_chain(n: int, chain: list[tuple[Interval, ...]]) -> IntervalSystem:
@@ -267,6 +287,18 @@ def _system_from_chain(n: int, chain: list[tuple[Interval, ...]]) -> IntervalSys
     return IntervalSystem(n=n, layers=tuple(chain), witness0=tuple(w0), witness1=tuple(w1))
 
 
+def _point(layers: list[dict], n: int, w: int) -> FrontierPoint:
+    """The optimum at layer n and its witness, backtracked through the parents."""
+    length, state = min((max(b - a for a, b in s), s) for s in layers[n])
+    chain = [state]
+    for t in range(n, 0, -1):
+        chain.append(layers[t][chain[-1]])
+    chain.reverse()
+    system = _system_from_chain(n, chain)
+    system.check()
+    return FrontierPoint(n=n, w=w, delta_star=Fraction(length, 2), witness=system)
+
+
 def frontier(
     n: int,
     w: int,
@@ -276,25 +308,22 @@ def frontier(
 ) -> FrontierPoint:
     """Exact minimum of minimal_error over width-<=w binary programs.
 
-    Binary search on the maximal interval length: any program induces an
-    interval system of its width, and system_to_robp converts systems back,
-    so the system optimum equals the program optimum.
+    Any program induces an interval system of its width, and system_to_robp
+    converts systems back, so the system optimum equals the program optimum.
     """
-    if n > max_n or w > max_w:
-        raise BudgetError(f"frontier({n},{w}) over budget ({max_n},{max_w})")
-    if n < 0 or w < 1:
-        raise ValueError("need n >= 0, w >= 1")
-    # limit n always holds: the width-1 chain [0, t]
-    lo, hi, chain = 0, n, [((0, t),) for t in range(n + 1)]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if found := _feasible(n, w, mid):
-            hi, chain = mid, found
-        else:
-            lo = mid + 1
-    system = _system_from_chain(n, chain)
-    system.check()
-    return FrontierPoint(n=n, w=w, delta_star=Fraction(lo, 2), witness=system)
+    return _point(_search(n, w, max_n, max_w), n, w)
+
+
+def frontier_column(
+    n_max: int,
+    w: int,
+    *,
+    max_n: int = DEFAULT_FRONTIER_N,
+    max_w: int = DEFAULT_FRONTIER_W,
+) -> list[FrontierPoint]:
+    """frontier(n, w) for every n = 0..n_max, from one search."""
+    layers = _search(n_max, w, max_n, max_w)
+    return [_point(layers, n, w) for n in range(n_max + 1)]
 
 
 def system_to_robp(s: IntervalSystem) -> Robp:
@@ -335,11 +364,13 @@ def frontier_brute_force(n: int, w: int) -> Fraction:
     same minimal error)."""
     if w < 1 or n < 0:
         raise ValueError("need n >= 0, w >= 1")
-    parts_cache = {a: _set_partitions(2 * a, w) for a in range(1, w + 1)}
+    parts_cache: dict[int, list] = {}  # state size -> partitions, built on first use
     states = {((0, 0),)}
     for _ in range(n):
         nxt = set()
         for state in states:
+            if len(state) not in parts_cache:
+                parts_cache[len(state)] = _set_partitions(2 * len(state), w)
             los, his = zip(*((lo + z, hi + z) for lo, hi in state for z in (0, 1)))
             for blocks in parts_cache[len(state)]:
                 hulls = ((min(los[i] for i in b), max(his[i] for i in b)) for b in blocks)

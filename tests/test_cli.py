@@ -278,6 +278,20 @@ def test_a_frontier_sweep_over_budget_is_refused_before_any_row(
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["frontier", "--n-max", "-1", "--w-max", "2"], []),
+        (["plot-data", "--mode", "frontier", "--n-max", "-1"], ["series,x,y"]),
+    ],
+)
+def test_a_frontier_sweep_with_a_negative_n_max_is_refused(capsys, argv, header):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out.splitlines() == header
+    assert captured.err == "error: need n >= 0, w >= 1\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_a_budget_variable_that_is_not_a_count_names_itself(capsys, monkeypatch, value):
     monkeypatch.setenv("ROBPCOUNT_MAX_CELLS", value)

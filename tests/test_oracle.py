@@ -35,6 +35,7 @@ from robpcount.oracle import (
     _prune_dominated,
     _runs,
     _set_partitions,
+    frontier_column,
 )
 
 
@@ -105,7 +106,9 @@ def minimal(states, limit):
 # The search helpers and the brute force as they were before they relied on
 # sorted antichains: states as unordered sets, O(m^2) filters, and every
 # surjective map of a layer's slots. They are the references for the
-# one-pass, two-pointer and one-map-per-partition versions.
+# one-pass, two-pointer and one-map-per-partition versions. reference_layers
+# and reference_frontier are the search before it dropped its length limit:
+# one search per limit, and a binary search over the limits.
 
 
 def reference_maximal_obligations(state):
@@ -137,21 +140,47 @@ def reference_runs(obs, w):
             yield tuple((obs[i][0], obs[j - 1][1]) for i, j in zip(bounds, bounds[1:]))
 
 
-def reference_frontier(n, w, monkeypatch):
-    """frontier with the reference helpers, searching limit n only when the
-    binary search never tried it."""
-    monkeypatch.setattr(oracle, "_maximal_obligations", reference_maximal_obligations)
-    monkeypatch.setattr(oracle, "_prune_dominated", reference_prune_dominated)
-    monkeypatch.setattr(oracle, "_runs", reference_runs)
+def reference_layers(n, w, limit):
+    """Each layer's survivors mapped to their parents, from a search that
+    drops every interval longer than limit, up to its first empty layer."""
+    layers = [{((0, 0),): None}]
+    for _ in range(n):
+        nxt = {}
+        for state in sorted(layers[-1]):
+            for hulls in reference_runs(reference_maximal_obligations(state), w):
+                if hulls not in nxt and all(b - a <= limit for a, b in hulls):
+                    nxt[hulls] = state
+        layers.append({s: nxt[s] for s in reference_prune_dominated(set(nxt))})
+        if not layers[-1]:
+            break
+    return layers
+
+
+def reference_feasible(n, w, limit):
+    """The chain of states of an interval system with every length <= limit,
+    or None."""
+    layers = reference_layers(n, w, limit)
+    if not layers[-1]:
+        return None
+    chain = [min(layers[n])]
+    for t in range(n, 0, -1):
+        chain.append(layers[t][chain[-1]])
+    chain.reverse()
+    return chain
+
+
+def reference_frontier(n, w):
+    """frontier by binary search on the length limit, searching limit n only
+    when the binary search never tried it."""
     lo, hi, chain = 0, n, None
     while lo < hi:
         mid = (lo + hi) // 2
-        if found := oracle._feasible(n, w, mid):
+        if found := reference_feasible(n, w, mid):
             hi, chain = mid, found
         else:
             lo = mid + 1
     if chain is None:
-        chain = oracle._feasible(n, w, n)
+        chain = reference_feasible(n, w, n)
     system = oracle._system_from_chain(n, chain)
     return FrontierPoint(n=n, w=w, delta_star=Fraction(lo, 2), witness=system)
 
@@ -178,6 +207,15 @@ def reference_brute_force(n, w):
                     nxt.add(tuple(sorted(labels)))
         states = nxt
     return Fraction(min(max(b - a for a, b in s) for s in states), 2)
+
+
+# every sorted antichain of at most 4 intervals inside [0, 6]
+SMALL_ANTICHAINS = [
+    obs
+    for size in range(1, 5)
+    for obs in itertools.combinations([(a, b) for a in range(7) for b in range(a, 7)], size)
+    if all(p[0] < q[0] and p[1] < q[1] for p, q in zip(obs, obs[1:]))
+]
 
 
 # sorted antichains of up to 6 intervals inside [0, 10]: small enough that
@@ -207,6 +245,17 @@ def test_prune_equals_the_reference(states):
     assert _prune_dominated(states) == reference_prune_dominated(states)
 
 
+def test_a_dominator_comes_first_in_the_pruners_order():
+    """B inside A, B != A, puts B's lengths, longest first, lexicographically
+    before A's: the order the pruner visits states in."""
+    lengths = {s: sorted((b - a for a, b in s), reverse=True) for s in SMALL_ANTICHAINS}
+    assert len(SMALL_ANTICHAINS) == 1204
+    for a in SMALL_ANTICHAINS:
+        for b in SMALL_ANTICHAINS:
+            if b != a and _inside(b, a):
+                assert lengths[b] < lengths[a], (b, a)
+
+
 def test_set_partitions_give_each_partition_once():
     for slots in range(7):
         for w in range(1, 5):
@@ -223,9 +272,26 @@ FRONTIER_POINTS = [(n, w) for w in range(1, 5) for n in range(13 if w < 4 else 1
 BRUTE_FORCE_POINTS = [(n, w) for w in range(1, 4) for n in range(7)]
 
 
-def test_frontier_equals_the_reference_search(monkeypatch):
+def test_frontier_equals_the_reference_search():
     points = [frontier(n, w) for n, w in FRONTIER_POINTS]
-    assert points == [reference_frontier(n, w, monkeypatch) for n, w in FRONTIER_POINTS]
+    reference = [reference_frontier(n, w) for n, w in FRONTIER_POINTS]
+    assert points == reference
+    columns = [p for w in range(1, 5) for p in frontier_column(12 if w < 4 else 9, w)]
+    assert columns == reference
+
+
+def test_the_search_keeps_what_every_limited_search_keeps():
+    """Within any limit, the unlimited search's survivors and their parents
+    are those of the search that drops every longer interval."""
+    for n, w in [(12, 3), (8, 4)]:
+        layers = oracle._search(n, w, n, w)
+        for limit in range(n + 1):
+            expected = reference_layers(n, w, limit)
+            within = [
+                {s: p for s, p in layer.items() if max(b - a for a, b in s) <= limit}
+                for layer in layers[: len(expected)]
+            ]
+            assert within == expected, (n, w, limit)
 
 
 def test_brute_force_equals_the_surjective_map_reference():
@@ -233,16 +299,15 @@ def test_brute_force_equals_the_surjective_map_reference():
         assert frontier_brute_force(n, w) == reference_brute_force(n, w), (n, w)
 
 
+def test_brute_force_builds_only_the_partition_tables_it_uses():
+    # building every table up to w intervals would list 9.4e9 partitions
+    assert frontier_brute_force(2, 8) == 0
+    assert frontier_brute_force(3, 8) == 0
+
+
 def test_runs_give_only_the_finest_splits_and_each_coarser_one_holds_one():
-    intervals = [(a, b) for a in range(7) for b in range(a, 7)]
-    antichains = [
-        obs
-        for size in range(1, 5)
-        for obs in itertools.combinations(intervals, size)
-        if all(p[0] < q[0] and p[1] < q[1] for p, q in zip(obs, obs[1:]))
-    ]
     for w in range(1, 5):
-        for obs in antichains:
+        for obs in SMALL_ANTICHAINS:
             m, k = len(obs), min(w, len(obs))
             finest = list(_runs(list(obs), w))
             assert len(finest) == math.comb(m - 1, k - 1), (obs, w)
@@ -277,11 +342,12 @@ def test_frontier_base_cases():
 
 
 def test_frontier_laws_at_widths_two_and_three():
-    for n in range(1, 31):
-        assert frontier(n, 2, max_n=30).delta_star == Fraction(n - 1, 2), n
-    for n in range(2, 21):
+    two, three = (frontier_column(40, w, max_n=40) for w in (2, 3))
+    for n in range(1, 41):
+        assert two[n].delta_star == Fraction(n - 1, 2), n
+    for n in range(2, 41):
         j = max(j for j in range(n) if j * j + j + 2 <= n)
-        assert frontier(n, 3, max_n=20).delta_star == Fraction(n, 2) - 1 - Fraction(j, 2), n
+        assert three[n].delta_star == Fraction(n, 2) - 1 - Fraction(j, 2), n
 
 
 def test_frontier_budget_guard():
