@@ -9,6 +9,9 @@ invalid/ruled_out/property violation, 2 for usage errors.
 Budgets can be overridden with environment variables:
 ROBPCOUNT_MAX_WIDTH, ROBPCOUNT_MAX_INPUTS, ROBPCOUNT_MAX_CELLS,
 ROBPCOUNT_MAX_PAINT, ROBPCOUNT_FRONTIER_N, ROBPCOUNT_FRONTIER_W.
+
+Each subcommand imports the modules it runs when it runs, so --help, bounds,
+sweep, frontier, mg and mg-query start without numpy.
 """
 
 from __future__ import annotations
@@ -19,27 +22,29 @@ import json
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
-from . import constructions, oracle, potential, streaming
 from .exact import format_rational, parse_rational
-from .labeling import compute_labels, edge_monotone, minimal_error, verify
-from .robp import (
-    Alphabet,
-    Robp,
-    binary_alphabet,
-    counter_alphabet,
-    parallel_alphabet,
-    read_robp,
-    validate,
-    write_robp,
-)
+
+if TYPE_CHECKING:
+    from .robp import Alphabet, Robp
+
+# budget -> (its environment variable, the module and name of its default)
+_BUDGETS = {
+    "max_width": ("ROBPCOUNT_MAX_WIDTH", "constructions", "DEFAULT_MAX_WIDTH"),
+    "max_inputs": ("ROBPCOUNT_MAX_INPUTS", "oracle", "DEFAULT_MAX_INPUTS"),
+    "max_cells": ("ROBPCOUNT_MAX_CELLS", "potential", "DEFAULT_MAX_BOX_CELLS"),
+    "max_paint": ("ROBPCOUNT_MAX_PAINT", "potential", "DEFAULT_MAX_PAINT"),
+    "frontier_n": ("ROBPCOUNT_FRONTIER_N", "oracle", "DEFAULT_FRONTIER_N"),
+    "frontier_w": ("ROBPCOUNT_FRONTIER_W", "oracle", "DEFAULT_FRONTIER_W"),
+}
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str) -> int | None:
     value = os.environ.get(name)
     if not value:
-        return default
+        return None
     try:
         number = int(value)
         if number >= 0:
@@ -49,23 +54,30 @@ def _env_int(name: str, default: int) -> int:
     raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
 
 
-def _budgets():
-    return {
-        "max_width": _env_int("ROBPCOUNT_MAX_WIDTH", constructions.DEFAULT_MAX_WIDTH),
-        "max_inputs": _env_int("ROBPCOUNT_MAX_INPUTS", oracle.DEFAULT_MAX_INPUTS),
-        "max_cells": _env_int("ROBPCOUNT_MAX_CELLS", potential.DEFAULT_MAX_BOX_CELLS),
-        "max_paint": _env_int("ROBPCOUNT_MAX_PAINT", potential.DEFAULT_MAX_PAINT),
-        "frontier_n": _env_int("ROBPCOUNT_FRONTIER_N", oracle.DEFAULT_FRONTIER_N),
-        "frontier_w": _env_int("ROBPCOUNT_FRONTIER_W", oracle.DEFAULT_FRONTIER_W),
-    }
+def _budgets(*names: str) -> dict[str, int]:
+    """The named budgets, each from its variable or else its default. Every
+    variable is checked, so each budgeted command refuses a bad one, but
+    only the named budgets' modules are imported for their defaults."""
+    given = {name: _env_int(variable) for name, (variable, _, _) in _BUDGETS.items()}
+    budgets = {}
+    for name in names:
+        _, module, default = _BUDGETS[name]
+        value = given[name]
+        if value is None:
+            value = getattr(import_module(f".{module}", __package__), default)
+        budgets[name] = value
+    return budgets
 
 
 def _read_program(path: str | None) -> Robp:
+    from .robp import read_robp
+
+    # read_robp holds the only reference to the bytes, so they are freed once
+    # decoded, before the parse peaks
     if path in (None, "-"):
         return read_robp(sys.stdin.buffer.read())
     with open(path, "rb") as fh:
-        data = fh.read()
-    return read_robp(data)
+        return read_robp(fh.read())
 
 
 def _write_text(path: str | None, text: str):
@@ -79,6 +91,8 @@ def _write_text(path: str | None, text: str):
 
 
 def _problem_from_flags(args) -> Alphabet:
+    from .robp import binary_alphabet, counter_alphabet, parallel_alphabet
+
     if args.problem == "binary":
         return binary_alphabet()
     if args.problem == "counter":
@@ -92,7 +106,10 @@ def _json_out(obj) -> int:
 
 
 def _cmd_build(args) -> int:
-    budgets = _budgets()
+    from . import constructions
+    from .robp import write_robp
+
+    budgets = _budgets("max_width")
     if args.kind == "exact":
         p = constructions.exact_counter(args.n, args.k, max_width=budgets["max_width"])
     elif args.kind == "tribes":
@@ -109,6 +126,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .robp import validate
+
     report = validate(_read_program(args.input))
     _json_out(
         {
@@ -122,6 +141,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .labeling import verify
+
     p = _read_program(args.input)
     cert = verify(p, _problem_from_flags(args), args.delta)
     _json_out(
@@ -138,6 +159,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_labels(args) -> int:
+    from .labeling import compute_labels
+
     p = _read_program(args.input)
     lp = compute_labels(p, args.mode)
     writer = csv.writer(sys.stdout)
@@ -155,6 +178,9 @@ def _cmd_labels(args) -> int:
 
 
 def _audit_reports(p: Robp, args, budgets):
+    from . import potential
+    from .labeling import compute_labels
+
     limits = {"max_cells": budgets["max_cells"], "max_paint": budgets["max_paint"]}
     counter = args.family == "counter"
     lp = compute_labels(p, "potential" if counter else "full")
@@ -175,7 +201,7 @@ def _cmd_audit(args) -> int:
     if args.family == "counter" and args.check != "growth" and args.delta is None:
         raise ValueError(f"audit --family counter --check {args.check} needs --delta")
     p = _read_program(args.input)
-    reports = _audit_reports(p, args, _budgets())
+    reports = _audit_reports(p, args, _budgets("max_cells", "max_paint"))
     writer = csv.writer(sys.stdout)
     writer.writerow(["t", "lhs", "rhs", "slack", "pass"])
     ok = True
@@ -195,6 +221,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     report = bounds_mod.thm_main_feasible(args.n, args.k, args.w, args.delta)
     _json_out(
         {
@@ -212,6 +240,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import bounds as bounds_mod
+
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "k", "w", "delta", "m", "lhs", "rhs", "verdict"])
     for w in range(args.w_min, args.w_max + 1):
@@ -234,11 +264,16 @@ def _cmd_sweep(args) -> int:
 def _refuse_over_budget(flag: str, value: int, variable: str, limit: int):
     """Refuse a sweep flag over its frontier budget before any row is written."""
     if value > limit:
-        raise oracle.BudgetError(f"{flag} {value} is over {variable}={limit}; raise it")
+        from .oracle import BudgetError
+
+        raise BudgetError(f"{flag} {value} is over {variable}={limit}; raise it")
 
 
 def _cmd_frontier(args) -> int:
-    budgets = _budgets()
+    from . import bounds as bounds_mod
+    from . import oracle
+
+    budgets = _budgets("frontier_n", "frontier_w")
     _refuse_over_budget("--n-max", args.n_max, "ROBPCOUNT_FRONTIER_N", budgets["frontier_n"])
     _refuse_over_budget("--w-max", args.w_max, "ROBPCOUNT_FRONTIER_W", budgets["frontier_w"])
     limits = {"max_n": budgets["frontier_n"], "max_w": budgets["frontier_w"]}
@@ -259,6 +294,10 @@ def _cmd_frontier(args) -> int:
 
 
 def _fuzz_one(seed: int, n: int, w: int, alphabet: Alphabet, max_inputs: int) -> str | None:
+    from . import oracle
+    from .labeling import compute_labels, edge_monotone, minimal_error, verify
+    from .robp import validate
+
     p = oracle.random_robp(n, alphabet, w, seed)
     report = validate(p)
     if not report.valid:
@@ -280,7 +319,7 @@ def _fuzz_one(seed: int, n: int, w: int, alphabet: Alphabet, max_inputs: int) ->
 
 
 def _cmd_fuzz(args) -> int:
-    budgets = _budgets()
+    budgets = _budgets("max_inputs")
     alphabet = _problem_from_flags(args)
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
@@ -314,6 +353,8 @@ def _read_stream(path: str | None) -> list[int]:
 
 
 def _cmd_mg(args, with_query: bool) -> int:
+    from . import streaming
+
     stream = _read_stream(args.input)
     summary = streaming.mg_run(stream, args.k, args.U)
     out = streaming.mg_finalize(summary)
@@ -331,7 +372,10 @@ def _cmd_mg(args, with_query: bool) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    budgets = _budgets()
+    from . import bounds as bounds_mod
+    from . import constructions, oracle
+
+    budgets = _budgets("frontier_n", "frontier_w")
     limits = {"max_n": budgets["frontier_n"], "max_w": budgets["frontier_w"]}
     writer = csv.writer(sys.stdout)
     writer.writerow(["series", "x", "y"])
@@ -357,15 +401,17 @@ def _cmd_plot_data(args) -> int:
                 f"empty sweep: --delta-min {args.delta_min} is above --delta-max {args.delta_max}"
             )
         n, k = args.n, args.k
+        deltas = []
         delta = args.delta_min
         while delta <= args.delta_max:
-            emit("lower_bound", str(delta), Fraction(bounds_mod.min_consistent_width(n, k, delta)))
-            emit(
-                "upper_bound",
-                str(delta),
-                Fraction(constructions.rounded_counter_width_bound(n, k, delta)),
-            )
+            deltas.append(delta)
             delta += args.delta_step
+        # the upper bounds come first: outside rounded_counter's domain they
+        # raise, and so before any row is written
+        uppers = [constructions.rounded_counter_width_bound(n, k, delta) for delta in deltas]
+        for delta, upper in zip(deltas, uppers):
+            emit("lower_bound", str(delta), Fraction(bounds_mod.min_consistent_width(n, k, delta)))
+            emit("upper_bound", str(delta), Fraction(upper))
     else:  # frontier
         _refuse_over_budget("--n-max", args.n_max, "ROBPCOUNT_FRONTIER_N", budgets["frontier_n"])
         widths = range(1, min(args.w_max, budgets["frontier_w"]) + 1)

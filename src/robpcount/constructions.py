@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import isqrt_ceil_rational, isqrt_floor_rational, RationalTable
-from .robp import Alphabet, Robp, binary_alphabet, counter_alphabet
+from .exact import isqrt_ceil_rational, isqrt_floor_rational
+from .robp import Alphabet, RationalTable, Robp, binary_alphabet, counter_alphabet
 
 DEFAULT_MAX_WIDTH = 2_000_000
 

@@ -1,9 +1,8 @@
-"""Exact arithmetic helpers: rational parsing, integer roots, rational tables.
+"""Exact arithmetic helpers: rational parsing and integer roots.
 
 Everything downstream compares rationals exactly; no float ever decides a
-verdict. Output tables keep numerators/denominators in parallel integer
-arrays so that million-vertex programs stay compact and vectorizable, with
-fractions.Fraction views derived on demand.
+verdict. This module is Python-int arithmetic only; the numpy table of
+program outputs, RationalTable, lives with the programs in robp.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-import numpy as np
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -73,100 +70,3 @@ def kth_root_ceil_scaled(x: int, k: int, bits: int = 64) -> Fraction:
     if r**k < scaled:
         r += 1
     return Fraction(r, 1 << bits)
-
-
-class RationalTable:
-    """A rectangular table of exact rationals as parallel num/den arrays.
-
-    Rows map to final-layer vertices, columns to output coordinates.
-    Normalized on construction (gcd-reduced, positive denominators).
-    Entries that fit comfortably in int64 are stored that way; anything
-    larger falls back to object arrays of Python ints, still exact. A table
-    cannot change: its arrays are read-only and its fields cannot be rebound.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: np.ndarray, den: np.ndarray):
-        num = np.asarray(num)
-        den = np.asarray(den)
-        if num.shape != den.shape or num.ndim != 2:
-            raise ValueError("num/den must be 2-d arrays of equal shape")
-        if num.dtype == object or den.dtype == object:
-            pairs = [
-                [Fraction(int(p), int(q)) for p, q in zip(nrow, drow)]
-                for nrow, drow in zip(num, den)
-            ]
-            num = np.array([[f.numerator for f in r] for r in pairs], dtype=object)
-            den = np.array([[f.denominator for f in r] for r in pairs], dtype=object)
-            num = num.reshape(den.shape)
-        else:
-            num = num.astype(np.int64)
-            den = den.astype(np.int64)
-            if np.any(den == 0):
-                raise ZeroDivisionError("zero denominator in rational table")
-            neg = den < 0
-            if neg.any():
-                num = np.where(neg, -num, num)
-                den = np.where(neg, -den, den)
-            g = np.gcd(num, den)
-            g[g == 0] = 1
-            num = num // g
-            den = den // g
-        num.flags.writeable = False
-        den.flags.writeable = False
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot change {name!r}: a RationalTable is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return RationalTable, (self.num, self.den)
-
-    @classmethod
-    def from_rows(cls, rows) -> "RationalTable":
-        rows = [tuple(Fraction(v) for v in row) for row in rows]
-        if not rows:
-            return cls(np.zeros((0, 1), np.int64), np.ones((0, 1), np.int64))
-        arity = len(rows[0])
-        if any(len(r) != arity for r in rows):
-            raise ValueError("ragged rows")
-        big = any(
-            abs(f.numerator) >= 2**62 or f.denominator >= 2**62
-            for r in rows
-            for f in r
-        )
-        dtype = object if big else np.int64
-        num = np.array([[f.numerator for f in r] for r in rows], dtype)
-        den = np.array([[f.denominator for f in r] for r in rows], dtype)
-        return cls(num.reshape(len(rows), arity), den.reshape(len(rows), arity))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.num.shape
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(int(p), int(q)) for p, q in zip(self.num[i], self.den[i])
-        )
-
-    def rows(self) -> list[tuple[Fraction, ...]]:
-        return [self.row(i) for i in range(self.num.shape[0])]
-
-    def __len__(self) -> int:
-        return self.num.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalTable):
-            return NotImplemented
-        return (
-            self.num.shape == other.num.shape
-            and bool(np.array_equal(self.num, other.num))
-            and bool(np.array_equal(self.den, other.den))
-        )
-
-    def __repr__(self) -> str:
-        return f"RationalTable(shape={self.num.shape})"

@@ -30,8 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernel
-from .exact import RationalTable
-from .robp import Alphabet, Robp, _frozen, validate
+from .robp import Alphabet, RationalTable, Robp, _frozen, validate
 
 
 @dataclass(frozen=True)

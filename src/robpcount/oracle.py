@@ -43,11 +43,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-import numpy as np
+# The interval search and the brute force are pure Python; numpy and the
+# program modules are imported by the functions that build or run programs,
+# so the frontier starts without them.
+if TYPE_CHECKING:
+    import numpy as np
 
-from .labeling import minimal_error
-from .robp import Alphabet, Robp, binary_alphabet
+    from .robp import Alphabet, Robp
 
 DEFAULT_MAX_INPUTS = 2**24
 DEFAULT_FRONTIER_N = 12
@@ -60,6 +64,8 @@ class BudgetError(ValueError):
 
 def _true_counts(x: np.ndarray, problem: Alphabet) -> np.ndarray:
     """Per-input tracked counts, shape (inputs, arity)."""
+    import numpy as np
+
     if problem.kind == "counter":
         return np.stack([(x == j).sum(axis=1) for j in range(problem.k)], axis=1)
     if problem.kind == "binary":
@@ -74,6 +80,8 @@ def exhaustive_verify(
 ) -> bool:
     """Evaluate every input; True iff every output is within delta of the
     true counts. Inputs are enumerated lexicographically in chunks."""
+    import numpy as np
+
     delta = Fraction(delta)
     if p.alphabet != problem:
         raise ValueError("program alphabet does not match problem")
@@ -114,6 +122,9 @@ def random_robp(n: int, alphabet: Alphabet, w: int, seed: int) -> Robp:
     """Seeded random valid program: random layer sizes (30% of layers forced
     to width 1 to exercise label merging), random edges, unreachable
     vertices pruned, outputs set to the label midpoints."""
+    from .labeling import minimal_error
+    from .robp import Robp
+
     if w < 1:
         raise ValueError("w >= 1 required")
     rng = random.Random(seed)
@@ -330,6 +341,8 @@ def system_to_robp(s: IntervalSystem) -> Robp:
     """One vertex per interval; symbol z routes to the witness for R+z.
     The program's reachable counts stay inside the intervals, so its
     minimal error is at most half the longest final interval."""
+    from .robp import Robp, binary_alphabet
+
     s.check()
     edges = [
         [[int(s.witness0[t][i]), int(s.witness1[t][i])] for i in range(len(s.layers[t]))]

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -336,6 +337,80 @@ def test_plot_data_rejects_an_empty_sweep(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out.splitlines() == ["series,x,y"]
     assert captured.err == "error: empty sweep: --delta-min 20 is above --delta-max 10\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plot-data", "--mode", "small-err", "--n", "100", "--k", "2",
+         "--delta-min", "5", "--delta-max", "12"],
+        ["plot-data", "--mode", "small-err", "--n", "100", "--k", "2",
+         "--delta-min", "10", "--delta-max", "12"],
+        ["plot-data", "--mode", "small-err", "--n", "15", "--k", "2"],
+    ],
+)
+def test_plot_data_small_err_outside_the_rounded_counter_is_refused_before_any_row(
+    capsys, argv
+):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out.splitlines() == ["series,x,y"]
+    assert captured.err == "error: rounded_counter needs k >= 2, n >= 10k, 10 <= delta <= n/10\n"
+
+
+# Runs main in a fresh interpreter; the last line of its stderr is the exit
+# code and whether numpy was imported.
+START_PROBE = """
+import sys
+from robpcount.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["bounds", "--n", "90", "--k", "2", "--w", "4", "--delta", "30"], 1),
+        (["sweep", "--n", "90", "--k", "2", "--delta", "30", "--w-max", "6"], 0),
+        (["frontier", "--n-max", "4", "--w-max", "3"], 0),
+        (["mg", "--k", "3", "--U", "10"], 0),
+        (["mg-query", "--k", "3", "--U", "10", "--query", "0"], 0),
+    ],
+)
+def test_the_pure_python_subcommands_start_without_numpy(argv, code):
+    run = subprocess.run(
+        [sys.executable, "-c", START_PROBE, *argv],
+        input="0 1 0 2 0 9\n",
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+    )
+    assert run.stderr.splitlines()[-1] == f"{code} False", run.stderr
+
+
+def test_every_package_name_resolves_to_its_submodules_object():
+    for name in robpcount.__all__:
+        obj = getattr(robpcount, name)
+        if isinstance(obj, type(robpcount)):
+            assert obj is importlib.import_module(f"robpcount.{name}")
+        else:
+            assert obj.__module__.startswith("robpcount.")
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_the_package_lists_its_names_and_refuses_unknown_ones():
+    assert set(robpcount.__all__) <= set(dir(robpcount))
+    from robpcount import _kernel
+
+    assert _kernel is sys.modules["robpcount._kernel"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        robpcount.no_such_name
 
 
 def test_deterministic_reruns(capsys):

@@ -31,7 +31,7 @@ from robpcount.constructions import (
     _round_vectors,
     _s_columns,
 )
-from robpcount.exact import RationalTable
+from robpcount.robp import RationalTable
 
 
 def test_exact_counter_shape():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from robpcount.exact import (
-    RationalTable,
     format_rational,
     iroot_floor,
     isqrt_ceil_rational,
@@ -14,6 +13,7 @@ from robpcount.exact import (
     kth_root_ceil_scaled,
     parse_rational,
 )
+from robpcount.robp import RationalTable
 
 
 def test_parse_rational_forms():

@@ -294,6 +294,16 @@ def test_the_search_keeps_what_every_limited_search_keeps():
             assert within == expected, (n, w, limit)
 
 
+def test_every_search_layer_is_an_antichain_of_states():
+    """No survivor lies inside another: a pruner that keeps a few dominated
+    states still finds every optimum, so only this sees it."""
+    layers = oracle._search(9, 5, 9, 5)
+    for t, layer in enumerate(layers):
+        for a in layer:
+            inner = [b for b in layer if b != a and _inside(b, a)]
+            assert not inner, (t, a, inner[:3])
+
+
 def test_brute_force_equals_the_surjective_map_reference():
     for n, w in BRUTE_FORCE_POINTS:
         assert frontier_brute_force(n, w) == reference_brute_force(n, w), (n, w)

@@ -21,7 +21,7 @@ from robpcount import (
     validate,
     write_robp,
 )
-from robpcount.exact import RationalTable
+from robpcount.robp import RationalTable
 
 
 def test_alphabet_sizes():
