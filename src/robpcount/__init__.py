@@ -45,6 +45,7 @@ _EXPORTS = {
         "exhaustive_verify",
         "frontier",
         "frontier_brute_force",
+        "frontier_column",
         "random_robp",
         "system_to_robp",
     ),

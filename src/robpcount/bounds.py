@@ -36,7 +36,6 @@ class BoundReport:
     lhs: Fraction
     rhs: Fraction
     verdict: str  # "consistent" | "ruled_out"
-    formula_id: str
 
     @property
     def ruled_out(self) -> bool:
@@ -71,7 +70,7 @@ def thm_main_feasible(n: int, k: int, w: int, delta) -> BoundReport:
     lhs = Fraction(math.comb(m + k, k) + (n - m - 1) * w)
     rhs = gen_binom(Fraction(n) - 2 * (k - 1) * delta + k - 1, k)
     verdict = "ruled_out" if lhs < rhs else "consistent"
-    return BoundReport(n, k, w, delta, m, lhs, rhs, verdict, "feasibility")
+    return BoundReport(n, k, w, delta, m, lhs, rhs, verdict)
 
 
 def lb_small_w(n: int, k: int, w: int) -> Fraction:

@@ -58,15 +58,15 @@ def iroot_floor(x: int, k: int) -> int:
     return r
 
 
-def kth_root_ceil_scaled(x: int, k: int, bits: int = 64) -> Fraction:
-    """Smallest rational of the form R/2**bits that is >= x**(1/k).
+def kth_root_ceil_scaled(x: int, k: int) -> Fraction:
+    """Smallest rational of the form R/2**64 that is >= x**(1/k).
 
-    The result overshoots the true root by less than 2**-bits, so
-    subtracting it from anything under-approximates by less than 2**-bits:
+    The result overshoots the true root by less than 2**-64, so
+    subtracting it from anything under-approximates by less than 2**-64:
     the directed rounding used by the closed-form lower bounds.
     """
-    scaled = x << (bits * k)
+    scaled = x << (64 * k)
     r = iroot_floor(scaled, k)
     if r**k < scaled:
         r += 1
-    return Fraction(r, 1 << bits)
+    return Fraction(r, 1 << 64)

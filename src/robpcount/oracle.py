@@ -12,8 +12,8 @@
 
 Every search state, ((0, 0),) and each tuple of run hulls _runs yields, is
 an antichain sorted by both endpoints: a_0 < a_1 < ... and b_0 < b_1 < ... .
-So obligations take one pass, dominance a two-pointer walk. _runs makes only
-the finest splits, as each coarser one has a refinement inside it.
+So obligations take one pass. _runs makes only the finest splits, as each
+coarser one has a refinement inside it.
 
 The search takes no limit on interval lengths, and its layers give the whole
 column of optima at once. It keeps, within any limit L, exactly the states and
@@ -28,13 +28,11 @@ parents that a search pruning every interval longer than L keeps:
   survivors is twice Delta*(n, w), and the witness is the survivor smallest by
   (longest interval, state), backtracked through the parents.
 
-The pruner visits states in dominance order: by their interval lengths,
-longest first, compared lexicographically. Say B lies inside A, B != A. B's
-intervals of A's greatest length must equal A's intervals of that length: a
-B-interval strictly inside an A-interval that B also holds would break B's
-antichain. The same holds level by level down the lengths, so B's lengths come
-first. A state is kept unless a state kept before it lies inside it, and
-"inside" is transitive, so nothing needs removing afterwards.
+The pruner compares down-sets: D(S) has one bit for every interval inside one
+of S's, and B lies inside A exactly when D(B) is a subset of D(A). A down-set
+strictly inside another has fewer bits, so visiting states smallest D(S) first
+puts every dominator first. A state is kept unless a kept down-set lies inside
+its own, and "inside" is transitive, so nothing needs removing afterwards.
 """
 
 from __future__ import annotations
@@ -42,7 +40,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import TYPE_CHECKING
 
 # The interval search and the brute force are pure Python; numpy and the
@@ -173,21 +173,27 @@ class IntervalSystem:
     witness1: tuple[tuple[int, ...], ...]
 
     def check(self):
+        """Raise ValueError unless layer 0 is {[0,0]}, every layer t is an
+        antichain inside [0, t], and every interval of layers 0..n-1 has both
+        witnesses, each an index into the next layer of an interval that
+        contains its obligation."""
         if len(self.layers) != self.n + 1 or self.layers[0] != ((0, 0),):
             raise ValueError("layer 0 must be exactly {[0,0]}")
+        if not len(self.witness0) == len(self.witness1) == self.n:
+            raise ValueError(f"need {self.n} witness tuples of each kind")
         for t, layer in enumerate(self.layers):
-            for a, b in layer:
+            for i, (a, b) in enumerate(layer):
                 if not 0 <= a <= b <= t:
                     raise ValueError(f"interval [{a},{b}] invalid at layer {t}")
-            for i, (a, b) in enumerate(layer):
-                for j, (c, d) in enumerate(layer):
-                    if i != j and c <= a and b <= d:
-                        raise ValueError(f"layer {t} is not an antichain")
+                if any(j != i and c <= a and b <= d for j, (c, d) in enumerate(layer)):
+                    raise ValueError(f"layer {t} is not an antichain")
         for t in range(self.n):
-            for i, (a, b) in enumerate(self.layers[t]):
-                for shift, wit in ((0, self.witness0[t][i]), (1, self.witness1[t][i])):
-                    c, d = self.layers[t + 1][wit]
-                    if not (c <= a + shift and b + shift <= d):
+            nxt = self.layers[t + 1]
+            for shift, wits in ((0, self.witness0[t]), (1, self.witness1[t])):
+                if len(wits) != len(self.layers[t]) or not all(j in range(len(nxt)) for j in wits):
+                    raise ValueError(f"layer {t} needs one witness in layer {t + 1} per interval")
+                for i, ((a, b), j) in enumerate(zip(self.layers[t], wits)):
+                    if not (nxt[j][0] <= a + shift and b + shift <= nxt[j][1]):
                         raise ValueError(
                             f"unwitnessed obligation at layer {t}, interval {i}, shift {shift}"
                         )
@@ -220,26 +226,29 @@ def _maximal_obligations(state: tuple[Interval, ...]) -> list[Interval]:
     return obs
 
 
-def _inside(b: tuple[Interval, ...], a: tuple[Interval, ...]) -> bool:
-    """Every interval of b fits inside one of a: [x, y] can only fit in the
-    first interval of a that ends at or after y, and that one only moves right."""
-    i = 0
-    for x, y in b:
-        while i < len(a) and a[i][1] < y:
-            i += 1
-        if i == len(a) or a[i][0] > x:
-            return False
-    return True
+@cache
+def _interval_down_set(x: int, y: int) -> int:
+    """One bit for every interval [c, d] inside [x, y], at d(d+1)/2 + c: for
+    each d, the bits c = x..d form one run."""
+    return sum(((1 << (d - x + 1)) - 1) << (d * (d + 1) // 2 + x) for d in range(x, y + 1))
+
+
+def _down_set(state: tuple[Interval, ...]) -> int:
+    """D(state): one bit for every interval inside one of the state's."""
+    return reduce(or_, (_interval_down_set(x, y) for x, y in state), 0)
 
 
 def _prune_dominated(states) -> set:
     """Keep states not dominated by another: B dominates A when every
-    interval of B fits inside some interval of A (smaller is never worse).
-    States come in dominance order, so each is checked against the kept ones."""
-    kept: list[tuple[Interval, ...]] = []
-    for a in sorted(states, key=lambda s: sorted((y - x for x, y in s), reverse=True)):
-        if not any(_inside(b, a) for b in kept):
-            kept.append(a)
+    interval of B fits inside some interval of A (smaller is never worse),
+    that is, when D(B) & ~D(A) == 0. A dominator has fewer bits, so it comes
+    first, and each state is checked against the kept ones."""
+    masks = {s: _down_set(s) for s in states}
+    kept: dict[tuple[Interval, ...], int] = {}
+    for a, mask in sorted(masks.items(), key=lambda item: item[1].bit_count()):
+        outside = ~mask
+        if all(b & outside for b in kept.values()):
+            kept[a] = mask
     return set(kept)
 
 
@@ -283,15 +292,13 @@ def _search(n: int, w: int, max_n: int, max_w: int) -> list[dict]:
 
 
 def _system_from_chain(n: int, chain: list[tuple[Interval, ...]]) -> IntervalSystem:
+    """Each obligation's witness is the first next-layer interval containing
+    it, or -1, which check refuses, if none does."""
     w0, w1 = [], []
-    for t in range(n):
-        cur, nxt = chain[t], chain[t + 1]
+    for cur, nxt in zip(chain, chain[1:]):
 
         def first_containing(a, b):
-            for i, (c, d) in enumerate(nxt):
-                if c <= a and b <= d:
-                    return i
-            raise ValueError("unwitnessed obligation in search chain")
+            return next((i for i, (c, d) in enumerate(nxt) if c <= a and b <= d), -1)
 
         w0.append(tuple(first_containing(a, b) for a, b in cur))
         w1.append(tuple(first_containing(a + 1, b + 1) for a, b in cur))

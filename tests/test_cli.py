@@ -406,6 +406,7 @@ def test_every_package_name_resolves_to_its_submodules_object():
 
 def test_the_package_lists_its_names_and_refuses_unknown_ones():
     assert set(robpcount.__all__) <= set(dir(robpcount))
+    assert "frontier_column" in robpcount.__all__
     from robpcount import _kernel
 
     assert _kernel is sys.modules["robpcount._kernel"]

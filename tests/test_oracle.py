@@ -30,7 +30,8 @@ from robpcount import (
 from robpcount import oracle
 from robpcount.oracle import (
     BudgetError,
-    _inside,
+    _down_set,
+    _interval_down_set,
     _maximal_obligations,
     _prune_dominated,
     _runs,
@@ -106,7 +107,7 @@ def minimal(states, limit):
 # The search helpers and the brute force as they were before they relied on
 # sorted antichains: states as unordered sets, O(m^2) filters, and every
 # surjective map of a layer's slots. They are the references for the
-# one-pass, two-pointer and one-map-per-partition versions. reference_layers
+# one-pass, down-set and one-map-per-partition versions. reference_layers
 # and reference_frontier are the search before it dropped its length limit:
 # one search per limit, and a binary search over the limits.
 
@@ -235,8 +236,8 @@ def test_obligations_equal_the_reference(state):
 
 @settings(max_examples=400, deadline=None)
 @given(sorted_antichains, sorted_antichains)
-def test_inside_equals_the_reference(b, a):
-    assert _inside(b, a) == reference_inside(b, a)
+def test_down_set_inclusion_equals_the_reference(b, a):
+    assert (_down_set(b) & ~_down_set(a) == 0) == reference_inside(b, a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -245,15 +246,14 @@ def test_prune_equals_the_reference(states):
     assert _prune_dominated(states) == reference_prune_dominated(states)
 
 
-def test_a_dominator_comes_first_in_the_pruners_order():
-    """B inside A, B != A, puts B's lengths, longest first, lexicographically
-    before A's: the order the pruner visits states in."""
-    lengths = {s: sorted((b - a for a, b in s), reverse=True) for s in SMALL_ANTICHAINS}
-    assert len(SMALL_ANTICHAINS) == 1204
-    for a in SMALL_ANTICHAINS:
-        for b in SMALL_ANTICHAINS:
-            if b != a and _inside(b, a):
-                assert lengths[b] < lengths[a], (b, a)
+def test_down_set_bits_are_the_intervals_inside():
+    """The pruner's order rests on this: a down-set strictly inside another
+    has fewer bits, because each bit is one interval."""
+    for x, y in itertools.combinations_with_replacement(range(13), 2):
+        mask = _interval_down_set(x, y)
+        bits = {i for i in range(mask.bit_length()) if mask >> i & 1}
+        inside = {d * (d + 1) // 2 + c for c in range(x, y + 1) for d in range(c, y + 1)}
+        assert bits == inside, (x, y)
 
 
 def test_set_partitions_give_each_partition_once():
@@ -300,7 +300,7 @@ def test_every_search_layer_is_an_antichain_of_states():
     layers = oracle._search(9, 5, 9, 5)
     for t, layer in enumerate(layers):
         for a in layer:
-            inner = [b for b in layer if b != a and _inside(b, a)]
+            inner = [b for b in layer if b != a and reference_inside(b, a)]
             assert not inner, (t, a, inner[:3])
 
 
@@ -324,7 +324,7 @@ def test_runs_give_only_the_finest_splits_and_each_coarser_one_holds_one():
             assert finest == [h for h in reference_runs(obs, w) if len(h) == k], (obs, w)
             for coarse in reference_runs(obs, w):
                 if len(coarse) < k:
-                    assert any(_inside(h, coarse) for h in finest), (obs, w, coarse)
+                    assert any(reference_inside(h, coarse) for h in finest), (obs, w, coarse)
 
 
 def test_runs_give_the_minimal_successors_of_all_set_partitions():
@@ -358,6 +358,16 @@ def test_frontier_laws_at_widths_two_and_three():
     for n in range(2, 41):
         j = max(j for j in range(n) if j * j + j + 2 <= n)
         assert three[n].delta_star == Fraction(n, 2) - 1 - Fraction(j, 2), n
+
+
+def test_frontier_law_at_width_four():
+    """The gap n/2 - Delta*(n, 4) steps up by 1/2 at n = 1, 2, 3, 5, 7, 10 and
+    14 and stays level elsewhere, to n = 16: past the reference search's reach."""
+    four = frontier_column(16, 4, max_n=16)
+    gaps = [Fraction(n, 2) - point.delta_star for n, point in enumerate(four)]
+    steps = {1, 2, 3, 5, 7, 10, 14}
+    for n in range(1, 17):
+        assert gaps[n] - gaps[n - 1] == (Fraction(1, 2) if n in steps else 0), n
 
 
 def test_frontier_budget_guard():
@@ -483,6 +493,23 @@ def test_interval_system_check_rejects():
         IntervalSystem(
             n=0, layers=(((0, 1),),), witness0=(), witness1=()
         ).check()  # layer-0 must be [0,0]
+    # witnesses that do not exist: negative indices would wrap, and a
+    # missing or surplus tuple or entry would be indexed past or ignored
+    layers = (((0, 0),), ((0, 0), (1, 1)))
+    IntervalSystem(n=1, layers=layers, witness0=((0,),), witness1=((1,),)).check()
+    for witness0, witness1 in [
+        (((-2,),), ((-1,),)),
+        (((0,),), ((2,),)),
+        (((),), ((1,),)),
+        (((0, 0),), ((1, 1),)),
+        ((), ((1,),)),
+        (((0,), (0,)), ((1,), (1,))),
+    ]:
+        bad = IntervalSystem(n=1, layers=layers, witness0=witness0, witness1=witness1)
+        with pytest.raises(ValueError, match="witness"):
+            bad.check()
+        with pytest.raises(ValueError, match="witness"):
+            system_to_robp(bad)
 
 
 def test_no_random_program_beats_the_frontier():
