@@ -159,8 +159,7 @@ def tightness_report(n: int, k: int = 2, w: int | None = None, delta=None) -> st
         lower = binary_error_lower_bound(n, w)
         from .constructions import tribes_plan
 
-        gap = tribes_plan(n, w).gap
-        upper_cert = Fraction(n) / 2 - Fraction(gap, 2)
+        upper_cert = tribes_plan(n, w).error
         root = kth_root_ceil_scaled(n * w, 2)
         upper_paper = Fraction(n) / 2 - root / 20  # rounded up by < 2**-64
         lines.append(f"binary error at n={n}, width w={w}")

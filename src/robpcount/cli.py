@@ -90,16 +90,6 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _problem_from_flags(args) -> Alphabet:
-    from .robp import binary_alphabet, counter_alphabet, parallel_alphabet
-
-    if args.problem == "binary":
-        return binary_alphabet()
-    if args.problem == "counter":
-        return counter_alphabet(args.k)
-    return parallel_alphabet(args.k)
-
-
 def _json_out(obj) -> int:
     print(json.dumps(obj, sort_keys=True, separators=(",", ": ")))
     return 0
@@ -142,9 +132,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .labeling import verify
+    from .robp import Alphabet
 
     p = _read_program(args.input)
-    cert = verify(p, _problem_from_flags(args), args.delta)
+    cert = verify(p, Alphabet(args.problem, args.k), args.delta)
     _json_out(
         {
             "valid": cert.valid,
@@ -319,8 +310,10 @@ def _fuzz_one(seed: int, n: int, w: int, alphabet: Alphabet, max_inputs: int) ->
 
 
 def _cmd_fuzz(args) -> int:
+    from .robp import Alphabet
+
     budgets = _budgets("max_inputs")
-    alphabet = _problem_from_flags(args)
+    alphabet = Alphabet(args.problem, args.k)
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
         problem = _fuzz_one(seed, args.n, args.w, alphabet, budgets["max_inputs"])
@@ -334,7 +327,7 @@ def _cmd_fuzz(args) -> int:
                 "first_seed": args.seed,
                 "n": args.n,
                 "w": args.w,
-                "alphabet": alphabet.kind,
+                "alphabet": args.problem,
                 "failures": failures,
             },
             sort_keys=True,
@@ -389,8 +382,7 @@ def _cmd_plot_data(args) -> int:
             if 10 * w > n:
                 break
             emit("lower_bound", w, bounds_mod.lb_small_w(n, 2, w))
-            gap = constructions.tribes_plan(n, w).gap
-            emit("upper_bound", w, Fraction(n) / 2 - Fraction(gap, 2))
+            emit("upper_bound", w, constructions.tribes_plan(n, w).error)
             if n <= budgets["frontier_n"] and w <= budgets["frontier_w"]:
                 emit("oracle", w, oracle.frontier(n, w, **limits).delta_star)
     elif args.mode == "small-err":
@@ -423,8 +415,7 @@ def _cmd_plot_data(args) -> int:
                 if w >= 3:
                     emit("lower_bound", f"{n}:{w}", bounds_mod.lb_small_w(n, 2, w))
                     if 10 * w <= n:
-                        gap = constructions.tribes_plan(n, w).gap
-                        emit("upper_bound", f"{n}:{w}", Fraction(n) / 2 - Fraction(gap, 2))
+                        emit("upper_bound", f"{n}:{w}", constructions.tribes_plan(n, w).error)
     return 0
 
 

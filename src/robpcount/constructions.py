@@ -192,6 +192,11 @@ class TribesPlan:
     def gap(self) -> int:
         return min(self.accept_ones, self.reject_zeros)
 
+    @property
+    def error(self) -> Fraction:
+        """The error tribes certifies with symmetric outputs: n/2 - gap/2."""
+        return Fraction(self.n - self.gap, 2)
+
 
 def tribes_plan(n: int, w: int) -> TribesPlan:
     if not (n >= 1 and 3 <= w and 10 * w <= n):
@@ -253,9 +258,7 @@ def tribes(n: int, w: int, outputs: str = "symmetric") -> Robp:
 
     sink, top = layer_states(n)
     final = ([("sink", -1)] if sink else []) + [("count", i) for i in range(top + 1)]
-    accept = Fraction(n) / 2 + Fraction(plan.gap, 2)
-    reject = Fraction(n) / 2 - Fraction(plan.gap, 2)
-    out_rows = [(accept,) if st == ("count", thr) else (reject,) for st in final]
+    out_rows = [(n - plan.error,) if st == ("count", thr) else (plan.error,) for st in final]
     p = Robp.build(binary_alphabet(), edges, out_rows)
     if outputs == "optimal":
         from .labeling import minimal_error

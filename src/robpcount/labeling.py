@@ -1,17 +1,17 @@
 """Per-vertex rectangle labels and the exact verifier built on them.
 
-The label of a vertex is the coordinatewise min/max of the per-symbol
+The label of a vertex is the coordinatewise min/max of the tracked
 counts over all input prefixes reaching it. Labels propagate forward:
 the label of v is the min/max hull of label(u) + shift(z) over incoming
-edges (u, z). Every endpoint is achieved by a concrete prefix, which is
-what makes verify() an exact decision procedure rather than a bound:
+edges (u, z), where shift(z) is row z of the program's alphabet.shifts.
+Every endpoint is achieved by a concrete prefix, which is what makes
+verify() an exact decision procedure rather than a bound:
 a program computes its counting problem within delta iff every final
 vertex's output sits within delta of both ends of its label, coordinate
 by coordinate.
 
 Label modes:
-  full       one coordinate per tracked count (k for counter/parallel, 1
-             for binary) -- what verification needs.
+  full       one coordinate per tracked count -- what verification needs.
   potential  the first k-1 columns of the full labels for counter-family
              programs (the last letter's count is fixed by the others; for
              binary programs the two modes coincide) -- what the potential
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernel
-from .robp import Alphabet, RationalTable, Robp, _frozen, validate
+from .robp import Alphabet, RationalTable, Robp, _frozen, _require_valid
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,6 @@ class RectLabel:
 
     def contains(self, x) -> bool:
         return all(a <= v <= b for a, v, b in zip(self.lo, x, self.hi))
-
-
-def _shift_table(alphabet: Alphabet) -> np.ndarray:
-    """Per-symbol count increments, one column per tracked count."""
-    k = alphabet.k
-    if alphabet.kind == "counter":
-        return np.eye(k, dtype=np.int32)
-    if alphabet.kind == "binary":
-        return np.array([[0], [1]], dtype=np.int32)
-    return ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).astype(np.int32)
 
 
 def _potential_k(alphabet: Alphabet) -> int:
@@ -144,9 +134,7 @@ def _label_layers(p: Robp, shifts: np.ndarray):
     first d columns are lo and last d columns are -hi (d = shifts columns),
     layer 0 first. Each yielded array is fresh; the DP keeps only the last.
     """
-    report = validate(p)
-    if not report.valid:
-        raise ValueError(f"program is invalid: {report.violations[:3]}")
+    _require_valid(p)
     d = shifts.shape[1]
     # counts fit int16 at desk scale; sentinel is the dtype max
     dtype = np.int16 if p.n <= 30_000 else np.int32
@@ -164,7 +152,7 @@ def _label_layers(p: Robp, shifts: np.ndarray):
 
 def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
     """Labels of every layer; "potential" keeps the first k-1 columns."""
-    shifts = _shift_table(p.alphabet)
+    shifts = p.alphabet.shifts
     k = d = shifts.shape[1]
     if mode == "potential":
         if p.alphabet.kind == "parallel":
@@ -183,7 +171,7 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
 
 def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
     """Full int64 labels of the final layer, holding one layer at a time."""
-    shifts = _shift_table(p.alphabet)
+    shifts = p.alphabet.shifts
     d = shifts.shape[1]
     for state in _label_layers(p, shifts):
         pass
@@ -194,7 +182,7 @@ def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
 def edge_monotone(lp: LabeledRobp) -> bool:
     """Per-edge label containment: label(u) + shift(z) inside label(v)."""
     p = lp.p
-    shifts = _shift_table(p.alphabet)[:, : lp.dims]
+    shifts = p.alphabet.shifts[:, : lp.dims]
     for t in range(p.n):
         edges = p.edge_array(t)
         for sym in range(p.alphabet.size):
@@ -233,12 +221,8 @@ def verify(p: Robp, problem: Alphabet, delta) -> VerifyCertificate:
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     _check_problem(p, problem)
-    out = p.outputs_table
-    if out.shape[1] != problem.arity:
-        raise ValueError(
-            f"output arity {out.shape[1]} does not match problem arity {problem.arity}"
-        )
     lo, hi = _final_labels(p)
+    out = p.outputs_table
     num, den = out.num, out.den
     if num.size and (
         int(den.max()) > 2**15 or int(np.abs(num).max()) > 2**30 or p.n > 2**15

@@ -49,8 +49,6 @@ from typing import TYPE_CHECKING
 # program modules are imported by the functions that build or run programs,
 # so the frontier starts without them.
 if TYPE_CHECKING:
-    import numpy as np
-
     from .robp import Alphabet, Robp
 
 DEFAULT_MAX_INPUTS = 2**24
@@ -62,19 +60,6 @@ class BudgetError(ValueError):
     """Requested computation exceeds the configured search budget."""
 
 
-def _true_counts(x: np.ndarray, problem: Alphabet) -> np.ndarray:
-    """Per-input tracked counts, shape (inputs, arity)."""
-    import numpy as np
-
-    if problem.kind == "counter":
-        return np.stack([(x == j).sum(axis=1) for j in range(problem.k)], axis=1)
-    if problem.kind == "binary":
-        return (x == 1).sum(axis=1)[:, None]
-    return np.stack(
-        [((x >> j) & 1).sum(axis=1) for j in range(problem.k)], axis=1
-    )
-
-
 def exhaustive_verify(
     p: Robp, problem: Alphabet, delta, *, max_inputs: int = DEFAULT_MAX_INPUTS
 ) -> bool:
@@ -82,16 +67,17 @@ def exhaustive_verify(
     true counts. Inputs are enumerated lexicographically in chunks."""
     import numpy as np
 
+    from .labeling import _check_problem
+    from .robp import _require_valid
+
     delta = Fraction(delta)
-    if p.alphabet != problem:
-        raise ValueError("program alphabet does not match problem")
+    _check_problem(p, problem)
     size = p.alphabet.size
     total = size**p.n
     if total > max_inputs:
         raise BudgetError(f"{total} inputs exceed budget {max_inputs}")
+    _require_valid(p)
     out = p.outputs_table
-    if out.shape[1] != problem.arity:
-        raise ValueError("output arity does not match problem")
     num, den = out.num, out.den
     dn, dd = delta.numerator, delta.denominator
     if num.size and (
@@ -102,6 +88,9 @@ def exhaustive_verify(
         or p.n > 2**15
     ):
         num, den = num.astype(object), den.astype(object)
+    # each column of shifts is one tracked count's increment per symbol; its
+    # entries are 0 or 1, and int8 copies gather a quarter of int32's bytes
+    columns = problem.shifts.T.astype(np.int8)
     chunk = 1 << 20
     powers = np.array([size ** (p.n - 1 - t) for t in range(p.n)], dtype=np.int64)
     for start in range(0, total, chunk):
@@ -110,7 +99,7 @@ def exhaustive_verify(
         states = np.zeros(len(idx), dtype=np.int64)
         for t in range(p.n):
             states = p.edge_array(t)[states, x[:, t]]
-        counts = _true_counts(x, problem)
+        counts = np.stack([col[x].sum(axis=1) for col in columns], axis=1)
         n_v, d_v = num[states], den[states]
         # |num/den - c| <= delta  <=>  |num - c*den| * dd <= dn * den
         if (np.abs(n_v - counts * d_v) * dd > dn * d_v).any():

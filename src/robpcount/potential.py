@@ -39,7 +39,6 @@ import numpy as np
 from . import _kernel
 from .bounds import gen_binom
 from .labeling import LabeledRobp, verify
-from .robp import binary_alphabet, counter_alphabet, parallel_alphabet
 
 DEFAULT_MAX_BOX_CELLS = 40_000_000  # per-layer dense grid cells
 DEFAULT_MAX_PAINT = 8_000_000_000  # total painted cells across all layers
@@ -161,6 +160,16 @@ def _phis(lp: LabeledRobp, layers, max_cells: int, max_paint: int) -> tuple[int,
     return tuple(phi if isinstance(phi, int) else phi.result() for phi in phis)
 
 
+def _check_counter_labels(lp: LabeledRobp):
+    if lp.p.alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
+        raise ValueError("profile_counter needs the k-1 potential labels of a counter program")
+
+
+def _check_parallel_labels(lp: LabeledRobp):
+    if lp.p.alphabet.kind != "parallel":
+        raise ValueError("profile_parallel needs parallel labels")
+
+
 def profile_counter(
     lp: LabeledRobp,
     *,
@@ -168,8 +177,7 @@ def profile_counter(
     max_paint: int = DEFAULT_MAX_PAINT,
 ) -> PotentialProfile:
     """Phi_t for t = 0..n over the simplex grids (counter potential)."""
-    if lp.p.alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
-        raise ValueError("profile_counter needs the k-1 potential labels of a counter program")
+    _check_counter_labels(lp)
     n = lp.p.n
     # values capped at t, and only cells with coordinate sum <= t count
     layers = ((t, t, None, t) for t in range(n + 1))
@@ -188,8 +196,7 @@ def profile_parallel(
     max_paint: int = DEFAULT_MAX_PAINT,
 ) -> PotentialProfile:
     """Phi_t for t = floor(n/10)..n over the box grid (parallel potential)."""
-    if lp.p.alphabet.kind != "parallel":
-        raise ValueError("profile_parallel needs parallel labels")
+    _check_parallel_labels(lp)
     n = lp.p.n
     k = lp.dims
     side = n // 10 + 1
@@ -245,12 +252,6 @@ def audit_growth_counter(
     return AuditReport(tuple(rows), "growth-counter")
 
 
-def _counter_problem(lp: LabeledRobp):
-    if lp.p.alphabet.kind == "binary":
-        return binary_alphabet()
-    return counter_alphabet(lp.p.alphabet.k)
-
-
 def audit_final_counter(
     lp: LabeledRobp,
     delta,
@@ -259,12 +260,13 @@ def audit_final_counter(
 ) -> AuditReport:
     """Single-row check Phi_n <= C(n+k-1, k) - C(n-2(k-1)delta+k-1, k),
     valid for programs that compute their problem within delta."""
+    _check_counter_labels(lp)
     delta = Fraction(delta)
     n, k = lp.p.n, lp.potential_k
     if delta > Fraction(n, 2 * (k - 1)):
         raise ValueError("final audit needs delta <= n/(2(k-1))")
     if verified is None:
-        verified = verify(lp.p, _counter_problem(lp), delta).valid
+        verified = verify(lp.p, lp.p.alphabet, delta).valid
     if not verified:
         raise ValueError("program does not verify at delta; final audit inapplicable")
     prof = profile if profile is not None else profile_counter(lp)
@@ -304,9 +306,10 @@ def audit_final_parallel(
 ) -> AuditReport:
     """Single-row check Phi_n <= (floor(n/10)+1)**k * 2kn/3 for programs
     solving the parallel problem at error n/3."""
+    _check_parallel_labels(lp)
     n, k = lp.p.n, lp.dims
     if verified is None:
-        verified = verify(lp.p, parallel_alphabet(k), Fraction(n, 3)).valid
+        verified = verify(lp.p, lp.p.alphabet, Fraction(n, 3)).valid
     if not verified:
         raise ValueError("program does not verify at n/3; final audit inapplicable")
     prof = profile if profile is not None else profile_parallel(lp)

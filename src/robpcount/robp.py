@@ -32,12 +32,15 @@ _INT32 = np.iinfo(np.int32)
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Input alphabet: k letters, k-bit vectors, or plain bits.
+    """Input alphabet: k letters, k-bit vectors, or plain bits; the one
+    statement of what each symbol counts (see shifts).
 
-    Symbols are canonically indexed 0..size-1. For "counter", index i is
-    letter i+1 of a k-letter alphabet; for "parallel", index i is the k-bit
-    vector whose j-th bit is bit j of i; "binary" is the two-symbol case
-    with a single tracked coordinate (k is fixed at 1).
+    Symbols are canonically indexed 0..size-1, and a program outputs one
+    count per tracked coordinate (arity of them). For "counter", index i is
+    letter i+1 of a k-letter alphabet and counts one in coordinate i; for
+    "parallel", index i is the k-bit vector whose j-th bit is bit j of i, and
+    it counts that bit in coordinate j; "binary" is the two-symbol case with
+    a single tracked coordinate, the count of 1s (k is fixed at 1).
     """
 
     kind: str
@@ -65,6 +68,16 @@ class Alphabet:
     def arity(self) -> int:
         """Output tuple length of the counting problem over this alphabet."""
         return 1 if self.kind == "binary" else self.k
+
+    @property
+    def shifts(self) -> np.ndarray:
+        """A fresh (size, arity) int32 table whose row i is what symbol i
+        adds to the tracked counts: e_i for a counter letter, the bits of i
+        (bit j in column j) for a parallel vector or a binary symbol."""
+        i = np.arange(self.size)[:, None]
+        if self.kind == "counter":
+            return (i == np.arange(self.k)).astype(np.int32)
+        return ((i >> np.arange(self.arity)) & 1).astype(np.int32)
 
 
 def counter_alphabet(k: int) -> Alphabet:
@@ -322,10 +335,10 @@ def validate(p: Robp) -> ValidationReport:
 
     Checked: exactly one start vertex, one outgoing edge per symbol on every
     non-final vertex, edge targets inside the next layer, every vertex
-    reachable from the start, and a consistent-arity output tuple on every
-    final vertex. Vertex -1 marks layer-level findings. The report is kept on
-    p, which cannot change, unless p holds list rows (ragged outputs are
-    tuples of tuples, which cannot change either).
+    reachable from the start, and an output tuple of the alphabet's arity on
+    every final vertex. Vertex -1 marks layer-level findings. The report is
+    kept on p, which cannot change, unless p holds list rows (ragged outputs
+    are tuples of tuples, which cannot change either).
     """
     if p._report is None and all(isinstance(rows, np.ndarray) for rows in p.edges):
         object.__setattr__(p, "_report", _build_report(p))
@@ -374,6 +387,9 @@ def _build_report(p: Robp) -> ValidationReport:
         final = sizes[-1] if sizes else 0
         if len(p.outputs) != final:
             v.append((p.n, -1, f"{len(p.outputs)} output tuples for {final} final vertices"))
+        arity = p.outputs.shape[1]
+        if len(p.outputs) and arity != p.alphabet.arity:
+            v.append((p.n, -1, f"output arity {arity}, expected {p.alphabet.arity}"))
     else:
         v.append((p.n, -1, "inconsistent output arity across final vertices"))
 
@@ -404,8 +420,17 @@ def _build_report(p: Robp) -> ValidationReport:
     return ValidationReport(valid=not v, width=width, layer_sizes=sizes, violations=tuple(v))
 
 
+def _require_valid(p: Robp):
+    """ValueError unless validate finds p valid: the gate in front of all
+    code that indexes a program's edges and outputs."""
+    report = validate(p)
+    if not report.valid:
+        raise ValueError(f"program is invalid: {report.violations[:3]}")
+
+
 def evaluate(p: Robp, x: Sequence[int]) -> tuple[tuple[Fraction, ...], list[int]]:
     """Run the program on one input; returns (output tuple, vertex path)."""
+    _require_valid(p)
     if len(x) != p.n:
         raise ValueError(f"input length {len(x)} != n = {p.n}")
     size = p.alphabet.size

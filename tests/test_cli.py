@@ -83,6 +83,16 @@ def test_validate_reports_an_edge_target_outside_int32(tmp_path, capsys):
     assert json.loads(out)["violations"] == [[0, 0, "edge target outside next layer"]]
 
 
+def test_validate_reports_outputs_of_the_wrong_arity(tmp_path, capsys):
+    doc = json.loads(robpcount.write_robp(robpcount.exact_counter(3, 2)))
+    doc["outputs"] = [[] for _ in doc["outputs"]]
+    path = tmp_path / "no-outputs.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "validate", "-i", str(path))
+    assert code == 1
+    assert json.loads(out)["violations"] == [[3, -1, "output arity 0, expected 2"]]
+
+
 def test_pipeline_through_stdin():
     build = subprocess.run(
         [sys.executable, "-m", "robpcount.cli", "build", "--kind", "tribes",

@@ -310,12 +310,12 @@ def _label_cases():
     for seed in range(40):
         problem = problems[seed % 4]
         p = random_robp(rng.randint(1, 12), problem, rng.randint(1, 6), seed)
-        shifts = labeling._shift_table(problem)
+        shifts = problem.shifts
         yield p, shifts
         if problem.kind != "parallel":
             yield p, shifts[:, : labeling._potential_k(problem) - 1]
     p = rounded_counter(100, 3, 10)
-    shifts = labeling._shift_table(p.alphabet)
+    shifts = p.alphabet.shifts
     yield p, shifts
     yield p, shifts[:, :2]
 
@@ -350,7 +350,7 @@ def test_label_step_equals_the_numpy_dp(numpy_kernels):
 def test_label_step_equals_the_numpy_dp_on_int32_labels(numpy_kernels):
     compiled()
     p = _int32_program()
-    shifts = labeling._shift_table(p.alphabet)
+    shifts = p.alphabet.shifts
     fast = _layers(p, shifts)
     assert fast[-1][0] == np.int32
     # the all-zeros input reaches a final hi of n in the first coordinate

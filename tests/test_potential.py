@@ -111,6 +111,22 @@ def test_final_audit_requires_verification():
         audit_final_counter(lp, 1)  # width-1 cannot count within 1
 
 
+def test_final_audits_refuse_the_other_familys_labels():
+    # the final audits verify against the labelled program's own alphabet, so
+    # the label guard, not an alphabet mismatch, is what refuses a misuse
+    par = random_robp(20, parallel_alphabet(2), 3, 4)
+    lp = compute_labels(par, "full")
+    delta, _ = minimal_error(par, par.alphabet)
+    with pytest.raises(ValueError, match="k-1 potential labels"):
+        audit_final_counter(lp, delta, profile_parallel(lp))
+    one_bit = compute_labels(random_robp(5, parallel_alphabet(1), 2, 1), "full")
+    with pytest.raises(ValueError, match="k-1 potential labels"):
+        audit_final_counter(one_bit, 1)
+    lp = compute_labels(exact_counter(6, 2), "potential")
+    with pytest.raises(ValueError, match="parallel labels"):
+        audit_final_parallel(lp)
+
+
 def test_final_audit_rejects_large_delta():
     lp = compute_labels(constant_program(4, Fraction(2)), "potential")
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from robpcount import (
     counter_alphabet,
     evaluate,
     exact_counter,
+    exhaustive_verify,
     parallel_alphabet,
     random_robp,
     read_robp,
@@ -32,6 +33,37 @@ def test_alphabet_sizes():
     assert binary_alphabet().arity == 1
     with pytest.raises(ValueError):
         counter_alphabet(1)
+
+
+@pytest.mark.parametrize(
+    "alphabet, rows",
+    [
+        pytest.param(
+            counter_alphabet(k),
+            [[int(i == j) for j in range(k)] for i in range(k)],
+            id=f"counter-{k}",
+        )
+        for k in range(2, 7)
+    ]
+    + [pytest.param(binary_alphabet(), [[0], [1]], id="binary")]
+    + [
+        pytest.param(
+            parallel_alphabet(k),
+            [[(i >> j) & 1 for j in range(k)] for i in range(2**k)],
+            id=f"parallel-{k}",
+        )
+        for k in range(1, 7)
+    ],
+)
+def test_alphabet_shifts_follow_the_documented_encoding(alphabet, rows):
+    # counter letter i counts e_i; a parallel or binary symbol i counts its
+    # bits, bit j in column j
+    shifts = alphabet.shifts
+    assert shifts.shape == (alphabet.size, alphabet.arity) == (len(rows), len(rows[0]))
+    assert shifts.dtype == np.int32
+    assert shifts.tolist() == rows
+    shifts[0, 0] += 1  # each call returns a table of its own
+    assert alphabet.shifts.tolist() == rows
 
 
 def test_validate_exact_counter():
@@ -248,6 +280,46 @@ def test_validate_reports_ragged_outputs():
     assert any("arity" in r for (_, _, r) in rep.violations)
     # ragged outputs are tuples of tuples, so the report is kept
     assert validate(p) is rep
+
+
+@pytest.mark.parametrize(
+    "alphabet, arity",
+    [
+        pytest.param(counter_alphabet(3), 0, id="counter-3-arity-0"),
+        pytest.param(counter_alphabet(3), 2, id="counter-3-arity-2"),
+        pytest.param(counter_alphabet(3), 4, id="counter-3-arity-4"),
+        pytest.param(binary_alphabet(), 2, id="binary-arity-2"),
+        pytest.param(parallel_alphabet(2), 1, id="parallel-2-arity-1"),
+    ],
+)
+def test_validate_reports_an_output_arity_other_than_the_alphabets(alphabet, arity):
+    p = Robp.build(alphabet, [[[0] * alphabet.size]], [(Fraction(0),) * arity])
+    assert validate(p).violations == ((1, -1, f"output arity {arity}, expected {alphabet.arity}"),)
+
+
+def test_validate_reports_no_arity_for_outputs_without_rows():
+    p = Robp(1, counter_alphabet(3), [1, 1], [[[0, 0, 0]]], [])
+    assert validate(p).violations == ((1, -1, "0 output tuples for 1 final vertices"),)
+
+
+_BINARY = binary_alphabet()
+
+
+@pytest.mark.parametrize(
+    "p, x",
+    [
+        pytest.param(Robp.build(_BINARY, [[[0, 5]]], [(0,)]), [1], id="target-outside-next-layer"),
+        pytest.param(
+            Robp(2, _BINARY, [1, 1, 1], [[[0, 0]]], [(0,)]), [0, 0], id="missing-edge-layer"
+        ),
+        pytest.param(Robp(1, _BINARY, [1, 2], [[[0, 1]]], [(0,)]), [1], id="too-few-output-rows"),
+    ],
+)
+def test_evaluate_and_exhaustive_verify_refuse_invalid_programs(p, x):
+    with pytest.raises(ValueError, match="program is invalid"):
+        evaluate(p, x)
+    with pytest.raises(ValueError, match="program is invalid"):
+        exhaustive_verify(p, _BINARY, 0)
 
 
 @pytest.mark.parametrize("n, edges", [(0, []), (1, [[[0, 0]]])])
