@@ -7,7 +7,8 @@
   case: programs induce systems, and systems convert back to programs).
 * frontier_column -- frontier(n, w) for every n up to n_max, from one search.
 * frontier_brute_force -- the same quantity by exhaustive enumeration of
-  program behaviors; the independent cross-check for the frontier.
+  program behaviors (_brute_force_configurations); the independent
+  cross-check for the frontier.
 * system_to_robp -- the converse construction, one vertex per interval.
 
 Every search state, ((0, 0),) and each tuple of run hulls _runs yields, is
@@ -33,6 +34,16 @@ of S's, and B lies inside A exactly when D(B) is a subset of D(A). A down-set
 strictly inside another has fewer bits, so visiting states smallest D(S) first
 puts every dominator first. A state is kept unless a kept down-set lies inside
 its own, and "inside" is transitive, so nothing needs removing afterwards.
+
+The brute force shares none of that. From each state it takes every
+partition of the 2|S| obligation slots into at most w blocks (not only the
+runs of sorted obligations), labels each block by its hull, and keeps every
+child, with no dominance and no pruning. For speed, each state first
+tabulates the hull of every nonempty subset of its slots, at most 2^(2w)
+entries, and each partition is a tuple of block bitmasks, so a child is a
+sorted lookup. Each entry is its block's min and max, so the enumeration is
+unchanged; the table is rebuilt for every state, and nothing is kept between
+calls. A hull is a coordinatewise min/max, so the same table serves boxes.
 """
 
 from __future__ import annotations
@@ -366,24 +377,41 @@ def _set_partitions(slots: int, w: int) -> list[tuple[tuple[int, ...], ...]]:
     return parts
 
 
-def frontier_brute_force(n: int, w: int) -> Fraction:
-    """Minimal binary-counting error over ALL width-<=w programs, by direct
-    enumeration of label configurations (every reachable configuration is
-    realized by a program, and programs with the same configuration have the
-    same minimal error)."""
+def _brute_force_configurations(n: int, w: int) -> set[tuple[Interval, ...]]:
+    """Every label configuration a width-<=w binary program reaches at layer
+    n: each state's 2|S| obligation slots, R and R+1 for each interval R,
+    split into at most w blocks in every way, each block labelled by its hull.
+
+    A state's hulls are tabulated once for every nonempty subset of its slots
+    (hull[m] for the slots in bitmask m; slot i adds bit 1 << i, and the hull
+    of bit | s merges hull[bit] with hull[s]), and each partition is a tuple
+    of block bitmasks, so a child is its blocks' table entries, sorted."""
     if w < 1 or n < 0:
         raise ValueError("need n >= 0, w >= 1")
-    parts_cache: dict[int, list] = {}  # state size -> partitions, built on first use
+    # state size -> partitions as tuples of block bitmasks, built on first use
+    parts_cache: dict[int, list] = {}
     states = {((0, 0),)}
     for _ in range(n):
         nxt = set()
         for state in states:
             if len(state) not in parts_cache:
-                parts_cache[len(state)] = _set_partitions(2 * len(state), w)
-            los, his = zip(*((lo + z, hi + z) for lo, hi in state for z in (0, 1)))
-            for blocks in parts_cache[len(state)]:
-                hulls = ((min(los[i] for i in b), max(his[i] for i in b)) for b in blocks)
-                nxt.add(tuple(sorted(hulls)))
+                parts_cache[len(state)] = [
+                    tuple(sum(1 << i for i in block) for block in blocks)
+                    for blocks in _set_partitions(2 * len(state), w)
+                ]
+            hull: list = [None]
+            for lo, hi in ((lo + z, hi + z) for lo, hi in state for z in (0, 1)):
+                hull += [(lo, hi)] + [(min(lo, a), max(hi, b)) for a, b in hull[1:]]
+            get = hull.__getitem__
+            nxt.update(tuple(sorted(map(get, masks))) for masks in parts_cache[len(state)])
         states = nxt
-    best = min(max(b - a for a, b in state) for state in states)
+    return states
+
+
+def frontier_brute_force(n: int, w: int) -> Fraction:
+    """Minimal binary-counting error over ALL width-<=w programs, by direct
+    enumeration of label configurations (every reachable configuration is
+    realized by a program, and programs with the same configuration have the
+    same minimal error)."""
+    best = min(max(b - a for a, b in state) for state in _brute_force_configurations(n, w))
     return Fraction(best, 2)

@@ -23,7 +23,9 @@ and sums that layer's grid on a small thread pool (the usable cores, at most
 compiler. The parallel profile clips the rectangles to the box, so every
 cell outside a layer's bounding grid is covered by nothing. LabeledRobp
 checks that its arrays are rectangles when it is built, and layer_paint
-refuses a kept box outside the grid it was given.
+refuses a kept box outside the grid it was given. Every audit first refuses
+labels of the other family and a profile whose grid, k or audited layers do
+not match the labels.
 """
 
 from __future__ import annotations
@@ -170,6 +172,30 @@ def _check_parallel_labels(lp: LabeledRobp):
         raise ValueError("profile_parallel needs parallel labels")
 
 
+def _check_profile(profile: PotentialProfile | None, grid_kind: str, k: int, t0: int, n: int):
+    """Refuse a profile that was not painted from labels like these: a
+    different grid, potential parameter or audited layers."""
+    if profile is None:
+        return
+    expected = (grid_kind, k, (t0, n), n - t0 + 1)
+    got = (profile.grid_kind, profile.k, profile.audited_range, len(profile.phi_values))
+    if got != expected:
+        raise ValueError(
+            f"profile (grid {got[0]}, k={got[1]}, layers {got[2]}) does not belong to "
+            f"these labels (grid {grid_kind}, k={k}, layers {(t0, n)})"
+        )
+
+
+def _check_counter_audit(lp: LabeledRobp, profile: PotentialProfile | None):
+    _check_counter_labels(lp)
+    _check_profile(profile, "simplex", lp.potential_k, 0, lp.p.n)
+
+
+def _check_parallel_audit(lp: LabeledRobp, profile: PotentialProfile | None):
+    _check_parallel_labels(lp)
+    _check_profile(profile, "box", lp.dims, lp.p.n // 10, lp.p.n)
+
+
 def profile_counter(
     lp: LabeledRobp,
     *,
@@ -242,6 +268,7 @@ def audit_growth_counter(
 
     Holds unconditionally for every valid program; a failure means the
     labels or the profile are computed wrong."""
+    _check_counter_audit(lp, profile)
     prof = profile if profile is not None else profile_counter(lp)
     k = lp.potential_k
     rows = []
@@ -260,7 +287,7 @@ def audit_final_counter(
 ) -> AuditReport:
     """Single-row check Phi_n <= C(n+k-1, k) - C(n-2(k-1)delta+k-1, k),
     valid for programs that compute their problem within delta."""
-    _check_counter_labels(lp)
+    _check_counter_audit(lp, profile)
     delta = Fraction(delta)
     n, k = lp.p.n, lp.potential_k
     if delta > Fraction(n, 2 * (k - 1)):
@@ -286,6 +313,7 @@ def audit_growth_parallel(
     The guaranteed increment is ceil(9k/10) * ((floor(n/10)+1)**k
     - w 2**k (floor(n/10)+1)**(ceil(9k/10)-1)); when that is negative the
     row falls back to the unconditional Phi_{t+1} >= Phi_t."""
+    _check_parallel_audit(lp, profile)
     prof = profile if profile is not None else profile_parallel(lp)
     n, k = lp.p.n, lp.dims
     side = n // 10 + 1
@@ -306,7 +334,7 @@ def audit_final_parallel(
 ) -> AuditReport:
     """Single-row check Phi_n <= (floor(n/10)+1)**k * 2kn/3 for programs
     solving the parallel problem at error n/3."""
-    _check_parallel_labels(lp)
+    _check_parallel_audit(lp, profile)
     n, k = lp.p.n, lp.dims
     if verified is None:
         verified = verify(lp.p, lp.p.alphabet, Fraction(n, 3)).valid

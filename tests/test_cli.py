@@ -404,6 +404,22 @@ def test_the_pure_python_subcommands_start_without_numpy(argv, code):
     assert run.stderr.splitlines()[-1] == f"{code} False", run.stderr
 
 
+def test_the_brute_force_runs_without_numpy():
+    probe = (
+        "import sys; from robpcount import frontier_brute_force; "
+        "print(frontier_brute_force(5, 3), 'numpy' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+        check=True,
+    )
+    assert run.stdout.split() == ["1", "False"], run.stderr
+
+
 def test_every_package_name_resolves_to_its_submodules_object():
     for name in robpcount.__all__:
         obj = getattr(robpcount, name)

@@ -30,6 +30,7 @@ from robpcount import (
 from robpcount import oracle
 from robpcount.oracle import (
     BudgetError,
+    _brute_force_configurations,
     _down_set,
     _interval_down_set,
     _maximal_obligations,
@@ -110,6 +111,8 @@ def minimal(states, limit):
 # one-pass, down-set and one-map-per-partition versions. reference_layers
 # and reference_frontier are the search before it dropped its length limit:
 # one search per limit, and a binary search over the limits.
+# reference_brute_force_configurations is the brute force before its
+# subset-hull table: each block's hull by its own min and max.
 
 
 def reference_maximal_obligations(state):
@@ -208,6 +211,24 @@ def reference_brute_force(n, w):
                     nxt.add(tuple(sorted(labels)))
         states = nxt
     return Fraction(min(max(b - a for a, b in s) for s in states), 2)
+
+
+def reference_brute_force_configurations(n, w):
+    """The layer-n configurations with each block's hull taken by its own
+    min and max, one partition table per state size."""
+    parts_cache = {}
+    states = {((0, 0),)}
+    for _ in range(n):
+        nxt = set()
+        for state in states:
+            if len(state) not in parts_cache:
+                parts_cache[len(state)] = _set_partitions(2 * len(state), w)
+            los, his = zip(*((lo + z, hi + z) for lo, hi in state for z in (0, 1)))
+            for blocks in parts_cache[len(state)]:
+                hulls = ((min(los[i] for i in b), max(his[i] for i in b)) for b in blocks)
+                nxt.add(tuple(sorted(hulls)))
+        states = nxt
+    return states
 
 
 # every sorted antichain of at most 4 intervals inside [0, 6]
@@ -309,6 +330,12 @@ def test_brute_force_equals_the_surjective_map_reference():
         assert frontier_brute_force(n, w) == reference_brute_force(n, w), (n, w)
 
 
+def test_brute_force_configurations_equal_the_per_block_reference():
+    for n, w in BRUTE_FORCE_POINTS + [(n, 4) for n in range(5)]:
+        expected = reference_brute_force_configurations(n, w)
+        assert _brute_force_configurations(n, w) == expected, (n, w)
+
+
 def test_brute_force_builds_only_the_partition_tables_it_uses():
     # building every table up to w intervals would list 9.4e9 partitions
     assert frontier_brute_force(2, 8) == 0
@@ -400,6 +427,11 @@ def test_frontier_matches_brute_force_tiny():
     for n in range(1, 5):
         for w in (1, 2):
             assert frontier(n, w).delta_star == frontier_brute_force(n, w)
+
+
+def test_frontier_matches_brute_force_at_width_four():
+    for n in range(1, 6):
+        assert frontier(n, 4).delta_star == frontier_brute_force(n, 4), n
 
 
 def enumerate_all_programs_delta(n, w):

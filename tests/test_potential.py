@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import sys
@@ -125,6 +126,65 @@ def test_final_audits_refuse_the_other_familys_labels():
     lp = compute_labels(exact_counter(6, 2), "potential")
     with pytest.raises(ValueError, match="parallel labels"):
         audit_final_parallel(lp)
+
+
+@pytest.mark.parametrize("n", [9, 20])
+def test_counter_growth_audit_refuses_parallel_labels_and_profile(n):
+    # at n = 9 this once gave a 9-row report, at n = 20 a bare IndexError
+    lp = compute_labels(random_robp(n, parallel_alphabet(2), 3, 4), "full")
+    with pytest.raises(ValueError, match="k-1 potential labels"):
+        audit_growth_counter(lp, 3, profile_parallel(lp))
+
+
+def test_parallel_growth_audit_refuses_counter_labels():
+    lp = compute_labels(exact_counter(6, 2), "potential")
+    with pytest.raises(ValueError, match="parallel labels"):
+        audit_growth_parallel(lp, 7)
+    with pytest.raises(ValueError, match="parallel labels"):
+        audit_growth_parallel(lp, 7, profile_counter(lp))
+
+
+def test_final_counter_audit_refuses_another_programs_profile():
+    lp = compute_labels(exact_counter(7, 2), "potential")
+    other = profile_counter(compute_labels(exact_counter(6, 2), "potential"))
+    with pytest.raises(ValueError, match="does not belong"):
+        audit_final_counter(lp, 0, other)
+
+
+def _counter_case():
+    lp = compute_labels(constant_program(6, Fraction(3)), "potential")
+    return profile_counter(lp), [
+        lambda prof: audit_growth_counter(lp, 1, prof),
+        lambda prof: audit_final_counter(lp, 3, prof),
+    ]
+
+
+def _parallel_case():
+    p = constant_program(20, (Fraction(0),), alphabet=parallel_alphabet(1))
+    lp = compute_labels(p, "full")
+    return profile_parallel(lp), [
+        lambda prof: audit_growth_parallel(lp, 1, prof),
+        lambda prof: audit_final_parallel(lp, prof, verified=True),
+    ]
+
+
+# one field of a profile changed so that it no longer fits its labels
+WRONG_FIELD = {
+    "grid_kind": lambda prof: {"simplex": "box", "box": "simplex"}[prof.grid_kind],
+    "k": lambda prof: prof.k + 1,
+    "audited_range": lambda prof: (prof.audited_range[0] + 1, prof.audited_range[1]),
+}
+
+
+@pytest.mark.parametrize("case", [_counter_case, _parallel_case])
+@pytest.mark.parametrize("field", list(WRONG_FIELD))
+def test_audits_refuse_a_profile_of_other_labels(case, field):
+    prof, audits = case()
+    wrong = dataclasses.replace(prof, **{field: WRONG_FIELD[field](prof)})
+    for audit in audits:
+        audit(prof)  # the labels' own profile is taken
+        with pytest.raises(ValueError, match="does not belong"):
+            audit(wrong)
 
 
 def test_final_audit_rejects_large_delta():
