@@ -72,8 +72,8 @@ def _budgets(*names: str) -> dict[str, int]:
 def _read_program(path: str | None) -> Robp:
     from .robp import read_robp
 
-    # read_robp holds the only reference to the bytes, so they are freed once
-    # decoded, before the parse peaks
+    # read_robp holds the only reference to the bytes: it scans canonical
+    # text in place, and frees any other once decoded, before json.loads peaks
     if path in (None, "-"):
         return read_robp(sys.stdin.buffer.read())
     with open(path, "rb") as fh:

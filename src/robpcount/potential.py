@@ -163,13 +163,20 @@ def _phis(lp: LabeledRobp, layers, max_cells: int, max_paint: int) -> tuple[int,
 
 
 def _check_counter_labels(lp: LabeledRobp):
-    if lp.p.alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
-        raise ValueError("profile_counter needs the k-1 potential labels of a counter program")
+    alphabet = lp.p.alphabet
+    if alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
+        raise ValueError(
+            f"labels with {lp.dims} coordinates of a {alphabet.kind} program (k={alphabet.k})"
+            " are not the k-1 potential labels of a counter program"
+        )
 
 
 def _check_parallel_labels(lp: LabeledRobp):
-    if lp.p.alphabet.kind != "parallel":
-        raise ValueError("profile_parallel needs parallel labels")
+    alphabet = lp.p.alphabet
+    if alphabet.kind != "parallel":
+        raise ValueError(
+            f"labels of a {alphabet.kind} program (k={alphabet.k}) are not parallel labels"
+        )
 
 
 def _check_profile(profile: PotentialProfile | None, grid_kind: str, k: int, t0: int, n: int):

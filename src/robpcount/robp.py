@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -459,26 +459,10 @@ def _expect(cond: bool, where: str, what: str):
 # would choose. Other spellings parse_rational accepts (" 3", "+3", longer
 # numbers) go through the walk.
 _CELL = r"-?[0-9]{1,18}(?:/[1-9][0-9]{0,17})?"
-_CELL_LINES = re.compile(rf"(?:{_CELL}\n)*{_CELL}")
+# A line that is not one _CELL. It is searched for line by line: a
+# fullmatch of (?:CELL\n)*CELL grows the regex engine's stack by every cell.
+_NOT_A_CELL = re.compile(rf"^(?!{_CELL}$)", re.M)
 _WHOLE_LINE = re.compile(r"^-?[0-9]+$", re.M)
-
-
-def _bulk_edge_layer(rows, n_symbols: int):
-    """One edge layer as a read-only int32 array, or None for anything the
-    walk must see: a non-integer or out-of-int32 target, ragged or deeper
-    rows, rows of the wrong length, an empty layer. JSON booleans would
-    pass as 1 and 0; the caller rules them out first."""
-    try:
-        arr = np.array(rows)
-    except (ValueError, OverflowError):
-        return None
-    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != n_symbols:
-        return None
-    if arr.min() < _INT32.min or arr.max() > _INT32.max:
-        return None
-    arr = arr.astype(np.int32)
-    arr.flags.writeable = False
-    return arr
 
 
 def _bulk_outputs(rows):
@@ -495,7 +479,7 @@ def _bulk_outputs(rows):
     except TypeError:
         return None
     cells = len(rows) * arity
-    if text.count("\n") != cells - 1 or not _CELL_LINES.fullmatch(text):
+    if text.count("\n") != cells - 1 or _NOT_A_CELL.search(text):
         return None
     if "/" in text:
         text = _WHOLE_LINE.sub(r"\g<0>/1", text).replace("/", "\n")
@@ -505,6 +489,111 @@ def _bulk_outputs(rows):
         num = np.array(text.split("\n"), dtype=np.int64).reshape(len(rows), arity)
         den = np.ones_like(num)
     return RationalTable(num, den)
+
+
+class _Syntax(NamedTuple):
+    """The scanner's tokens in one text type, str or bytes."""
+
+    head: re.Pattern  # the document's start, up to its edges array
+    quote: str | bytes  # opens the key after the edges array
+    close: str | bytes  # ends that array, just before the quote
+    between: str | bytes  # sits between two edge layers
+    blank: dict | bytes  # the table that blanks brackets and commas
+
+
+# write_robp's document opens with the alphabet object in this one spelling
+# and then the top-level edges array, so the scanner finds that array where
+# the head ends, never at an "edges" key nested deeper
+_HEAD = r'\{"alphabet":\{"k":-?[0-9]+,"kind":"[a-z]+"\},"edges":\['
+_SYNTAX = {
+    str: _Syntax(re.compile(_HEAD), '"', "],", "]],[[", str.maketrans("[],", "   ")),
+    bytes: _Syntax(
+        re.compile(_HEAD.encode()), b'"', b"],", b"]],[[", bytes.maketrans(b"[],", b"   ")
+    ),
+}
+# Thin layers are parsed in batches of at least this many characters; a
+# longer layer is a batch of its own, so no temporary outgrows one layer.
+_BATCH_CHARS = 1 << 16
+
+
+def _scan(text: str | bytes):
+    """The document and its edge layers as read-only int32 arrays, if the
+    text is in write_robp's canonical form; otherwise None.
+
+    Everything but the edges is parsed by json.loads from a skeleton that
+    holds "edges":[] in their place, and taken only if json.dumps gives the
+    skeleton back byte for byte: that refuses whitespace other than at the
+    end, reordered or duplicate keys and non-ASCII text. The edges are
+    parsed by numpy, a batch of layers at a time, and each batch is taken
+    only if _layer_json gives its text back byte for byte: that refuses
+    every other spelling, and a target outside int32, which numpy's parse
+    would wrap. So what comes back is what json.loads and the walk would
+    make of the text."""
+    syntax = _SYNTAX.get(type(text))
+    head = syntax and syntax.head.match(text)
+    if not head:
+        return None
+    start = head.end()
+    # layers in canonical form hold no quote, so the first one follows them;
+    # edges that hold one are cut short there and fail the layer check
+    end = text.find(syntax.quote, start) - len(syntax.close)
+    if end < start or not text.startswith(syntax.close, end):
+        return None
+    try:
+        skeleton = text[:start] + text[end:]
+        if not isinstance(skeleton, str):
+            skeleton = skeleton.decode("ascii")
+        # the CLI ends what it writes with a newline; json.loads skips
+        # trailing JSON whitespace, and so does the scanner
+        skeleton = skeleton.rstrip(" \t\n\r")
+        with _gc_paused():
+            doc = json.loads(skeleton)
+        if json.dumps(doc, separators=(",", ":"), sort_keys=True) != skeleton:
+            return None
+        alphabet = Alphabet(doc["alphabet"]["kind"], doc["alphabet"]["k"])
+    except ValueError:
+        return None
+    sizes = doc["layers"]
+    if not isinstance(sizes, list) or not all(type(r) is int and r >= 0 for r in sizes):
+        return None
+    edges = []
+    while start < end:
+        # the batch ends at the first layer boundary this far on, so every
+        # boundary inside it starts within its first _BATCH_CHARS
+        stop = text.find(syntax.between, start + _BATCH_CHARS, end)
+        stop = end if stop < 0 else stop + 2  # past the layer's "]]"
+        reach = min(start + _BATCH_CHARS + len(syntax.between) - 1, stop)
+        count = 1 + text.count(syntax.between, start, reach)
+        rows = sizes[len(edges) : len(edges) + count]
+        if len(rows) < count:
+            return None
+        batch = _scan_layers(text[start:stop], alphabet.size, rows, syntax)
+        if batch is None:
+            return None
+        edges += batch
+        start = stop + 1
+    return doc, edges
+
+
+def _scan_layers(chunk, size: int, rows, syntax: _Syntax):
+    """The edge layers whose text is chunk, as read-only int32 arrays of
+    size columns, or None. rows, the layer sizes the document gives, only
+    guide the split into layers."""
+    try:
+        flat = np.fromstring(chunk.translate(syntax.blank), np.int32, sep=" ")
+    except ValueError:
+        return None
+    if flat.size != size * sum(rows):
+        return None
+    flat.flags.writeable = False
+    layers, offset = [], 0
+    for r in rows:
+        layers.append(flat[offset : offset + r * size].reshape(r, size))
+        offset += r * size
+    text = ",".join(map(_layer_json, layers))
+    if (text if isinstance(chunk, str) else text.encode()) != chunk:
+        return None
+    return layers
 
 
 def _walk_edge_layer(t: int, rows):
@@ -551,20 +640,29 @@ def read_robp(text: str | bytes) -> Robp:
     out-degrees, unreachable vertices, arity drift) are left for validate()
     to report.
 
-    Each edge layer and the output table are converted in bulk. A layer or
-    table the bulk converters do not take goes through the element walk,
-    which is the one source of located error messages and keeps rows
-    verbatim for validate."""
-    if isinstance(text, (bytes, bytearray)):
+    Text in the canonical form write_robp emits (sorted keys, "," and ":"
+    as separators, no whitespace but at the end), as bytes or as an ASCII
+    str, is scanned directly: numpy parses the edge layers from the text,
+    with no Python object per target. Any other valid spelling of the same
+    document is read by json.loads and the element walk, which is the one
+    source of located error messages and keeps rows verbatim for validate;
+    both give the same program. The output table is converted in bulk when
+    every cell is a plain p or p/q, and otherwise walked."""
+    scanned = _scan(text)
+    if scanned is None:
+        if isinstance(text, (bytes, bytearray)):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise RobpParseError(f"byte {e.start}: not UTF-8 text") from None
         try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise RobpParseError(f"byte {e.start}: not UTF-8 text") from None
-    try:
-        with _gc_paused():
-            doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise RobpParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
+            with _gc_paused():
+                doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise RobpParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
+        edges = None
+    else:
+        doc, edges = scanned
     _expect(isinstance(doc, dict), "document", "expected a JSON object")
     for key in ("n", "alphabet", "layers", "edges", "outputs"):
         _expect(key in doc, "document", f"missing field {key!r}")
@@ -587,20 +685,14 @@ def read_robp(text: str | bytes) -> Robp:
         "layers", "expected a list of integers",
     )
     _expect(len(layers) == n + 1, "layers", f"expected {n + 1} entries, found {len(layers)}")
-    # np.array reads JSON true/false as 1/0, so a document holding either
-    # token anywhere goes through the walk
-    bulk = "true" not in text and "false" not in text
-    edges = doc["edges"]
-    _expect(isinstance(edges, list), "edges", "expected a list")
-    for t, rows in enumerate(edges):
-        arr = _bulk_edge_layer(rows, alphabet.size) if bulk else None
-        if arr is None:
+    if edges is None:
+        edges = doc["edges"]
+        _expect(isinstance(edges, list), "edges", "expected a list")
+        for t, rows in enumerate(edges):
             _walk_edge_layer(t, rows)
-        else:
-            edges[t] = arr  # frees the layer's lists as it goes
     outputs_doc = doc["outputs"]
     _expect(isinstance(outputs_doc, list), "outputs", "expected a list")
-    outputs = _bulk_outputs(outputs_doc) if bulk else None
+    outputs = _bulk_outputs(outputs_doc)
     if outputs is None:
         outputs = _walk_outputs(outputs_doc)
     return Robp(n, alphabet, layers, edges, outputs)

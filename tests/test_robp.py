@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -411,11 +412,25 @@ def _outcome(text):
 
 
 def _walk_outcome(text, monkeypatch):
-    """The outcome with every layer and the outputs sent through the walk."""
+    """The outcome with the scanner off, so that json.loads reads the text,
+    and with every layer and the outputs sent through the walk."""
     with monkeypatch.context() as m:
-        m.setattr(robp_module, "_bulk_edge_layer", lambda rows, n_symbols: None)
+        m.setattr(robp_module, "_scan", lambda text: None)
         m.setattr(robp_module, "_bulk_outputs", lambda rows: None)
         return _outcome(text)
+
+
+def _scanned(text):
+    return robp_module._scan(text) is not None
+
+
+def _same_outcome(text, monkeypatch):
+    """The text as str, bytes and bytearray reads as it does with the
+    scanner and the bulk outputs off; True if the scanner took it."""
+    for given in (text, text.encode(), bytearray(text.encode())):
+        assert _outcome(given) == _walk_outcome(given, monkeypatch)
+    assert _scanned(text) == _scanned(text.encode())
+    return _scanned(text)
 
 
 def test_roundtrip_random_programs(monkeypatch):
@@ -426,13 +441,22 @@ def test_roundtrip_random_programs(monkeypatch):
         text = write_robp(p)
         assert text == _reference_text(p)
         assert read_robp(text) == p
-        assert _outcome(text) == _walk_outcome(text, monkeypatch)
+        assert _same_outcome(text, monkeypatch)
 
 
 def _negative_and_wide_values():
     edges = [np.arange(-300, 300, dtype=np.int32).reshape(300, 2)]
     outputs = [(Fraction(-7, 3), Fraction(2**70, 3))] * 2
     return Robp(1, counter_alphabet(2), [300, 2], edges, outputs)
+
+
+def _targets(count, symbols, values=(0, 1)):
+    """One edge layer of count targets, cycling through values."""
+    edges = [np.resize(np.array(values, np.int32), count).reshape(-1, symbols)]
+    return Robp(1, counter_alphabet(symbols), [count // symbols, 2], edges, [(0,) * symbols] * 2)
+
+
+_INT32_ENDS = (np.iinfo(np.int32).min, -1, 0, np.iinfo(np.int32).max)
 
 
 @pytest.mark.parametrize(
@@ -444,12 +468,19 @@ def _negative_and_wide_values():
         pytest.param(lambda: rounded_counter(100, 3, 10), id="rounded(100,3,10)"),
         pytest.param(lambda: tribes(100, 4), id="tribes(100,4)"),
         pytest.param(_negative_and_wide_values, id="negative-and-wide"),
+        pytest.param(lambda: Robp(0, binary_alphabet(), [1], [], [(Fraction(7, 2),)]), id="n=0"),
+        # either side of the writer's switch at 256 targets
+        pytest.param(lambda: _targets(255, 3), id="255-targets"),
+        pytest.param(lambda: _targets(256, 2), id="256-targets"),
+        pytest.param(lambda: _targets(8, 2, _INT32_ENDS), id="int32-ends-thin"),
+        pytest.param(lambda: _targets(512, 2, _INT32_ENDS), id="int32-ends-wide"),
     ],
 )
-def test_write_matches_the_reference_text(build):
+def test_write_matches_the_reference_text(build, monkeypatch):
     p = build()
     assert write_robp(p) == _reference_text(p)
     assert read_robp(write_robp(p)) == p
+    assert _same_outcome(write_robp(p), monkeypatch)
 
 
 def test_bulk_reading_runs_on_written_programs(monkeypatch):
@@ -458,10 +489,13 @@ def test_bulk_reading_runs_on_written_programs(monkeypatch):
 
     monkeypatch.setattr(robp_module, "_walk_edge_layer", walked)
     monkeypatch.setattr(robp_module, "_walk_outputs", walked)
-    for p in (exact_counter(6, 3), rounded_counter(100, 3, 10)):
-        q = read_robp(write_robp(p))
-        assert q == p and all(not e.flags.writeable for e in q.edges)
-        assert read_robp(write_robp(p).encode()) == p
+    for p in (exact_counter(6, 3), rounded_counter(100, 3, 10), tribes(1000, 8)):
+        text = write_robp(p)
+        # the CLI writes a newline after the text
+        for given in (text, text.encode(), (text + "\n").encode()):
+            assert _scanned(given)
+            q = read_robp(given)
+            assert q == p and all(not e.flags.writeable for e in q.edges)
 
 
 def _set(path, value):
@@ -474,46 +508,139 @@ def _set(path, value):
     return edit
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(_set(("extra",), True), id="bool-top-level"),
-        pytest.param(_set(("edges", 1, 0, 0), False), id="bool-nested"),
-        pytest.param(_set(("outputs", 0, 0), True), id="bool-output"),
-        pytest.param(_set(("edges", -1, -1), [0, True]), id="bool-last-layer"),
-        pytest.param(_set(("edges", 1, 1, 0), 1.0), id="target-1.0"),
-        pytest.param(_set(("edges", 1, 1, 0), 1.5), id="target-1.5"),
-        pytest.param(_set(("edges", 1, 1, 0), None), id="target-null"),
-        pytest.param(_set(("edges", 1, 1, 0), "1"), id="target-string"),
-        pytest.param(_set(("edges", 1, 1), [0]), id="ragged-rows"),
-        pytest.param(_set(("edges", 1, 1), [[0, 1], [1, 2]]), id="three-deep"),
-        pytest.param(_set(("edges", 1), []), id="empty-layer"),
-        pytest.param(_set(("edges", 1, 1), []), id="empty-row"),
-        pytest.param(_set(("edges", 1), {}), id="layer-object"),
-        pytest.param(_set(("edges", 1, 1, 0), 2**31), id="target-2**31"),
-        pytest.param(_set(("edges", 1, 1, 0), 2**70), id="target-2**70"),
-        pytest.param(_set(("edges", 1, 1, 0), -1), id="target-negative"),
-        pytest.param(_set(("edges", 1, 1, 0), -(2**31) - 1), id="target-below-int32"),
-        pytest.param(_set(("outputs", 1, 0), " 3"), id="output-space"),
-        pytest.param(_set(("outputs", 1, 0), "+3"), id="output-plus"),
-        pytest.param(_set(("outputs", 1, 0), "-0"), id="output-minus-zero"),
-        pytest.param(_set(("outputs", 1, 0), "2/4"), id="output-unreduced"),
-        pytest.param(_set(("outputs", 1, 0), "1/0"), id="output-zero-denominator"),
-        pytest.param(_set(("outputs", 1, 0), "1.5"), id="output-decimal"),
-        pytest.param(_set(("outputs", 1, 0), "1\n2"), id="output-newline"),
-        pytest.param(_set(("outputs", 1, 0), str(2**70)), id="output-2**70"),
-        pytest.param(_set(("outputs", 1, 0), f"{2**70}/3"), id="output-2**70/3"),
-        pytest.param(_set(("outputs", 1, 0), 3), id="output-not-a-string"),
-        pytest.param(_set(("outputs", 1), ["1"]), id="output-ragged"),
-        pytest.param(_set(("outputs", 1), "12"), id="output-row-string"),
-        pytest.param(_set(("outputs",), []), id="outputs-empty"),
-    ],
-)
+_EDITS = [
+    pytest.param(_set(("extra",), True), id="bool-top-level"),
+    pytest.param(_set(("edges", 1, 0, 0), False), id="bool-nested"),
+    pytest.param(_set(("outputs", 0, 0), True), id="bool-output"),
+    pytest.param(_set(("edges", -1, -1), [0, True]), id="bool-last-layer"),
+    pytest.param(_set(("edges", 1, 1, 0), 1.0), id="target-1.0"),
+    pytest.param(_set(("edges", 1, 1, 0), 1.5), id="target-1.5"),
+    pytest.param(_set(("edges", 1, 1, 0), None), id="target-null"),
+    pytest.param(_set(("edges", 1, 1, 0), "1"), id="target-string"),
+    pytest.param(_set(("edges", 1, 1), [0]), id="ragged-rows"),
+    pytest.param(_set(("edges", 1, 1), [[0, 1], [1, 2]]), id="three-deep"),
+    pytest.param(_set(("edges", 1), []), id="empty-layer"),
+    pytest.param(_set(("edges", 1, 1), []), id="empty-row"),
+    pytest.param(_set(("edges", 1), {}), id="layer-object"),
+    pytest.param(_set(("edges", 1, 1, 0), 2**31), id="target-2**31"),
+    pytest.param(_set(("edges", 1, 1, 0), 2**70), id="target-2**70"),
+    pytest.param(_set(("edges", 1, 1, 0), -1), id="target-negative"),
+    pytest.param(_set(("edges", 1, 1, 0), -(2**31) - 1), id="target-below-int32"),
+    pytest.param(_set(("outputs", 1, 0), " 3"), id="output-space"),
+    pytest.param(_set(("outputs", 1, 0), "+3"), id="output-plus"),
+    pytest.param(_set(("outputs", 1, 0), "-0"), id="output-minus-zero"),
+    pytest.param(_set(("outputs", 1, 0), "2/4"), id="output-unreduced"),
+    pytest.param(_set(("outputs", 1, 0), "1/0"), id="output-zero-denominator"),
+    pytest.param(_set(("outputs", 1, 0), "1.5"), id="output-decimal"),
+    pytest.param(_set(("outputs", 1, 0), "1\n2"), id="output-newline"),
+    pytest.param(_set(("outputs", 1, 0), str(2**70)), id="output-2**70"),
+    pytest.param(_set(("outputs", 1, 0), f"{2**70}/3"), id="output-2**70/3"),
+    pytest.param(_set(("outputs", 1, 0), 3), id="output-not-a-string"),
+    pytest.param(_set(("outputs", 1), ["1"]), id="output-ragged"),
+    pytest.param(_set(("outputs", 1), "12"), id="output-row-string"),
+    pytest.param(_set(("outputs",), []), id="outputs-empty"),
+]
+
+
+@pytest.mark.parametrize("edit", _EDITS)
 def test_bulk_reading_matches_the_walk(edit, monkeypatch):
     doc = json.loads(write_robp(exact_counter(4, 2)))
     edit(doc)
-    text = json.dumps(doc)
-    assert _outcome(text) == _walk_outcome(text, monkeypatch)
+    # json.loads reads the first spelling; the scanner may take the second
+    for text in (json.dumps(doc), json.dumps(doc, separators=(",", ":"), sort_keys=True)):
+        _same_outcome(text, monkeypatch)
+
+
+_BASE = write_robp(exact_counter(4, 2))
+_LAYER_1 = "[[0,1],[1,2]],"
+
+
+def _replace(old, new):
+    assert _BASE.count(old) == 1
+    return _BASE.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "text, scanned",
+    [
+        pytest.param(_BASE, True, id="as-written"),
+        pytest.param(_replace(_LAYER_1, "[[0,2147483647],[1,2]],"), True, id="target-2**31-1"),
+        pytest.param(_replace(_LAYER_1, "[[-2147483648,1],[1,2]],"), True, id="target--2**31"),
+        pytest.param(_replace(_LAYER_1, "[[0,2147483648],[1,2]],"), False, id="target-2**31"),
+        pytest.param(_replace(_LAYER_1, "[[-2147483649,1],[1,2]],"), False, id="target--2**31-1"),
+        pytest.param(_replace(_LAYER_1, "[[0,01],[1,2]],"), False, id="target-01"),
+        pytest.param(_replace(_LAYER_1, "[[-0,1],[1,2]],"), False, id="target--0"),
+        pytest.param(_replace(_LAYER_1, "[[0,+1],[1,2]],"), False, id="target-+1"),
+        pytest.param(_replace(_LAYER_1, "[[0,true],[1,2]],"), False, id="target-true"),
+        pytest.param(_replace(_LAYER_1, "[],"), False, id="empty-layer"),
+        pytest.param(_replace(_LAYER_1, "[[0,1],[]],"), False, id="empty-row"),
+        pytest.param(_replace(_LAYER_1, "[[0,1],[1,2,3]],"), False, id="long-row"),
+        pytest.param(_replace(_LAYER_1, "[[0,1]],"), False, id="short-layer"),
+        pytest.param(_replace(_LAYER_1, "[[0,1],[1,2]]]],"), False, id="unbalanced"),
+        pytest.param(_BASE + "\n", True, id="trailing-newline"),
+        pytest.param(_BASE + " \t\r\n\n", True, id="trailing-json-whitespace"),
+        pytest.param(_BASE + "\x0c", False, id="trailing-form-feed"),
+        pytest.param(" " + _BASE, False, id="leading-space"),
+        pytest.param(_replace(_LAYER_1, "[[0,1],[1, 2]],"), False, id="space-in-edges"),
+        pytest.param(_replace("[1,2,3,4,5]", "[1, 2,3,4,5]"), False, id="space-in-layers"),
+        pytest.param(_replace('"layers":[1,2,3,4,5],"n":4', '"n":4,"layers":[1,2,3,4,5]'),
+                     False, id="reordered-keys"),
+        pytest.param(_replace(',"layers"', ',"edges":[],"layers"'), False, id="edges-twice-empty"),
+        pytest.param(_replace(',"layers"', ',"edges":[[[0,1]]],"layers"'), False, id="edges-twice"),
+        pytest.param(_BASE[:-1] + ',"outputs":[["1","1"]]}', False, id="outputs-twice"),
+        pytest.param(_replace('{"k"', '{"edges":[[[0,0]]],"k"'), False, id="edges-in-alphabet"),
+        pytest.param(_BASE[:-1] + ',"\\u00e9":1}', True, id="escaped-key"),
+        pytest.param(_BASE[:-1] + ',"\u00e9":1}', False, id="non-ascii-key"),
+        pytest.param(_replace('"n":4', '"n":-1'), True, id="n-negative"),
+        pytest.param(_replace('"n":4', '"n":4.0'), True, id="n-float"),
+        pytest.param(_replace('"k":2', '"k":1'), False, id="k-refused"),
+        pytest.param(_replace('"layers":[1,2,3,4,5]', '"layers":[1,2,3,4]'), True, id="layers-short"),
+        pytest.param(_replace('"layers":[1,2,3,4,5]', '"layers":[1,3,3,4,5]'), False, id="layers-wrong"),
+        pytest.param(_replace('"layers":[1,2,3,4,5]', '"layers":[true,2,3,4,5]'), False, id="layers-true"),
+        pytest.param(_replace('["4","0"]', '["4",true]'), True, id="output-true"),
+        pytest.param(_BASE[: len(_BASE) // 2], False, id="truncated"),
+    ],
+)
+def test_scanning_matches_json_loads(text, scanned, monkeypatch):
+    assert _same_outcome(text, monkeypatch) is scanned
+
+
+@pytest.mark.parametrize("batch_chars", [0, 1, 40])
+def test_scanning_in_small_batches(batch_chars, monkeypatch):
+    programs = [tribes(100, 4), exact_counter(20, 3)]
+    rng = random.Random(3)
+    for seed in range(12):
+        alphabet = [binary_alphabet(), counter_alphabet(3), parallel_alphabet(2)][seed % 3]
+        programs.append(random_robp(rng.randint(0, 8), alphabet, rng.choice([1, 3, 40]), seed))
+    monkeypatch.setattr(robp_module, "_BATCH_CHARS", batch_chars)
+    for p in programs:
+        assert _same_outcome(write_robp(p), monkeypatch)
+        assert read_robp(write_robp(p)) == p
+
+
+_FULLMATCH_CELLS = re.compile(rf"(?:{robp_module._CELL}\n)*{robp_module._CELL}")
+
+
+def test_the_cell_check_accepts_what_a_fullmatch_of_every_line_does():
+    doc = json.loads(_BASE)
+    texts = []
+    for edit in _EDITS:
+        if edit.id.startswith("output"):
+            edited = json.loads(_BASE)
+            edit.values[0](edited)
+            cells = [c for row in edited["outputs"] if isinstance(row, list) for c in row]
+            texts.append("\n".join(c for c in cells if isinstance(c, str)))
+    texts.append("\n".join(c for row in doc["outputs"] for c in row))
+    rng = random.Random(5)
+    pieces = ["0", "7", "12", "9" * 17, "9" * 18, "-", "/", "\n", "+", " "]
+    for _ in range(20000):
+        texts.append("".join(rng.choices(pieces, k=rng.randint(0, 6))))
+    accepted = 0
+    for text in texts:
+        old = _FULLMATCH_CELLS.fullmatch(text) is not None
+        assert (robp_module._NOT_A_CELL.search(text) is None) is old, repr(text)
+        accepted += old
+    assert accepted > 1000
 
 
 @pytest.mark.parametrize("target", [2**31, 2**70, -(2**31) - 1])
