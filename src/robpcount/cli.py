@@ -314,9 +314,18 @@ def _cmd_fuzz(args) -> int:
 
     budgets = _budgets("max_inputs")
     alphabet = Alphabet(args.problem, args.k)
+    limit = budgets["max_inputs"]
+    # refused before a program is generated; as every alphabet has two
+    # symbols or more, n is capped where size**n must exceed the limit
+    if alphabet.size ** min(args.n, limit.bit_length()) > limit:
+        from .oracle import BudgetError
+
+        raise BudgetError(
+            f"{alphabet.size}**{args.n} inputs are over ROBPCOUNT_MAX_INPUTS={limit}; raise it"
+        )
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
-        problem = _fuzz_one(seed, args.n, args.w, alphabet, budgets["max_inputs"])
+        problem = _fuzz_one(seed, args.n, args.w, alphabet, limit)
         if problem:
             failures += 1
             print(problem, file=sys.stderr)

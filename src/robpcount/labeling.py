@@ -127,6 +127,13 @@ class LabeledRobp:
         return self.lo[t], self.hi[t]
 
 
+def _shifts(p: Robp) -> np.ndarray:
+    """p.alphabet.shifts, or a table with no rows when p has no edge layer
+    to read it: a program of n = 0 over 2**k parallel symbols needs none of
+    its 2**k rows."""
+    return p.alphabet.shifts if p.n else np.zeros((0, p.alphabet.arity), np.int32)
+
+
 def _label_layers(p: Robp, shifts: np.ndarray):
     """Forward DP over layers; exact by induction on achieved prefixes.
 
@@ -152,7 +159,7 @@ def _label_layers(p: Robp, shifts: np.ndarray):
 
 def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
     """Labels of every layer; "potential" keeps the first k-1 columns."""
-    shifts = p.alphabet.shifts
+    shifts = _shifts(p)
     k = d = shifts.shape[1]
     if mode == "potential":
         if p.alphabet.kind == "parallel":
@@ -171,7 +178,7 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
 
 def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
     """Full int64 labels of the final layer, holding one layer at a time."""
-    shifts = p.alphabet.shifts
+    shifts = _shifts(p)
     d = shifts.shape[1]
     for state in _label_layers(p, shifts):
         pass
@@ -182,7 +189,7 @@ def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
 def edge_monotone(lp: LabeledRobp) -> bool:
     """Per-edge label containment: label(u) + shift(z) inside label(v)."""
     p = lp.p
-    shifts = p.alphabet.shifts[:, : lp.dims]
+    shifts = _shifts(p)[:, : lp.dims]
     for t in range(p.n):
         edges = p.edge_array(t)
         for sym in range(p.alphabet.size):

@@ -1,6 +1,6 @@
 """Ground truth at desk scale.
 
-* exhaustive_verify -- evaluate every input (vectorized, chunked).
+* exhaustive_verify -- evaluate every input (chunked, a layer at a time).
 * random_robp -- seeded program generator for property tests.
 * frontier -- exact minimal binary-counting error at width w, by layered
   search over interval systems (sound and complete for the two-symbol
@@ -75,10 +75,11 @@ def exhaustive_verify(
     p: Robp, problem: Alphabet, delta, *, max_inputs: int = DEFAULT_MAX_INPUTS
 ) -> bool:
     """Evaluate every input; True iff every output is within delta of the
-    true counts. Inputs are enumerated lexicographically in chunks."""
+    true counts. Inputs go lexicographically in chunks; a chunk walks the
+    program one layer at a time, taking only that position's symbols."""
     import numpy as np
 
-    from .labeling import _check_problem
+    from .labeling import _check_problem, _shifts
     from .robp import _require_valid
 
     delta = Fraction(delta)
@@ -99,18 +100,16 @@ def exhaustive_verify(
         or p.n > 2**15
     ):
         num, den = num.astype(object), den.astype(object)
-    # each column of shifts is one tracked count's increment per symbol; its
-    # entries are 0 or 1, and int8 copies gather a quarter of int32's bytes
-    columns = problem.shifts.T.astype(np.int8)
+    shifts = _shifts(p)
     chunk = 1 << 20
-    powers = np.array([size ** (p.n - 1 - t) for t in range(p.n)], dtype=np.int64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        x = (idx[:, None] // powers[None, :]) % size if p.n else idx[:, None][:, :0]
         states = np.zeros(len(idx), dtype=np.int64)
+        counts = np.zeros((len(idx), problem.arity), dtype=np.int64)
         for t in range(p.n):
-            states = p.edge_array(t)[states, x[:, t]]
-        counts = np.stack([col[x].sum(axis=1) for col in columns], axis=1)
+            sym = idx // size ** (p.n - 1 - t) % size
+            states = p.edge_array(t)[states, sym]
+            counts += shifts[sym]
         n_v, d_v = num[states], den[states]
         # |num/den - c| <= delta  <=>  |num - c*den| * dd <= dn * den
         if (np.abs(n_v - counts * d_v) * dd > dn * d_v).any():

@@ -393,10 +393,11 @@ def _build_report(p: Robp) -> ValidationReport:
     else:
         v.append((p.n, -1, "inconsistent output arity across final vertices"))
 
-    # reachability only when every edge target resolved
+    # reachability only when every edge target resolved and every layer size
+    # is backed by edge rows or output rows, so its work follows the program
     if targets_ok and len(p.edges) == p.n and len(sizes) == p.n + 1 and all(
         len(p.edges[t]) == sizes[t] for t in range(p.n)
-    ):
+    ) and len(p.outputs) == sizes[-1]:
         reached = np.zeros(sizes[0], dtype=bool)
         if sizes[0] > 0:
             reached[0] = True
@@ -551,7 +552,7 @@ def _scan(text: str | bytes):
         if json.dumps(doc, separators=(",", ":"), sort_keys=True) != skeleton:
             return None
         alphabet = Alphabet(doc["alphabet"]["kind"], doc["alphabet"]["k"])
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     sizes = doc["layers"]
     if not isinstance(sizes, list) or not all(type(r) is int and r >= 0 for r in sizes):
@@ -638,7 +639,8 @@ def read_robp(text: str | bytes) -> Robp:
     """Parse the JSON serialization, given as text or UTF-8 bytes.
     Structural errors raise RobpParseError; semantic problems (bad
     out-degrees, unreachable vertices, arity drift) are left for validate()
-    to report.
+    to report. Nesting deeper than the interpreter's recursion limit raises
+    RobpParseError too.
 
     Text in the canonical form write_robp emits (sorted keys, "," and ":"
     as separators, no whitespace but at the end), as bytes or as an ASCII
@@ -660,6 +662,8 @@ def read_robp(text: str | bytes) -> Robp:
                 doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise RobpParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
+        except RecursionError:
+            raise RobpParseError("document: nested too deeply to parse") from None
         edges = None
     else:
         doc, edges = scanned

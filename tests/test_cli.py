@@ -232,6 +232,19 @@ def test_fuzz_clean(capsys):
     assert json.loads(out.strip().splitlines()[-1])["failures"] == 0
 
 
+def test_fuzz_refuses_an_over_budget_problem_before_generating_a_program(
+    capsys, monkeypatch
+):
+    from robpcount import oracle
+
+    monkeypatch.setattr(oracle, "random_robp", lambda *a: pytest.fail("program generated"))
+    monkeypatch.setenv("ROBPCOUNT_MAX_INPUTS", "16")
+    code = main(["fuzz", "--seeds", "1", "--n", "3", "--problem", "counter", "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: 3**3 inputs are over ROBPCOUNT_MAX_INPUTS=16; raise it\n"
+
+
 def test_mg_and_query(tmp_path, capsys):
     stream = tmp_path / "stream.txt"
     stream.write_text("0 0 0 0 0 0 0 0 0 0 0 0\n")
@@ -265,6 +278,40 @@ def test_plot_data_frontier_takes_raised_budgets(capsys, monkeypatch):
                         "--w-max", "5")
     assert code == 0
     assert "oracle,2:5,0" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        '{"alphabet":{"k":1,"kind":"binary"},"edges":[[[0,0]]],"layers":[1,1],"n":1,"outputs":'
+        + "[" * 100_000,
+    ],
+    ids=["bare", "canonical-head"],
+)
+def test_input_nested_too_deeply_exits_two(tmp_path, capsys, text):
+    message = "error: document: nested too deeply to parse\n"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code = main(["validate", "-i", str(path)])
+    assert code == 2 and capsys.readouterr().err == message
+    piped = subprocess.run(
+        [sys.executable, "-m", "robpcount.cli", "validate"],
+        input=text.encode(), capture_output=True, env=CHILD_ENV,
+    )
+    assert piped.returncode == 2 and piped.stderr.decode() == message
+
+
+def test_verify_a_program_without_edge_layers_over_a_wide_alphabet(tmp_path, capsys):
+    path = tmp_path / "parallel40.json"
+    path.write_text(
+        '{"alphabet":{"k":40,"kind":"parallel"},"edges":[],"layers":[1],"n":0,'
+        f'"outputs":[{json.dumps(["0"] * 40)}]}}'
+    )
+    code, out = run_cli(
+        capsys, "verify", "-i", str(path), "--problem", "parallel", "--k", "40", "--delta", "0"
+    )
+    assert code == 0 and json.loads(out)["valid"] is True
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,20 @@ def test_verify_agrees_with_exhaustive_small():
             assert verify(p, problem, delta).valid == exhaustive_verify(p, problem, delta)
 
 
+def test_a_program_without_edge_layers_builds_no_shift_table():
+    # Alphabet.shifts would be 2**40 rows of 40 columns: 8 TiB of int32
+    problem = parallel_alphabet(40)
+    p = Robp.build(problem, [], [(Fraction(1, 2),) * 40])
+    assert verify(p, problem, Fraction(1, 2)).valid
+    assert not verify(p, problem, 0).valid
+    delta, outputs = minimal_error(p, problem)
+    assert delta == 0 and outputs.rows() == [(Fraction(0),) * 40]
+    lp = compute_labels(p)
+    assert lp.dims == 40 and edge_monotone(lp)
+    assert exhaustive_verify(p, problem, Fraction(1, 2))
+    assert not exhaustive_verify(p, problem, 0)
+
+
 def test_degenerate_zero_length_program():
     p = constant_program(0, Fraction(0))
     lp = compute_labels(p, "full")

@@ -323,6 +323,18 @@ def test_evaluate_and_exhaustive_verify_refuse_invalid_programs(p, x):
         exhaustive_verify(p, _BINARY, 0)
 
 
+def test_validate_does_no_work_for_declared_vertices_no_row_backs():
+    # one edge row and one output row, but a million declared final vertices:
+    # reachability would list all but one of them as unreachable
+    text = (
+        '{"alphabet":{"k":1,"kind":"binary"},"edges":[[[0,0]]],'
+        '"layers":[1,1000000],"n":1,"outputs":[["0"]]}'
+    )
+    rep = validate(read_robp(text))
+    assert not rep.valid and rep.width == 1_000_000
+    assert rep.violations == ((1, -1, "1 output tuples for 1000000 final vertices"),)
+
+
 @pytest.mark.parametrize("n, edges", [(0, []), (1, [[[0, 0]]])])
 def test_validate_reports_outputs_without_layer_sizes(n, edges):
     rep = validate(Robp(n, binary_alphabet(), [], edges, [(Fraction(0),)]))
@@ -655,6 +667,19 @@ def test_read_keeps_an_out_of_range_target_for_validate(target):
 def test_read_refuses_bytes_that_are_not_utf8():
     with pytest.raises(RobpParseError, match="not UTF-8"):
         read_robp(b'{"n": 0, "\xff": 1}')
+
+
+_DEEP = "[" * 100_000
+_CANONICAL_HEAD = (
+    '{"alphabet":{"k":1,"kind":"binary"},"edges":[[[0,0]]],"layers":[1,1],"n":1,"outputs":'
+)
+
+
+@pytest.mark.parametrize("text", [_DEEP, _CANONICAL_HEAD + _DEEP], ids=["bare", "canonical-head"])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_read_reports_nesting_too_deep_as_a_parse_error(text, as_bytes):
+    with pytest.raises(RobpParseError, match="nested too deeply"):
+        read_robp(text.encode() if as_bytes else text)
 
 
 def test_roundtrip_rational_output():
