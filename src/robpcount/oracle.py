@@ -35,6 +35,24 @@ strictly inside another has fewer bits, so visiting states smallest D(S) first
 puts every dominator first. A state is kept unless a kept down-set lies inside
 its own, and "inside" is transitive, so nothing needs removing afterwards.
 
+Swapping the symbols 0 and 1 maps a width-w program to another of the same
+width and error; on a layer-t state it sends each [a, b] to [t - b, t - a]
+(_mirror). The mirror commutes with every step: the mirror of R + 1 at layer
+t + 1 is the mirror of R at layer t, and the mirror of R is that plus 1, so
+obligations map to obligations; it reverses the sorted order, so runs map to
+runs; and it maps the intervals inside [a, b] one to one onto those inside
+the image, so it keeps down-set inclusion and bit counts. So each layer is
+closed under the mirror, and the search keeps one member of each orbit,
+min(S, mirror(S)): only those generate children, and the pruner checks one
+mask per candidate against both masks of every kept orbit. The states of a
+layer are those representatives and their mirrors, and the parents are the
+same as without the quotient. A state generates c exactly when its mirror
+generates mirror(c), so the first state, in sorted order, to generate c is
+the smaller of the first representative that generates c and the first
+mirror of a representative that generates mirror(c), found by a second pass
+over the same children visiting the representatives in the order of their
+mirrors.
+
 The brute force shares none of that. From each state it takes every
 partition of the 2|S| obligation slots into at most w blocks (not only the
 runs of sorted obligations), labels each block by its hull, and keeps every
@@ -44,6 +62,12 @@ entries, and each partition is a tuple of block bitmasks, so a child is a
 sorted lookup. Each entry is its block's min and max, so the enumeration is
 unchanged; the table is rebuilt for every state, and nothing is kept between
 calls. A hull is a coordinatewise min/max, so the same table serves boxes.
+It uses the mirror only as a quotient, which is exact because the mirror
+maps slots to slots and hulls to hulls: it expands one configuration of
+each orbit per layer, sorting each mirror again since a configuration may
+hold nested or repeated hulls, and still uses no runs lemma, no dominance
+and no pruning. frontier_brute_force reads the longest block of every
+partition straight off the layer n - 1 tables, without building layer n.
 """
 
 from __future__ import annotations
@@ -53,6 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
+from numbers import Integral
 from operator import or_
 from typing import TYPE_CHECKING
 
@@ -158,6 +183,12 @@ def random_robp(n: int, alphabet: Alphabet, w: int, seed: int) -> Robp:
 Interval = tuple[int, int]
 
 
+def _whole(v) -> bool:
+    """v is an integer and not a bool, which would read as 0 or 1. A plain
+    int, the usual case, skips the slower check against the Integral ABC."""
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
 @dataclass(frozen=True)
 class IntervalSystem:
     """Per-layer antichains of intervals with containment witnesses.
@@ -175,21 +206,25 @@ class IntervalSystem:
         """Raise ValueError unless layer 0 is {[0,0]}, every layer t is an
         antichain inside [0, t], and every interval of layers 0..n-1 has both
         witnesses, each an index into the next layer of an interval that
-        contains its obligation."""
+        contains its obligation. n, every endpoint and every witness must be
+        an int; a bool or a float is refused, not read as one."""
+        if not _whole(self.n) or self.n < 0:
+            raise ValueError(f"n must be a nonnegative integer, not {self.n!r}")
         if len(self.layers) != self.n + 1 or self.layers[0] != ((0, 0),):
             raise ValueError("layer 0 must be exactly {[0,0]}")
         if not len(self.witness0) == len(self.witness1) == self.n:
             raise ValueError(f"need {self.n} witness tuples of each kind")
         for t, layer in enumerate(self.layers):
             for i, (a, b) in enumerate(layer):
-                if not 0 <= a <= b <= t:
+                if not (_whole(a) and _whole(b) and 0 <= a <= b <= t):
                     raise ValueError(f"interval [{a},{b}] invalid at layer {t}")
                 if any(j != i and c <= a and b <= d for j, (c, d) in enumerate(layer)):
                     raise ValueError(f"layer {t} is not an antichain")
         for t in range(self.n):
             nxt = self.layers[t + 1]
             for shift, wits in ((0, self.witness0[t]), (1, self.witness1[t])):
-                if len(wits) != len(self.layers[t]) or not all(j in range(len(nxt)) for j in wits):
+                in_next = all(_whole(j) and 0 <= j < len(nxt) for j in wits)
+                if len(wits) != len(self.layers[t]) or not in_next:
                     raise ValueError(f"layer {t} needs one witness in layer {t + 1} per interval")
                 for i, ((a, b), j) in enumerate(zip(self.layers[t], wits)):
                     if not (nxt[j][0] <= a + shift and b + shift <= nxt[j][1]):
@@ -237,17 +272,32 @@ def _down_set(state: tuple[Interval, ...]) -> int:
     return reduce(or_, (_interval_down_set(x, y) for x, y in state), 0)
 
 
-def _prune_dominated(states) -> set:
+def _mirror(state: tuple[Interval, ...], t: int) -> tuple[Interval, ...]:
+    """The state at layer t with the symbols 0 and 1 swapped: each [a, b]
+    becomes [t - b, t - a]. Sorted again, as a configuration may hold nested
+    or repeated intervals; on a sorted antichain the sort only reverses."""
+    return tuple(sorted([(t - b, t - a) for a, b in state]))
+
+
+def _prune_dominated(states, mirror=None) -> set:
     """Keep states not dominated by another: B dominates A when every
     interval of B fits inside some interval of A (smaller is never worse),
     that is, when D(B) & ~D(A) == 0. A dominator has fewer bits, so it comes
-    first, and each state is checked against the kept ones."""
+    first, and each state is checked against the kept ones.
+
+    With a mirror, states holds one member of each mirror orbit, and both
+    members of every orbit that survives are returned. The mirror keeps bit
+    counts and inclusion, so with both masks of each kept orbit on the kept
+    list, one check per candidate decides for its mirror too."""
     masks = {s: _down_set(s) for s in states}
     kept: dict[tuple[Interval, ...], int] = {}
     for a, mask in sorted(masks.items(), key=lambda item: item[1].bit_count()):
         outside = ~mask
         if all(b & outside for b in kept.values()):
             kept[a] = mask
+            if mirror is not None:
+                image = mirror(a)
+                kept[image] = _down_set(image)
     return set(kept)
 
 
@@ -275,18 +325,43 @@ def _search(n: int, w: int, max_n: int, max_w: int) -> list[dict]:
     antichain sorted by both endpoints, so sending each to the first maximal
     hull of any partition that contains it is monotone, and the runs' hulls
     fit inside that partition's hulls. Only splits into min(w, m) runs are
-    made, since each coarser one is always pruned: the pruned states are the same."""
+    made, since each coarser one is always pruned: the pruned states are the same.
+
+    Only one member of each mirror orbit generates children (see the module
+    docstring); both members are kept, each with the parent the search
+    without the quotient records."""
     if n > max_n or w > max_w:
         raise BudgetError(f"frontier({n},{w}) over budget ({max_n},{max_w})")
     if n < 0 or w < 1:
         raise ValueError("need n >= 0, w >= 1")
     layers: list[dict] = [{((0, 0),): None}]
-    for _ in range(n):
-        nxt: dict[tuple, tuple] = {}
-        for state in sorted(layers[-1]):
-            for hulls in _runs(_maximal_obligations(state), w):
-                nxt.setdefault(hulls, state)
-        layers.append({s: nxt[s] for s in _prune_dominated(nxt)})
+    orbits = [(((0, 0),), ((0, 0),))]  # (representative, its mirror), sorted
+    for t in range(1, n + 1):
+        children = [list(_runs(_maximal_obligations(s), w)) for s, _ in orbits]
+        # first[c]: the first representative that generates c. by_mirror[c]:
+        # the first mirror of a representative that generates c; that mirror
+        # generates mirror(c). So the first state of the whole layer to
+        # generate c is the smaller of first[c] and by_mirror[mirror(c)].
+        first: dict[tuple, tuple] = {}
+        for (s, _), kids in zip(orbits, children):
+            for c in kids:
+                first.setdefault(c, s)
+        by_mirror: dict[tuple, tuple] = {}
+        for (_, m), kids in sorted(zip(orbits, children), key=lambda item: item[0][1]):
+            for c in kids:
+                by_mirror.setdefault(c, m)
+        mirror: dict[tuple, tuple] = {}
+        for c in first:
+            mirror[c] = image = _mirror(c, t)
+            mirror[image] = c
+        kept = _prune_dominated({min(c, mirror[c]) for c in first}, mirror.__getitem__)
+        layers.append(
+            {
+                s: min(p for p in (first.get(s), by_mirror.get(mirror[s])) if p is not None)
+                for s in kept
+            }
+        )
+        orbits = sorted((s, mirror[s]) for s in kept if s <= mirror[s])
     return layers
 
 
@@ -376,41 +451,67 @@ def _set_partitions(slots: int, w: int) -> list[tuple[tuple[int, ...], ...]]:
     return parts
 
 
-def _brute_force_configurations(n: int, w: int) -> set[tuple[Interval, ...]]:
-    """Every label configuration a width-<=w binary program reaches at layer
-    n: each state's 2|S| obligation slots, R and R+1 for each interval R,
-    split into at most w blocks in every way, each block labelled by its hull.
+def _brute_force_tables(states, w: int, parts_cache: dict):
+    """For each state, the hull of every nonempty subset of its 2|S|
+    obligation slots, R and R+1 for each interval R, and its partitions into
+    at most w blocks, as tuples of block bitmasks. hull[m] is the hull of the
+    slots in bitmask m: slot i adds bit 1 << i, and the hull of bit | s
+    merges hull[bit] with hull[s]. parts_cache maps a state size to its
+    partitions, built on first use."""
+    for state in states:
+        if len(state) not in parts_cache:
+            parts_cache[len(state)] = [
+                tuple(sum(1 << i for i in block) for block in blocks)
+                for blocks in _set_partitions(2 * len(state), w)
+            ]
+        hull: list = [None]
+        for lo, hi in ((lo + z, hi + z) for lo, hi in state for z in (0, 1)):
+            hull += [(lo, hi)] + [(min(lo, a), max(hi, b)) for a, b in hull[1:]]
+        yield hull, parts_cache[len(state)]
 
-    A state's hulls are tabulated once for every nonempty subset of its slots
-    (hull[m] for the slots in bitmask m; slot i adds bit 1 << i, and the hull
-    of bit | s merges hull[bit] with hull[s]), and each partition is a tuple
-    of block bitmasks, so a child is its blocks' table entries, sorted."""
+
+def _brute_force_orbits(n: int, w: int, parts_cache: dict) -> set[tuple[Interval, ...]]:
+    """One member, the smaller, of each mirror orbit of the label
+    configurations a width-<=w binary program reaches at layer n. Each
+    partition gives a child, its blocks' table entries sorted. The children
+    of a configuration's mirror are the mirrors of its children, so only one
+    member of each orbit is expanded."""
     if w < 1 or n < 0:
         raise ValueError("need n >= 0, w >= 1")
-    # state size -> partitions as tuples of block bitmasks, built on first use
-    parts_cache: dict[int, list] = {}
     states = {((0, 0),)}
-    for _ in range(n):
-        nxt = set()
-        for state in states:
-            if len(state) not in parts_cache:
-                parts_cache[len(state)] = [
-                    tuple(sum(1 << i for i in block) for block in blocks)
-                    for blocks in _set_partitions(2 * len(state), w)
-                ]
-            hull: list = [None]
-            for lo, hi in ((lo + z, hi + z) for lo, hi in state for z in (0, 1)):
-                hull += [(lo, hi)] + [(min(lo, a), max(hi, b)) for a, b in hull[1:]]
-            get = hull.__getitem__
-            nxt.update(tuple(sorted(map(get, masks))) for masks in parts_cache[len(state)])
-        states = nxt
+    for t in range(1, n + 1):
+        nxt = {
+            tuple(sorted(map(hull.__getitem__, masks)))
+            for hull, parts in _brute_force_tables(states, w, parts_cache)
+            for masks in parts
+        }
+        states = {min(c, _mirror(c, t)) for c in nxt}
     return states
+
+
+def _brute_force_configurations(n: int, w: int) -> set[tuple[Interval, ...]]:
+    """Every label configuration a width-<=w binary program reaches at layer
+    n: each state's 2|S| obligation slots split into at most w blocks in
+    every way, each block labelled by its hull."""
+    states = _brute_force_orbits(n, w, {})
+    return states | {_mirror(c, n) for c in states}
 
 
 def frontier_brute_force(n: int, w: int) -> Fraction:
     """Minimal binary-counting error over ALL width-<=w programs, by direct
     enumeration of label configurations (every reachable configuration is
     realized by a program, and programs with the same configuration have the
-    same minimal error)."""
-    best = min(max(b - a for a, b in state) for state in _brute_force_configurations(n, w))
+    same minimal error). The mirror keeps lengths, so the last layer is read
+    off the layer n - 1 representatives' tables: each partition's longest
+    block, with no set of layer n built."""
+    if w < 1 or n < 0:
+        raise ValueError("need n >= 0, w >= 1")
+    if n == 0:
+        return Fraction(0)
+    parts_cache: dict = {}
+    states = _brute_force_orbits(n - 1, w, parts_cache)
+    best = n
+    for hull, parts in _brute_force_tables(states, w, parts_cache):
+        lengths = [0] + [b - a for a, b in hull[1:]]
+        best = min(best, min(max(map(lengths.__getitem__, masks)) for masks in parts))
     return Fraction(best, 2)

@@ -34,6 +34,7 @@ from robpcount.oracle import (
     _down_set,
     _interval_down_set,
     _maximal_obligations,
+    _mirror,
     _prune_dominated,
     _runs,
     _set_partitions,
@@ -187,6 +188,20 @@ def reference_frontier(n, w):
         chain = reference_feasible(n, w, n)
     system = oracle._system_from_chain(n, chain)
     return FrontierPoint(n=n, w=w, delta_star=Fraction(lo, 2), witness=system)
+
+
+def reference_unquotiented_search(n, w):
+    """oracle._search before the mirror quotient: every state of a layer
+    generates its children, and each child's parent is the first state, in
+    sorted order, that generates it."""
+    layers = [{((0, 0),): None}]
+    for _ in range(n):
+        nxt = {}
+        for state in sorted(layers[-1]):
+            for hulls in _runs(_maximal_obligations(state), w):
+                nxt.setdefault(hulls, state)
+        layers.append({s: nxt[s] for s in _prune_dominated(nxt)})
+    return layers
 
 
 def reference_brute_force(n, w):
@@ -370,6 +385,53 @@ def test_runs_give_the_minimal_successors_of_all_set_partitions():
             assert minimal(runs, limit) == minimal(partitions, limit), (state, w, limit)
 
 
+def test_the_mirror_is_an_involution_on_sorted_antichains():
+    known = set(SMALL_ANTICHAINS)
+    for state in SMALL_ANTICHAINS:
+        image = _mirror(state, 6)
+        assert image in known and _mirror(image, 6) == state, state
+
+
+def test_obligations_and_runs_commute_with_the_mirror():
+    """The mirrors, at layer t + 1, of a state's obligations are its
+    mirror's obligations, and likewise for the runs' hulls, so the children
+    of a mirror are the mirrors of the children."""
+    for state in SMALL_ANTICHAINS:
+        obs, image_obs = _maximal_obligations(state), _maximal_obligations(_mirror(state, 6))
+        assert image_obs == list(_mirror(obs, 7)), state
+        for w in range(1, 5):
+            runs = {_mirror(hulls, 7) for hulls in _runs(obs, w)}
+            assert set(_runs(image_obs, w)) == runs, (state, w)
+
+
+def test_the_mirror_keeps_down_set_inclusion_and_bit_counts():
+    """So one check per candidate, against both masks of every kept orbit,
+    decides for the candidate's whole orbit."""
+    masks = {s: _down_set(s) for s in SMALL_ANTICHAINS}
+    images = {s: masks[_mirror(s, 6)] for s in SMALL_ANTICHAINS}
+    for s in SMALL_ANTICHAINS:
+        assert masks[s].bit_count() == images[s].bit_count(), s
+    for b, a in itertools.product(SMALL_ANTICHAINS, repeat=2):
+        assert (masks[b] & ~masks[a] == 0) == (images[b] & ~images[a] == 0), (b, a)
+
+
+def test_reference_layers_and_configurations_are_closed_under_the_mirror():
+    for n, w in [(12, 3), (8, 4), (7, 5)]:
+        for t, layer in enumerate(reference_layers(n, w, n)):
+            assert {_mirror(s, t) for s in layer} == set(layer), (n, w, t)
+    for w, n_max in [(1, 6), (2, 6), (3, 5), (4, 3)]:
+        for t in range(n_max + 1):
+            configurations = reference_brute_force_configurations(t, w)
+            assert {_mirror(c, t) for c in configurations} == configurations, (t, w)
+
+
+def test_the_search_equals_the_unquotiented_search():
+    """The same states and the same parents, at sizes past the limited
+    reference searches' reach, with thousands of states per layer."""
+    for n, w in [(16, 4), (12, 5), (30, 3)]:
+        assert oracle._search(n, w, n, w) == reference_unquotiented_search(n, w), (n, w)
+
+
 def test_frontier_base_cases():
     assert frontier(2, 2).delta_star == Fraction(1, 2)
     for n in range(1, 11):
@@ -542,6 +604,24 @@ def test_interval_system_check_rejects():
             bad.check()
         with pytest.raises(ValueError, match="witness"):
             system_to_robp(bad)
+    # a bool or a float is no index and no endpoint, and n is never negative
+    for witness0, witness1 in [(((0.0,),), ((1,),)), (((0,),), ((True,),)), (((False,),), ((1,),))]:
+        bad = IntervalSystem(n=1, layers=layers, witness0=witness0, witness1=witness1)
+        with pytest.raises(ValueError, match="witness"):
+            bad.check()
+        with pytest.raises(ValueError, match="witness"):
+            system_to_robp(bad)
+    for last in [((0.0, 1),), ((0, True),), ((0, 1.0),)]:
+        bad = IntervalSystem(n=1, layers=(((0, 0),), last), witness0=((0,),), witness1=((0,),))
+        with pytest.raises(ValueError, match="invalid"):
+            bad.check()
+        with pytest.raises(ValueError, match="invalid"):
+            system_to_robp(bad)
+    with pytest.raises(ValueError, match="invalid"):
+        IntervalSystem(n=0, layers=(((0.0, 0),),), witness0=(), witness1=()).check()
+    for n in (-1, 1.0, True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            IntervalSystem(n=n, layers=(), witness0=(), witness1=()).check()
 
 
 def test_no_random_program_beats_the_frontier():
