@@ -154,7 +154,7 @@ def tightness_report(n: int, k: int = 2, w: int | None = None, delta=None) -> st
         if w >= n + 1:
             lines.append(f"width {w} >= n+1: exact counting, error envelope [0, 0]")
             return "\n".join(lines)
-        if not 3 <= w <= n / 10:
+        if not (3 <= w and 10 * w <= n):
             raise ValueError("small-width regime needs 3 <= w <= n/10")
         lower = binary_error_lower_bound(n, w)
         from .constructions import tribes_plan

@@ -45,13 +45,11 @@ the image, so it keeps down-set inclusion and bit counts. So each layer is
 closed under the mirror, and the search keeps one member of each orbit,
 min(S, mirror(S)): only those generate children, and the pruner checks one
 mask per candidate against both masks of every kept orbit. The states of a
-layer are those representatives and their mirrors, and the parents are the
-same as without the quotient. A state generates c exactly when its mirror
-generates mirror(c), so the first state, in sorted order, to generate c is
-the smaller of the first representative that generates c and the first
-mirror of a representative that generates mirror(c), found by a second pass
-over the same children visiting the representatives in the order of their
-mirrors.
+layer are those representatives and their mirrors, each with the parent the
+search without the quotient records, its smallest generator: r generates c
+exactly when mirror(r) generates mirror(c), so each child c of a
+representative r offers r to c and mirror(r) to mirror(c), and every state
+keeps its smallest offer.
 
 The brute force shares none of that. From each state it takes every
 partition of the 2|S| obligation slots into at most w blocks (not only the
@@ -207,9 +205,17 @@ class IntervalSystem:
         antichain inside [0, t], and every interval of layers 0..n-1 has both
         witnesses, each an index into the next layer of an interval that
         contains its obligation. n, every endpoint and every witness must be
-        an int; a bool or a float is refused, not read as one."""
+        an int; a bool or a float is refused, not read as one. The tables,
+        their rows and the intervals are tuples or lists, each interval a pair."""
         if not _whole(self.n) or self.n < 0:
             raise ValueError(f"n must be a nonnegative integer, not {self.n!r}")
+        seq, tables = (tuple, list), (self.layers, self.witness0, self.witness1)
+        # each table is checked, as a row of tables, before its rows are iterated
+        if not (
+            all(isinstance(row, seq) for table in (tables, *tables) for row in table)
+            and all(isinstance(r, seq) and len(r) == 2 for layer in self.layers for r in layer)
+        ):
+            raise ValueError("layers must hold pairs (a, b) and witnesses tuples of indices")
         if len(self.layers) != self.n + 1 or self.layers[0] != ((0, 0),):
             raise ValueError("layer 0 must be exactly {[0,0]}")
         if not len(self.witness0) == len(self.witness1) == self.n:
@@ -328,40 +334,30 @@ def _search(n: int, w: int, max_n: int, max_w: int) -> list[dict]:
     made, since each coarser one is always pruned: the pruned states are the same.
 
     Only one member of each mirror orbit generates children (see the module
-    docstring); both members are kept, each with the parent the search
-    without the quotient records."""
+    docstring); both members are kept, each with its smallest generator as
+    parent, as the search without the quotient records: a child c of the
+    representative r offers r to c and mirror(r) to mirror(c)."""
     if n > max_n or w > max_w:
         raise BudgetError(f"frontier({n},{w}) over budget ({max_n},{max_w})")
     if n < 0 or w < 1:
         raise ValueError("need n >= 0, w >= 1")
     layers: list[dict] = [{((0, 0),): None}]
-    orbits = [(((0, 0),), ((0, 0),))]  # (representative, its mirror), sorted
+    orbits = [(((0, 0),), ((0, 0),))]  # (representative, its mirror)
     for t in range(1, n + 1):
-        children = [list(_runs(_maximal_obligations(s), w)) for s, _ in orbits]
-        # first[c]: the first representative that generates c. by_mirror[c]:
-        # the first mirror of a representative that generates c; that mirror
-        # generates mirror(c). So the first state of the whole layer to
-        # generate c is the smaller of first[c] and by_mirror[mirror(c)].
-        first: dict[tuple, tuple] = {}
-        for (s, _), kids in zip(orbits, children):
-            for c in kids:
-                first.setdefault(c, s)
-        by_mirror: dict[tuple, tuple] = {}
-        for (_, m), kids in sorted(zip(orbits, children), key=lambda item: item[0][1]):
-            for c in kids:
-                by_mirror.setdefault(c, m)
+        parent: dict[tuple, tuple] = {}
         mirror: dict[tuple, tuple] = {}
-        for c in first:
-            mirror[c] = image = _mirror(c, t)
-            mirror[image] = c
-        kept = _prune_dominated({min(c, mirror[c]) for c in first}, mirror.__getitem__)
-        layers.append(
-            {
-                s: min(p for p in (first.get(s), by_mirror.get(mirror[s])) if p is not None)
-                for s in kept
-            }
-        )
-        orbits = sorted((s, mirror[s]) for s in kept if s <= mirror[s])
+        for s, m in orbits:
+            for c in _runs(_maximal_obligations(s), w):
+                if (image := mirror.get(c)) is None:
+                    mirror[c] = image = _mirror(c, t)
+                    mirror[image] = c
+                if parent.get(c, s) >= s:
+                    parent[c] = s
+                if parent.get(image, m) >= m:
+                    parent[image] = m
+        kept = _prune_dominated({min(pair) for pair in mirror.items()}, mirror.__getitem__)
+        layers.append({s: parent[s] for s in kept})
+        orbits = [(s, mirror[s]) for s in kept if s <= mirror[s]]
     return layers
 
 

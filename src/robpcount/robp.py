@@ -98,8 +98,11 @@ class RationalTable:
     Rows map to final-layer vertices, columns to output coordinates.
     Normalized on construction (gcd-reduced, positive denominators).
     Entries that fit comfortably in int64 are stored that way; anything
-    larger falls back to object arrays of Python ints, still exact. A table
-    cannot change: its arrays are read-only and its fields cannot be rebound.
+    larger falls back to object arrays of Python ints, still exact. Cells
+    must be integers: a float or bool array, or an object cell that is not
+    an int or a numpy integer, raises ValueError instead of being truncated.
+    A table cannot change: its arrays are read-only and its fields cannot be
+    rebound.
     """
 
     __slots__ = ("num", "den")
@@ -109,9 +112,12 @@ class RationalTable:
         den = np.asarray(den)
         if num.shape != den.shape or num.ndim != 2:
             raise ValueError("num/den must be 2-d arrays of equal shape")
+        if num.size and (num.dtype.kind not in "iuO" or den.dtype.kind not in "iuO"):
+            raise ValueError(f"rational table cells must be integers, not {num.dtype}/{den.dtype}")
         if num.dtype == object or den.dtype == object:
             pairs = [
-                [Fraction(int(p), int(q)) for p, q in zip(nrow, drow)]
+                [Fraction(_integer(p, "table cell"), _integer(q, "table cell"))
+                 for p, q in zip(nrow, drow)]
                 for nrow, drow in zip(num, den)
             ]
             num = np.array([[f.numerator for f in r] for r in pairs], dtype=object)

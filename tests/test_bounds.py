@@ -160,6 +160,18 @@ def test_tightness_report_small_w():
     assert "lower bound" in report and "upper bound" in report
 
 
+def test_tightness_report_checks_the_small_width_regime_exactly():
+    """10w > n, though n / 10 rounds up to w as a float: a float check lets
+    it through to a sweep of about 10^19 steps."""
+    n, w = 10 * 2**60 - 1, 2**60
+    assert w <= n / 10 and 10 * w > n
+    with pytest.raises(ValueError, match="small-width regime"):
+        tightness_report(n, w=w)
+    with pytest.raises(ValueError, match="small-width regime"):
+        tightness_report(29, w=3)
+    assert "width w=3" in tightness_report(30, w=3)
+
+
 def test_tightness_report_degenerate_width():
     report = tightness_report(20, w=21)
     assert "[0, 0]" in report

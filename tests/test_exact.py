@@ -77,6 +77,25 @@ def test_rational_table_ragged_rejected():
         RationalTable.from_rows([(1,), (1, 2)])
 
 
+def test_rational_table_refuses_cells_that_are_not_integers():
+    """A cast would truncate 1.5 to 1, 2.5 to 2 and read True as 1."""
+    ones = np.array([[1, 1]])
+    for num, den in [
+        (np.array([[1.5, 2.9]]), ones),
+        (ones, np.array([[1, 2.5]])),
+        (np.array([[True, False]]), ones),
+        (ones, np.array([[True, True]])),
+        (np.array([[2**70, 1.5]], dtype=object), ones),
+        (np.array([[2**70, 1]], dtype=object), np.array([[1, True]], dtype=object)),
+        (np.array([[2**70, 1]], dtype=object), np.array([[1.0, 1.0]])),
+    ]:
+        with pytest.raises(ValueError, match="integer"):
+            RationalTable(num, den)
+    assert RationalTable([[0, 3]], [[1, 6]]).rows() == [(0, Fraction(1, 2))]
+    big = RationalTable(np.array([[2**70, np.int64(3)]], dtype=object), np.array([[4, 6]]))
+    assert big.rows() == [(2**68, Fraction(1, 2))]
+
+
 def test_rational_table_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RationalTable(np.array([[1]]), np.array([[0]]))

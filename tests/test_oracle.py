@@ -428,7 +428,7 @@ def test_reference_layers_and_configurations_are_closed_under_the_mirror():
 def test_the_search_equals_the_unquotiented_search():
     """The same states and the same parents, at sizes past the limited
     reference searches' reach, with thousands of states per layer."""
-    for n, w in [(16, 4), (12, 5), (30, 3)]:
+    for n, w in [(16, 4), (12, 5), (30, 3), (12, 2), (46, 3), (9, 6), (8, 7)]:
         assert oracle._search(n, w, n, w) == reference_unquotiented_search(n, w), (n, w)
 
 
@@ -622,6 +622,20 @@ def test_interval_system_check_rejects():
     for n in (-1, 1.0, True):
         with pytest.raises(ValueError, match="nonnegative integer"):
             IntervalSystem(n=n, layers=(), witness0=(), witness1=()).check()
+    # a system of the wrong shape is refused before anything is unpacked
+    for layers, witness0 in [
+        ((((0, 0),), (5,)), ((0,),)),  # an interval that is not a pair
+        ((((0, 0),), ((0, 1, 1),)), ((0,),)),
+        ((((0, 0),), None), ((0,),)),  # a layer of None
+        ((((0, 0),), ((0, 1),)), (0,)),  # a witness tuple that is not a sequence
+        ((((0, 0),), ((0, 1),)), None),
+        (None, ((0,),)),
+    ]:
+        bad = IntervalSystem(n=1, layers=layers, witness0=witness0, witness1=((0,),))
+        with pytest.raises(ValueError, match="layers must hold pairs"):
+            bad.check()
+        with pytest.raises(ValueError, match="layers must hold pairs"):
+            system_to_robp(bad)
 
 
 def test_no_random_program_beats_the_frontier():
