@@ -120,15 +120,16 @@ def min_consistent_width(n: int, k: int, delta) -> int:
 
 def max_ruled_out_error(n: int, w: int) -> Fraction:
     """Largest half-integer error ruled out for binary counting at width w
-    (achievable errors are half-integers; scan is over that grid)."""
-    best = None
-    for twice in range(n + 1):
-        delta = Fraction(twice, 2)
-        if thm_main_feasible(n, 2, w, delta).ruled_out:
-            best = delta
+    (achievable errors are half-integers), or -1 if none is. ruled_out is
+    downward closed in delta, so binary search over that grid applies."""
+    lo, hi = -1, n  # twice the answer, or -1 for none, lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if thm_main_feasible(n, 2, w, Fraction(mid, 2)).ruled_out:
+            lo = mid
         else:
-            break  # ruled_out is downward closed in delta
-    return best if best is not None else Fraction(-1)
+            hi = mid - 1
+    return Fraction(lo, 2) if lo >= 0 else Fraction(-1)
 
 
 def binary_error_lower_bound(n: int, w: int) -> Fraction:

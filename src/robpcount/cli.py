@@ -402,15 +402,16 @@ def _cmd_plot_data(args) -> int:
                 f"empty sweep: --delta-min {args.delta_min} is above --delta-max {args.delta_max}"
             )
         n, k = args.n, args.k
-        deltas = []
-        delta = args.delta_min
-        while delta <= args.delta_max:
-            deltas.append(delta)
-            delta += args.delta_step
-        # the upper bounds come first: outside rounded_counter's domain they
-        # raise, and so before any row is written
-        uppers = [constructions.rounded_counter_width_bound(n, k, delta) for delta in deltas]
-        for delta, upper in zip(deltas, uppers):
+        # rounded_counter's domain and the feasibility inequality's are both
+        # intervals in delta, so the sweep's two ends are checked against
+        # both, and a sweep that leaves either is refused before any row
+        steps = (args.delta_max - args.delta_min) // args.delta_step
+        for delta in (args.delta_min, args.delta_min + steps * args.delta_step):
+            constructions.rounding_plan(n, k, delta)
+            bounds_mod.thm_main_feasible(n, k, 1, delta)
+        for step in range(steps + 1):
+            delta = args.delta_min + step * args.delta_step
+            upper = constructions.rounded_counter_width_bound(n, k, delta)
             emit("lower_bound", str(delta), Fraction(bounds_mod.min_consistent_width(n, k, delta)))
             emit("upper_bound", str(delta), Fraction(upper))
     else:  # frontier

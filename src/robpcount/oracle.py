@@ -7,8 +7,8 @@
   case: programs induce systems, and systems convert back to programs).
 * frontier_column -- frontier(n, w) for every n up to n_max, from one search.
 * frontier_brute_force -- the same quantity by exhaustive enumeration of
-  program behaviors (_brute_force_configurations); the independent
-  cross-check for the frontier.
+  program behaviors, one mirror orbit at a time (_brute_force_orbits); the
+  independent cross-check for the frontier.
 * system_to_robp -- the converse construction, one vertex per interval.
 
 Every search state, ((0, 0),) and each tuple of run hulls _runs yields, is
@@ -483,14 +483,6 @@ def _brute_force_orbits(n: int, w: int, parts_cache: dict) -> set[tuple[Interval
         }
         states = {min(c, _mirror(c, t)) for c in nxt}
     return states
-
-
-def _brute_force_configurations(n: int, w: int) -> set[tuple[Interval, ...]]:
-    """Every label configuration a width-<=w binary program reaches at layer
-    n: each state's 2|S| obligation slots split into at most w blocks in
-    every way, each block labelled by its hull."""
-    states = _brute_force_orbits(n, w, {})
-    return states | {_mirror(c, n) for c in states}
 
 
 def frontier_brute_force(n: int, w: int) -> Fraction:

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,6 +114,13 @@ class RationalTable:
             raise ValueError("num/den must be 2-d arrays of equal shape")
         if num.size and (num.dtype.kind not in "iuO" or den.dtype.kind not in "iuO"):
             raise ValueError(f"rational table cells must be integers, not {num.dtype}/{den.dtype}")
+        # a cell past int64's maximum would wrap in the cast below, and one at
+        # its minimum in the sign flip: such a table takes the object path
+        if any(
+            a.dtype.kind in "iu" and a.size and not -(2**63) < int(a.min()) <= int(a.max()) < 2**63
+            for a in (num, den)
+        ):
+            num = num.astype(object)
         if num.dtype == object or den.dtype == object:
             pairs = [
                 [Fraction(_integer(p, "table cell"), _integer(q, "table cell"))
@@ -498,34 +505,21 @@ def _bulk_outputs(rows):
     return RationalTable(num, den)
 
 
-class _Syntax(NamedTuple):
-    """The scanner's tokens in one text type, str or bytes."""
-
-    head: re.Pattern  # the document's start, up to its edges array
-    quote: str | bytes  # opens the key after the edges array
-    close: str | bytes  # ends that array, just before the quote
-    between: str | bytes  # sits between two edge layers
-    blank: dict | bytes  # the table that blanks brackets and commas
-
-
 # write_robp's document opens with the alphabet object in this one spelling
 # and then the top-level edges array, so the scanner finds that array where
 # the head ends, never at an "edges" key nested deeper
-_HEAD = r'\{"alphabet":\{"k":-?[0-9]+,"kind":"[a-z]+"\},"edges":\['
-_SYNTAX = {
-    str: _Syntax(re.compile(_HEAD), '"', "],", "]],[[", str.maketrans("[],", "   ")),
-    bytes: _Syntax(
-        re.compile(_HEAD.encode()), b'"', b"],", b"]],[[", bytes.maketrans(b"[],", b"   ")
-    ),
-}
+_HEAD = re.compile(rb'\{"alphabet":\{"k":-?[0-9]+,"kind":"[a-z]+"\},"edges":\[')
+_BLANK = bytes.maketrans(b"[],", b"   ")  # brackets and commas to spaces
+_BETWEEN = b"]],[["  # sits between two edge layers
 # Thin layers are parsed in batches of at least this many characters; a
 # longer layer is a batch of its own, so no temporary outgrows one layer.
 _BATCH_CHARS = 1 << 16
 
 
-def _scan(text: str | bytes):
+def _scan(text: bytes):
     """The document and its edge layers as read-only int32 arrays, if the
-    text is in write_robp's canonical form; otherwise None.
+    bytes are in write_robp's canonical form; otherwise None. The scanner
+    reads bytes only: read_robp encodes an ASCII str once before calling it.
 
     Everything but the edges is parsed by json.loads from a skeleton that
     holds "edges":[] in their place, and taken only if json.dumps gives the
@@ -536,23 +530,19 @@ def _scan(text: str | bytes):
     every other spelling, and a target outside int32, which numpy's parse
     would wrap. So what comes back is what json.loads and the walk would
     make of the text."""
-    syntax = _SYNTAX.get(type(text))
-    head = syntax and syntax.head.match(text)
+    head = _HEAD.match(text)
     if not head:
         return None
     start = head.end()
     # layers in canonical form hold no quote, so the first one follows them;
     # edges that hold one are cut short there and fail the layer check
-    end = text.find(syntax.quote, start) - len(syntax.close)
-    if end < start or not text.startswith(syntax.close, end):
+    end = text.find(b'"', start) - len(b"],")
+    if end < start or not text.startswith(b"],", end):
         return None
     try:
-        skeleton = text[:start] + text[end:]
-        if not isinstance(skeleton, str):
-            skeleton = skeleton.decode("ascii")
         # the CLI ends what it writes with a newline; json.loads skips
         # trailing JSON whitespace, and so does the scanner
-        skeleton = skeleton.rstrip(" \t\n\r")
+        skeleton = (text[:start] + text[end:]).decode("ascii").rstrip(" \t\n\r")
         with _gc_paused():
             doc = json.loads(skeleton)
         if json.dumps(doc, separators=(",", ":"), sort_keys=True) != skeleton:
@@ -567,14 +557,14 @@ def _scan(text: str | bytes):
     while start < end:
         # the batch ends at the first layer boundary this far on, so every
         # boundary inside it starts within its first _BATCH_CHARS
-        stop = text.find(syntax.between, start + _BATCH_CHARS, end)
+        stop = text.find(_BETWEEN, start + _BATCH_CHARS, end)
         stop = end if stop < 0 else stop + 2  # past the layer's "]]"
-        reach = min(start + _BATCH_CHARS + len(syntax.between) - 1, stop)
-        count = 1 + text.count(syntax.between, start, reach)
+        reach = min(start + _BATCH_CHARS + len(_BETWEEN) - 1, stop)
+        count = 1 + text.count(_BETWEEN, start, reach)
         rows = sizes[len(edges) : len(edges) + count]
         if len(rows) < count:
             return None
-        batch = _scan_layers(text[start:stop], alphabet.size, rows, syntax)
+        batch = _scan_layers(text[start:stop], alphabet.size, rows)
         if batch is None:
             return None
         edges += batch
@@ -582,12 +572,12 @@ def _scan(text: str | bytes):
     return doc, edges
 
 
-def _scan_layers(chunk, size: int, rows, syntax: _Syntax):
+def _scan_layers(chunk: bytes, size: int, rows):
     """The edge layers whose text is chunk, as read-only int32 arrays of
     size columns, or None. rows, the layer sizes the document gives, only
     guide the split into layers."""
     try:
-        flat = np.fromstring(chunk.translate(syntax.blank), np.int32, sep=" ")
+        flat = np.fromstring(chunk.translate(_BLANK), np.int32, sep=" ")
     except ValueError:
         return None
     if flat.size != size * sum(rows):
@@ -597,8 +587,7 @@ def _scan_layers(chunk, size: int, rows, syntax: _Syntax):
     for r in rows:
         layers.append(flat[offset : offset + r * size].reshape(r, size))
         offset += r * size
-    text = ",".join(map(_layer_json, layers))
-    if (text if isinstance(chunk, str) else text.encode()) != chunk:
+    if ",".join(map(_layer_json, layers)).encode() != chunk:
         return None
     return layers
 
@@ -649,14 +638,20 @@ def read_robp(text: str | bytes) -> Robp:
     RobpParseError too.
 
     Text in the canonical form write_robp emits (sorted keys, "," and ":"
-    as separators, no whitespace but at the end), as bytes or as an ASCII
-    str, is scanned directly: numpy parses the edge layers from the text,
-    with no Python object per target. Any other valid spelling of the same
-    document is read by json.loads and the element walk, which is the one
-    source of located error messages and keeps rows verbatim for validate;
-    both give the same program. The output table is converted in bulk when
-    every cell is a plain p or p/q, and otherwise walked."""
-    scanned = _scan(text)
+    as separators, no whitespace but at the end) is scanned directly:
+    numpy parses the edge layers from the text, with no Python object per
+    target. The scanner reads bytes only, so an ASCII str is encoded once
+    on entry; a non-ASCII str is never canonical. Any other valid spelling
+    of the same document is read by json.loads and the element walk, which
+    is the one source of located error messages and keeps rows verbatim for
+    validate; both give the same program. The output table is converted in
+    bulk when every cell is a plain p or p/q, and otherwise walked."""
+    # the encoded copy lives only while it is scanned; a bytearray goes to
+    # the walk, as numpy's fromstring takes read-only bytes
+    if isinstance(text, str) and text.isascii():
+        scanned = _scan(text.encode())
+    else:
+        scanned = _scan(text) if type(text) is bytes else None
     if scanned is None:
         if isinstance(text, (bytes, bytearray)):
             try:

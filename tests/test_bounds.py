@@ -12,6 +12,7 @@ from robpcount import (
     thm_main_feasible,
     tightness_report,
 )
+import robpcount.bounds as bounds_module
 from robpcount.bounds import (
     binary_error_lower_bound,
     max_ruled_out_error,
@@ -128,6 +129,42 @@ def test_max_ruled_out_error_monotone_boundary():
     assert thm_main_feasible(90, 2, 4, delta).ruled_out
     assert not thm_main_feasible(90, 2, 4, delta + Fraction(1, 2)).ruled_out
     assert binary_error_lower_bound(90, 4) == delta + Fraction(1, 2)
+
+
+def _linear_max_ruled_out_error(n, w):
+    """The half-integer grid walked upward until an error is not ruled out."""
+    best = Fraction(-1)
+    for twice in range(n + 1):
+        if not thm_main_feasible(n, 2, w, Fraction(twice, 2)).ruled_out:
+            break
+        best = Fraction(twice, 2)
+    return best
+
+
+def test_max_ruled_out_error_matches_the_linear_scan():
+    for n in range(1, 201):
+        for w in range(1, 13):
+            assert max_ruled_out_error(n, w) == _linear_max_ruled_out_error(n, w), (n, w)
+
+
+def test_max_ruled_out_error_bisects(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return thm_main_feasible(*args)
+
+    monkeypatch.setattr(bounds_module, "thm_main_feasible", counted)
+    for n, w in [(40000, 3), (10**8, 3), (10**8, 10**6), (5, 100)]:
+        calls.clear()
+        delta = max_ruled_out_error(n, w)
+        assert len(calls) <= (n + 1).bit_length() + 1, (n, w, len(calls))
+        # the answer sits on the boundary of the ruled-out grid points
+        if delta >= 0:
+            assert thm_main_feasible(n, 2, w, delta).ruled_out
+        following = delta + Fraction(1, 2) if delta >= 0 else Fraction(0)
+        if following <= Fraction(n, 2):
+            assert not thm_main_feasible(n, 2, w, following).ruled_out
 
 
 def test_lb_small_w_below_every_verified_program():

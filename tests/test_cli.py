@@ -396,23 +396,31 @@ def test_plot_data_rejects_an_empty_sweep(capsys):
     assert captured.err == "error: empty sweep: --delta-min 20 is above --delta-max 10\n"
 
 
+_ROUNDED_DOMAIN = "rounded_counter needs k >= 2, n >= 10k, 10 <= delta <= n/10"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["plot-data", "--mode", "small-err", "--n", "100", "--k", "2",
-         "--delta-min", "5", "--delta-max", "12"],
-        ["plot-data", "--mode", "small-err", "--n", "100", "--k", "2",
-         "--delta-min", "10", "--delta-max", "12"],
-        ["plot-data", "--mode", "small-err", "--n", "15", "--k", "2"],
+        (["plot-data", "--mode", "small-err", "--n", "100", "--k", "2",
+          "--delta-min", "5", "--delta-max", "12"], _ROUNDED_DOMAIN),
+        (["plot-data", "--mode", "small-err", "--n", "100", "--k", "2",
+          "--delta-min", "10", "--delta-max", "12"], _ROUNDED_DOMAIN),
+        (["plot-data", "--mode", "small-err", "--n", "15", "--k", "2"], _ROUNDED_DOMAIN),
+        # inside rounded_counter's domain, but past the feasibility
+        # inequality's delta <= n/(2(k-1)) = 35/3 from delta = 12 on
+        (["plot-data", "--mode", "small-err", "--n", "140", "--k", "7",
+          "--delta-min", "10", "--delta-max", "14"], "need 0 <= delta <= n/(2(k-1))"),
     ],
+    ids=["argv0", "argv1", "argv2", "argv3"],  # each case named by its argv alone
 )
 def test_plot_data_small_err_outside_the_rounded_counter_is_refused_before_any_row(
-    capsys, argv
+    capsys, argv, message
 ):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out.splitlines() == ["series,x,y"]
-    assert captured.err == "error: rounded_counter needs k >= 2, n >= 10k, 10 <= delta <= n/10\n"
+    assert captured.err == f"error: {message}\n"
 
 
 # Runs main in a fresh interpreter; the last line of its stderr is the exit

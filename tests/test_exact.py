@@ -96,6 +96,23 @@ def test_rational_table_refuses_cells_that_are_not_integers():
     assert big.rows() == [(2**68, Fraction(1, 2))]
 
 
+def test_rational_table_takes_cells_past_int64_exactly():
+    """A uint64 cell past int64's maximum must not wrap in a cast to int64,
+    nor int64's minimum in a sign flip."""
+    top = np.array([[2**64 - 1]], dtype=np.uint64)
+    one = np.array([[1]], dtype=np.uint64)
+    assert RationalTable(top, np.array([[1]])).rows() == [(Fraction(2**64 - 1),)]
+    assert RationalTable(top, 3 * one).rows() == [(Fraction(2**64 - 1, 3),)]
+    half = np.array([[2**63]], dtype=np.uint64)
+    assert RationalTable(one, half).rows() == [(Fraction(1, 2**63),)]
+    low = np.array([[-(2**63)]], dtype=np.int64)
+    assert RationalTable(one, low).rows() == [(Fraction(-1, 2**63),)]
+    assert RationalTable(low, -np.ones((1, 1), np.int64)).rows() == [(Fraction(2**63),)]
+    # unsigned cells that fit int64 keep the int64 table
+    small = RationalTable(np.array([[2**63 - 1, 4]], np.uint64), np.array([[1, 6]], np.uint64))
+    assert small.num.dtype == np.int64 and small.rows() == [(2**63 - 1, Fraction(2, 3))]
+
+
 def test_rational_table_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RationalTable(np.array([[1]]), np.array([[0]]))

@@ -30,7 +30,7 @@ from robpcount import (
 from robpcount import oracle
 from robpcount.oracle import (
     BudgetError,
-    _brute_force_configurations,
+    _brute_force_orbits,
     _down_set,
     _interval_down_set,
     _maximal_obligations,
@@ -246,6 +246,15 @@ def reference_brute_force_configurations(n, w):
     return states
 
 
+def brute_force_configurations(n, w):
+    """Every label configuration a width-<=w binary program reaches at layer
+    n, from the brute force's orbit representatives and their mirrors: each
+    state's 2|S| obligation slots split into at most w blocks in every way,
+    each block labelled by its hull."""
+    states = _brute_force_orbits(n, w, {})
+    return states | {_mirror(c, n) for c in states}
+
+
 # every sorted antichain of at most 4 intervals inside [0, 6]
 SMALL_ANTICHAINS = [
     obs
@@ -348,7 +357,7 @@ def test_brute_force_equals_the_surjective_map_reference():
 def test_brute_force_configurations_equal_the_per_block_reference():
     for n, w in BRUTE_FORCE_POINTS + [(n, 4) for n in range(5)]:
         expected = reference_brute_force_configurations(n, w)
-        assert _brute_force_configurations(n, w) == expected, (n, w)
+        assert brute_force_configurations(n, w) == expected, (n, w)
 
 
 def test_brute_force_builds_only_the_partition_tables_it_uses():
