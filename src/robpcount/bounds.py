@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import kth_root_ceil_scaled
+from .exact import as_rational, kth_root_ceil_scaled
 
 
 def gen_binom(x, k: int) -> Fraction:
@@ -61,7 +61,7 @@ def thm_main_feasible(n: int, k: int, w: int, delta) -> BoundReport:
 
     verdict "ruled_out" means no such program exists.
     """
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     if k < 2 or n < 1 or w < 1:
         raise ValueError("need k >= 2, n >= 1, w >= 1")
     if not 0 <= delta <= Fraction(n, 2 * (k - 1)):
@@ -107,7 +107,7 @@ def kpar_lower_bound(n: int, k: int) -> Fraction:
 def min_consistent_width(n: int, k: int, delta) -> int:
     """Smallest w not ruled out by the feasibility inequality (its left side
     is nondecreasing in w, so binary search applies)."""
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     lo, hi = 1, math.comb(n + k - 1, k - 1)  # exact counter is always consistent
     while lo < hi:
         mid = (lo + hi) // 2
@@ -169,7 +169,7 @@ def tightness_report(n: int, k: int = 2, w: int | None = None, delta=None) -> st
         lines.append(f"  upper bound, certified by construction:        {upper_cert}")
         lines.append(f"  gap (formula upper - lower): {upper_paper - lower}")
     else:
-        delta = Fraction(delta)
+        delta = as_rational(delta)
         if not (10 <= delta <= Fraction(n, 10 * k * k)):
             raise ValueError("small-error regime needs 10 <= delta <= n/(10 k^2)")
         from .constructions import rounded_counter_width_bound

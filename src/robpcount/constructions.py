@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import isqrt_ceil_rational, isqrt_floor_rational
+from .exact import as_rational, isqrt_ceil_rational, isqrt_floor_rational
 from .robp import Alphabet, RationalTable, Robp, binary_alphabet, counter_alphabet
 
 DEFAULT_MAX_WIDTH = 2_000_000
@@ -292,7 +292,7 @@ class RoundingPlan:
 
 
 def rounding_plan(n: int, k: int, delta) -> RoundingPlan:
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     if k < 2 or n < 10 * k or delta < 10 or delta > Fraction(n, 10):
         raise ValueError("rounded_counter needs k >= 2, n >= 10k, 10 <= delta <= n/10")
     l = isqrt_ceil_rational(Fraction(n) / (delta - 1)) + 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from numbers import Rational
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -23,6 +24,18 @@ def parse_rational(text: str) -> Fraction:
         p, q = text.split("/")
         return Fraction(int(p), int(q))
     return Fraction(int(text))
+
+
+def as_rational(x) -> Fraction:
+    """x as an exact Fraction: an int, a Fraction, a numpy integer or a
+    "p"/"p/q" string. ValueError for anything else, a bool (which would read
+    as 0 or 1) and a float above all: 0.1 would decide a verdict at its
+    binary value 3602879701896397/36028797018963968."""
+    if isinstance(x, str):
+        return parse_rational(x)
+    if isinstance(x, Rational) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"{x!r} is not an exact rational: pass an int, a Fraction or a 'p/q' string")
 
 
 def format_rational(x: Fraction) -> str:

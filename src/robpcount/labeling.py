@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernel
+from .exact import as_rational
 from .robp import Alphabet, RationalTable, Robp, _frozen, _require_valid
 
 
@@ -224,7 +225,7 @@ def verify(p: Robp, problem: Alphabet, delta) -> VerifyCertificate:
     hi_j - out_j <= delta and out_j - lo_j <= delta; label endpoints are
     achieved, so this is equivalent to correctness on every input.
     """
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     _check_problem(p, problem)

@@ -102,10 +102,11 @@ def exhaustive_verify(
     program one layer at a time, taking only that position's symbols."""
     import numpy as np
 
+    from .exact import as_rational
     from .labeling import _check_problem, _shifts
     from .robp import _require_valid
 
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     _check_problem(p, problem)
     size = p.alphabet.size
     total = size**p.n
@@ -147,6 +148,8 @@ def random_robp(n: int, alphabet: Alphabet, w: int, seed: int) -> Robp:
     from .labeling import minimal_error
     from .robp import Robp
 
+    if not _whole(n) or n < 0:
+        raise ValueError(f"random_robp needs an integer n >= 0, not {n!r}")
     if w < 1:
         raise ValueError("w >= 1 required")
     rng = random.Random(seed)
@@ -285,25 +288,24 @@ def _mirror(state: tuple[Interval, ...], t: int) -> tuple[Interval, ...]:
     return tuple(sorted([(t - b, t - a) for a, b in state]))
 
 
-def _prune_dominated(states, mirror=None) -> set:
+def _prune_dominated(states, mirror) -> set:
     """Keep states not dominated by another: B dominates A when every
     interval of B fits inside some interval of A (smaller is never worse),
     that is, when D(B) & ~D(A) == 0. A dominator has fewer bits, so it comes
     first, and each state is checked against the kept ones.
 
-    With a mirror, states holds one member of each mirror orbit, and both
-    members of every orbit that survives are returned. The mirror keeps bit
-    counts and inclusion, so with both masks of each kept orbit on the kept
-    list, one check per candidate decides for its mirror too."""
+    states holds one member of each mirror orbit, and both members of every
+    orbit that survives are returned. The mirror keeps bit counts and
+    inclusion, so with both masks of each kept orbit on the kept list, one
+    check per candidate decides for its mirror too."""
     masks = {s: _down_set(s) for s in states}
     kept: dict[tuple[Interval, ...], int] = {}
     for a, mask in sorted(masks.items(), key=lambda item: item[1].bit_count()):
         outside = ~mask
         if all(b & outside for b in kept.values()):
             kept[a] = mask
-            if mirror is not None:
-                image = mirror(a)
-                kept[image] = _down_set(image)
+            image = mirror(a)
+            kept[image] = _down_set(image)
     return set(kept)
 
 

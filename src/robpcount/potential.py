@@ -23,9 +23,13 @@ and sums that layer's grid on a small thread pool (the usable cores, at most
 compiler. The parallel profile clips the rectangles to the box, so every
 cell outside a layer's bounding grid is covered by nothing. LabeledRobp
 checks that its arrays are rectangles when it is built, and layer_paint
-refuses a kept box outside the grid it was given. Every audit first refuses
-labels of the other family and a profile whose grid, k or audited layers do
-not match the labels.
+refuses a kept box outside the grid it was given.
+
+One guard, _family, states both families. Every profile and audit calls it
+first: it refuses labels of the other family and a profile whose grid, k or
+audited layers do not match the labels, and it gives the family's k and
+first audited layer. The two growth audits share one row loop (_growth) and
+the two final audits one single-row builder (_final).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import numpy as np
 
 from . import _kernel
 from .bounds import gen_binom
+from .exact import as_rational
 from .labeling import LabeledRobp, verify
 
 DEFAULT_MAX_BOX_CELLS = 40_000_000  # per-layer dense grid cells
@@ -162,45 +167,33 @@ def _phis(lp: LabeledRobp, layers, max_cells: int, max_paint: int) -> tuple[int,
     return tuple(phi if isinstance(phi, int) else phi.result() for phi in phis)
 
 
-def _check_counter_labels(lp: LabeledRobp):
-    alphabet = lp.p.alphabet
-    if alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
-        raise ValueError(
-            f"labels with {lp.dims} coordinates of a {alphabet.kind} program (k={alphabet.k})"
-            " are not the k-1 potential labels of a counter program"
-        )
-
-
-def _check_parallel_labels(lp: LabeledRobp):
-    alphabet = lp.p.alphabet
-    if alphabet.kind != "parallel":
-        raise ValueError(
-            f"labels of a {alphabet.kind} program (k={alphabet.k}) are not parallel labels"
-        )
-
-
-def _check_profile(profile: PotentialProfile | None, grid_kind: str, k: int, t0: int, n: int):
-    """Refuse a profile that was not painted from labels like these: a
-    different grid, potential parameter or audited layers."""
-    if profile is None:
-        return
-    expected = (grid_kind, k, (t0, n), n - t0 + 1)
-    got = (profile.grid_kind, profile.k, profile.audited_range, len(profile.phi_values))
-    if got != expected:
-        raise ValueError(
-            f"profile (grid {got[0]}, k={got[1]}, layers {got[2]}) does not belong to "
-            f"these labels (grid {grid_kind}, k={k}, layers {(t0, n)})"
-        )
-
-
-def _check_counter_audit(lp: LabeledRobp, profile: PotentialProfile | None):
-    _check_counter_labels(lp)
-    _check_profile(profile, "simplex", lp.potential_k, 0, lp.p.n)
-
-
-def _check_parallel_audit(lp: LabeledRobp, profile: PotentialProfile | None):
-    _check_parallel_labels(lp)
-    _check_profile(profile, "box", lp.dims, lp.p.n // 10, lp.p.n)
+def _family(lp: LabeledRobp, grid_kind: str, profile: PotentialProfile | None = None):
+    """The potential parameter k and the first audited layer of the family
+    whose grid is grid_kind, "simplex" (counter) or "box" (parallel), once
+    labels of the other family, and a profile that was not painted from
+    labels like these (a different grid, k or audited layers), are refused."""
+    alphabet, n = lp.p.alphabet, lp.p.n
+    if grid_kind == "simplex":
+        if alphabet.kind == "parallel" or lp.dims != lp.potential_k - 1:
+            raise ValueError(
+                f"labels with {lp.dims} coordinates of a {alphabet.kind} program (k={alphabet.k})"
+                " are not the k-1 potential labels of a counter program"
+            )
+        k, t0 = lp.potential_k, 0
+    else:
+        if alphabet.kind != "parallel":
+            raise ValueError(
+                f"labels of a {alphabet.kind} program (k={alphabet.k}) are not parallel labels"
+            )
+        k, t0 = lp.dims, n // 10
+    if profile is not None:
+        got = (profile.grid_kind, profile.k, profile.audited_range, len(profile.phi_values))
+        if got != (grid_kind, k, (t0, n), n - t0 + 1):
+            raise ValueError(
+                f"profile (grid {got[0]}, k={got[1]}, layers {got[2]}) does not belong to "
+                f"these labels (grid {grid_kind}, k={k}, layers {(t0, n)})"
+            )
+    return k, t0
 
 
 def profile_counter(
@@ -210,7 +203,7 @@ def profile_counter(
     max_paint: int = DEFAULT_MAX_PAINT,
 ) -> PotentialProfile:
     """Phi_t for t = 0..n over the simplex grids (counter potential)."""
-    _check_counter_labels(lp)
+    k, _ = _family(lp, "simplex")
     n = lp.p.n
     # values capped at t, and only cells with coordinate sum <= t count
     layers = ((t, t, None, t) for t in range(n + 1))
@@ -218,7 +211,7 @@ def profile_counter(
         phi_values=_phis(lp, layers, max_cells, max_paint),
         grid_kind="simplex",
         audited_range=(0, n),
-        k=lp.potential_k,
+        k=k,
     )
 
 
@@ -229,13 +222,11 @@ def profile_parallel(
     max_paint: int = DEFAULT_MAX_PAINT,
 ) -> PotentialProfile:
     """Phi_t for t = floor(n/10)..n over the box grid (parallel potential)."""
-    _check_parallel_labels(lp)
+    k, t0 = _family(lp, "box")
     n = lp.p.n
-    k = lp.dims
-    side = n // 10 + 1
+    side = t0 + 1
     if side**k > max_cells:
         raise GridBudgetError(f"box of {side ** k} cells exceeds the limit of {max_cells}")
-    t0 = n // 10
     # boxes clipped to the box grid, values unclipped, and every cell counts
     layers = ((t, None, side - 1, None) for t in range(t0, n + 1))
     return PotentialProfile(
@@ -244,6 +235,9 @@ def profile_parallel(
         audited_range=(t0, n),
         k=k,
     )
+
+
+_PROFILES = {"simplex": profile_counter, "box": profile_parallel}
 
 
 @dataclass(frozen=True)
@@ -268,6 +262,33 @@ class AuditReport:
         return [r for r in self.rows if not r.passed]
 
 
+def _growth(lp: LabeledRobp, grid_kind: str, profile, rhs, kind: str) -> AuditReport:
+    """One row for each audited layer t < n: Phi_{t+1} - Phi_t >= rhs(t, k)."""
+    k, t0 = _family(lp, grid_kind, profile)
+    prof = profile if profile is not None else _PROFILES[grid_kind](lp)
+    rows = []
+    for t in range(t0, lp.p.n):
+        lhs = prof.phi(t + 1) - prof.phi(t)
+        bound = rhs(t, k)
+        rows.append(AuditRow(t, lhs, bound, lhs - bound, lhs >= bound))
+    return AuditReport(tuple(rows), kind)
+
+
+def _final(
+    lp: LabeledRobp, grid_kind: str, profile, verified, delta, at: str, rhs, kind: str
+) -> AuditReport:
+    """The single row Phi_n <= rhs, for labels and a profile the caller has
+    checked: the program must verify at delta (named at), and the profile is
+    painted only then."""
+    if verified is None:
+        verified = verify(lp.p, lp.p.alphabet, delta).valid
+    if not verified:
+        raise ValueError(f"program does not verify at {at}; final audit inapplicable")
+    prof = profile if profile is not None else _PROFILES[grid_kind](lp)
+    lhs = prof.phi(lp.p.n)
+    return AuditReport((AuditRow(lp.p.n, lhs, rhs, rhs - lhs, lhs <= rhs),), kind)
+
+
 def audit_growth_counter(
     lp: LabeledRobp, w: int, profile: PotentialProfile | None = None
 ) -> AuditReport:
@@ -275,15 +296,9 @@ def audit_growth_counter(
 
     Holds unconditionally for every valid program; a failure means the
     labels or the profile are computed wrong."""
-    _check_counter_audit(lp, profile)
-    prof = profile if profile is not None else profile_counter(lp)
-    k = lp.potential_k
-    rows = []
-    for t in range(lp.p.n):
-        lhs = prof.phi(t + 1) - prof.phi(t)
-        rhs = max(0, math.comb(t + k - 1, k - 1) - w)
-        rows.append(AuditRow(t, lhs, rhs, lhs - rhs, lhs >= rhs))
-    return AuditReport(tuple(rows), "growth-counter")
+    return _growth(
+        lp, "simplex", profile, lambda t, k: max(0, math.comb(t + k - 1, k - 1) - w), "growth-counter"
+    )
 
 
 def audit_final_counter(
@@ -294,22 +309,13 @@ def audit_final_counter(
 ) -> AuditReport:
     """Single-row check Phi_n <= C(n+k-1, k) - C(n-2(k-1)delta+k-1, k),
     valid for programs that compute their problem within delta."""
-    _check_counter_audit(lp, profile)
-    delta = Fraction(delta)
-    n, k = lp.p.n, lp.potential_k
+    k, _ = _family(lp, "simplex", profile)
+    delta = as_rational(delta)
+    n = lp.p.n
     if delta > Fraction(n, 2 * (k - 1)):
         raise ValueError("final audit needs delta <= n/(2(k-1))")
-    if verified is None:
-        verified = verify(lp.p, lp.p.alphabet, delta).valid
-    if not verified:
-        raise ValueError("program does not verify at delta; final audit inapplicable")
-    prof = profile if profile is not None else profile_counter(lp)
-    lhs = prof.phi(n)
-    rhs = Fraction(math.comb(n + k - 1, k)) - gen_binom(
-        Fraction(n) - 2 * (k - 1) * delta + k - 1, k
-    )
-    row = AuditRow(n, lhs, rhs, rhs - lhs, lhs <= rhs)
-    return AuditReport((row,), "final-counter")
+    rhs = Fraction(math.comb(n + k - 1, k)) - gen_binom(n - 2 * (k - 1) * delta + k - 1, k)
+    return _final(lp, "simplex", profile, verified, delta, "delta", rhs, "final-counter")
 
 
 def audit_growth_parallel(
@@ -320,18 +326,13 @@ def audit_growth_parallel(
     The guaranteed increment is ceil(9k/10) * ((floor(n/10)+1)**k
     - w 2**k (floor(n/10)+1)**(ceil(9k/10)-1)); when that is negative the
     row falls back to the unconditional Phi_{t+1} >= Phi_t."""
-    _check_parallel_audit(lp, profile)
-    prof = profile if profile is not None else profile_parallel(lp)
-    n, k = lp.p.n, lp.dims
-    side = n // 10 + 1
-    ck = -((-9 * k) // 10)  # ceil(9k/10)
-    formula = ck * (side**k - w * 2**k * side ** (ck - 1))
-    rhs = max(0, formula)
-    rows = []
-    for t in range(n // 10, n):
-        lhs = prof.phi(t + 1) - prof.phi(t)
-        rows.append(AuditRow(t, lhs, rhs, lhs - rhs, lhs >= rhs))
-    return AuditReport(tuple(rows), "growth-parallel")
+    side = lp.p.n // 10 + 1
+
+    def rhs(t, k):
+        ck = -((-9 * k) // 10)  # ceil(9k/10)
+        return max(0, ck * (side**k - w * 2**k * side ** (ck - 1)))
+
+    return _growth(lp, "box", profile, rhs, "growth-parallel")
 
 
 def audit_final_parallel(
@@ -341,14 +342,7 @@ def audit_final_parallel(
 ) -> AuditReport:
     """Single-row check Phi_n <= (floor(n/10)+1)**k * 2kn/3 for programs
     solving the parallel problem at error n/3."""
-    _check_parallel_audit(lp, profile)
-    n, k = lp.p.n, lp.dims
-    if verified is None:
-        verified = verify(lp.p, lp.p.alphabet, Fraction(n, 3)).valid
-    if not verified:
-        raise ValueError("program does not verify at n/3; final audit inapplicable")
-    prof = profile if profile is not None else profile_parallel(lp)
-    lhs = prof.phi(n)
-    rhs = (n // 10 + 1) ** k * Fraction(2 * k * n, 3)
-    row = AuditRow(n, lhs, rhs, rhs - lhs, lhs <= rhs)
-    return AuditReport((row,), "final-parallel")
+    k, t0 = _family(lp, "box", profile)
+    n = lp.p.n
+    rhs = (t0 + 1) ** k * Fraction(2 * k * n, 3)
+    return _final(lp, "box", profile, verified, Fraction(n, 3), "n/3", rhs, "final-parallel")

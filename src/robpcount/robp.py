@@ -49,6 +49,7 @@ class Alphabet:
     def __post_init__(self):
         if self.kind not in ALPHABET_KINDS:
             raise ValueError(f"unknown alphabet kind {self.kind!r}")
+        object.__setattr__(self, "k", _integer(self.k, "alphabet k"))
         if self.kind == "counter" and self.k < 2:
             raise ValueError("counter alphabet needs k >= 2")
         if self.kind == "parallel" and self.k < 1:

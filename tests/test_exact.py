@@ -5,7 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from robpcount import (
+    audit_final_counter,
+    binary_alphabet,
+    compute_labels,
+    constant_program,
+    exhaustive_verify,
+    rounding_plan,
+    thm_main_feasible,
+    tightness_report,
+    tribes,
+    verify,
+)
+from robpcount.bounds import min_consistent_width
 from robpcount.exact import (
+    as_rational,
     format_rational,
     iroot_floor,
     isqrt_ceil_rational,
@@ -26,6 +40,20 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "x, value",
+    [(3, 3), (-2, -2), (np.int64(7), 7), (Fraction(1, 3), Fraction(1, 3)), ("1/3", Fraction(1, 3))],
+)
+def test_as_rational_takes_exact_numbers(x, value):
+    assert as_rational(x) == value and type(as_rational(x)) is Fraction
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, True, False, np.float64(0.5), np.bool_(True), None, "0.1"])
+def test_as_rational_refuses_floats_and_bools(x):
+    with pytest.raises(ValueError):
+        as_rational(x)
 
 
 @given(st.fractions(max_denominator=10**6))
@@ -120,3 +148,36 @@ def test_rational_table_zero_denominator():
 
 def test_binomial_sanity():
     assert math.comb(5, 2) == 10  # downstream code leans on math.comb
+
+
+# every public entry that reads an error bound delta, as a function of delta
+# alone, with an integer delta it accepts
+DELTA_SITES = {
+    "verify": (lambda d: verify(tribes(100, 4), binary_alphabet(), d).valid, 49),
+    "exhaustive_verify": (
+        lambda d: exhaustive_verify(constant_program(4, Fraction(2)), binary_alphabet(), d),
+        1,
+    ),
+    "audit_final_counter": (
+        lambda d: audit_final_counter(
+            compute_labels(constant_program(6, Fraction(3)), "potential"), d, verified=True
+        ).rows,
+        1,
+    ),
+    "thm_main_feasible": (lambda d: thm_main_feasible(90, 2, 4, d).ruled_out, 30),
+    "min_consistent_width": (lambda d: min_consistent_width(60, 2, d), 1),
+    "tightness_report": (lambda d: tightness_report(1000, 2, delta=d), 12),
+    "rounding_plan": (lambda d: rounding_plan(200, 2, d), 12),
+}
+
+
+@pytest.mark.parametrize("site", list(DELTA_SITES))
+def test_floats_and_bools_never_decide_a_verdict(site):
+    # verify(tribes(100, 4), binary_alphabet(), 0.1) once decided at
+    # 3602879701896397/36028797018963968, and True read as 1
+    run, d = DELTA_SITES[site]
+    for bad in (0.1, True, float(d), np.float64(d)):
+        with pytest.raises(ValueError):
+            run(bad)
+    assert run(d) == run(Fraction(d)) == run(np.int64(d)) == run(str(d))
+    assert run(Fraction(3 * d + 1, 3)) == run(f"{3 * d + 1}/3")

@@ -23,7 +23,7 @@ from robpcount import (
     validate,
     write_robp,
 )
-from robpcount.robp import RationalTable
+from robpcount.robp import Alphabet, RationalTable
 
 
 def test_alphabet_sizes():
@@ -34,6 +34,20 @@ def test_alphabet_sizes():
     assert binary_alphabet().arity == 1
     with pytest.raises(ValueError):
         counter_alphabet(1)
+
+
+@pytest.mark.parametrize(
+    "kind, k", [("counter", 2.5), ("parallel", 2.0), ("parallel", True), ("counter", np.bool_(True))]
+)
+def test_alphabet_refuses_a_k_that_is_not_an_integer(kind, k):
+    # these were taken once, with sizes 2.5 and 4.0 and k=True
+    with pytest.raises(ValueError, match="is not an integer"):
+        Alphabet(kind, k)
+
+
+def test_alphabet_takes_a_numpy_integer_k_as_an_int():
+    alphabet = Alphabet("counter", np.int64(3))
+    assert type(alphabet.k) is int and alphabet == counter_alphabet(3)
 
 
 @pytest.mark.parametrize(
