@@ -104,26 +104,35 @@ LAYER_BOXES(layer_boxes_i16, int16_t, load_row_i16)
 LAYER_BOXES(layer_boxes_i32, int32_t, load_row_i32)
 
 /* Max-paint v over the box [a, b] of the row-major grid with the given
-   strides; idx is scratch of d entries. */
+   strides; idx is scratch of d entries. The box's last two axes form a slab
+   of rows of width cells (one row when d = 1), painted by two plain loops,
+   and the odometer steps over axes d-3 .. 0 only, one slab per step. On
+   layers 80-100 of rounded_counter(100, 4, 10), whose box rows hold 2-8
+   cells and boxes about 120, an odometer step per row painted about 8%
+   slower (2-vCPU x86-64 guest, GCC 12). */
 static void paint_box(int64_t d, const int64_t *a, const int64_t *b, int32_t v,
                       const int64_t *stride, int64_t *idx, int32_t *grid)
 {
     const int64_t width = b[d - 1] - a[d - 1] + 1;
+    const int64_t rows = d > 1 ? b[d - 2] - a[d - 2] + 1 : 1;
+    const int64_t pitch = d > 1 ? stride[d - 2] : 0;
     int64_t off = 0;
     for (int64_t j = 0; j < d; j++) {
         idx[j] = a[j];
         off += a[j] * stride[j];
     }
     for (;;) {
-        int32_t *row = grid + off;
-        /* an unconditional store: a data-dependent branch here
-           mispredicts often and paints about 30% slower */
-        for (int64_t c = 0; c < width; c++) {
-            const int32_t x = row[c];
-            row[c] = x < v ? v : x;
+        for (int64_t r = 0; r < rows; r++) {
+            int32_t *row = grid + off + r * pitch;
+            /* an unconditional store: a data-dependent branch here
+               mispredicts often and paints about 30% slower */
+            for (int64_t c = 0; c < width; c++) {
+                const int32_t x = row[c];
+                row[c] = x < v ? v : x;
+            }
         }
-        /* next row of the box: an odometer over axes d-2 .. 0 */
-        int64_t j = d - 2;
+        /* next slab of the box: an odometer over axes d-3 .. 0 */
+        int64_t j = d - 3;
         while (j >= 0 && idx[j] == b[j]) {
             off -= (b[j] - a[j]) * stride[j];
             idx[j] = a[j];

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import as_rational, kth_root_ceil_scaled
+from .exact import as_integer, as_rational, kth_root_ceil_scaled
 
 
 def gen_binom(x, k: int) -> Fraction:
@@ -62,6 +62,7 @@ def thm_main_feasible(n: int, k: int, w: int, delta) -> BoundReport:
     verdict "ruled_out" means no such program exists.
     """
     delta = as_rational(delta)
+    w = as_integer(w, "w")
     if k < 2 or n < 1 or w < 1:
         raise ValueError("need k >= 2, n >= 1, w >= 1")
     if not 0 <= delta <= Fraction(n, 2 * (k - 1)):
@@ -80,6 +81,7 @@ def lb_small_w(n: int, k: int, w: int) -> Fraction:
     The root is rounded up by < 2**-64, so the returned rational is <= the
     exact expression (never an overestimate) and within 2**-64 of it.
     """
+    w = as_integer(w, "w")
     if k < 2 or n < 1 or w < 1:
         raise ValueError("need k >= 2, n >= 1, w >= 1")
     root = kth_root_ceil_scaled(math.factorial(k) * n * w, k)

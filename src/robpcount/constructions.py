@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import as_rational, isqrt_ceil_rational, isqrt_floor_rational
+from .exact import as_integer, as_rational, isqrt_ceil_rational, isqrt_floor_rational
 from .robp import Alphabet, RationalTable, Robp, binary_alphabet, counter_alphabet
 
 DEFAULT_MAX_WIDTH = 2_000_000
@@ -199,6 +199,7 @@ class TribesPlan:
 
 
 def tribes_plan(n: int, w: int) -> TribesPlan:
+    w = as_integer(w, "w")
     if not (n >= 1 and 3 <= w and 10 * w <= n):
         raise ValueError("tribes needs 3 <= w <= n/10")
     l = isqrt_floor_rational(Fraction(n, w))

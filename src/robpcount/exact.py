@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -36,6 +36,21 @@ def as_rational(x) -> Fraction:
     if isinstance(x, Rational) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError(f"{x!r} is not an exact rational: pass an int, a Fraction or a 'p/q' string")
+
+
+def is_integer(x) -> bool:
+    """x is an integer: an int or a numpy integer (any Integral), and not a
+    bool, which would read as 0 or 1. A plain int, the usual case, skips the
+    slower check against the Integral ABC."""
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
+def as_integer(x, what: str) -> int:
+    """x as an int; ValueError, naming it as what, for anything is_integer
+    refuses: a cast would truncate 2.5 to 2 and read True as 1."""
+    if not is_integer(x):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
 
 
 def format_rational(x: Fraction) -> str:

@@ -19,7 +19,12 @@ Label modes:
              table; the mode only chooses which columns are copied out.
 
 Each layer of the DP is one scatter-min of packed (lo, -hi) rows,
-_kernel.label_step (in C, or in numpy without a C compiler).
+_kernel.label_step (in C, or in numpy without a C compiler). A program
+cannot change, so every DP over it (compute_labels's in either mode, or the
+one verify or minimal_error runs on a program that has none) leaves its last
+layer on the program, read-only. verify, minimal_error and the final audits
+(through verify) share that layer: each program's last label layer is
+computed once for all three.
 """
 
 from __future__ import annotations
@@ -158,6 +163,13 @@ def _label_layers(p: Robp, shifts: np.ndarray):
         yield state
 
 
+def _keep_last_layer(p: Robp, state: np.ndarray) -> None:
+    """Keep the last layer _label_layers yielded for p's own shift table on
+    p, read-only, for _final_labels."""
+    state.flags.writeable = False
+    object.__setattr__(p, "_last_labels", state)
+
+
 def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
     """Labels of every layer; "potential" keeps the first k-1 columns."""
     shifts = _shifts(p)
@@ -174,16 +186,20 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
         hi.append(-state[:, k : k + d])
         # read-only arrays that own their memory: LabeledRobp keeps them uncopied
         lo[-1].flags.writeable = hi[-1].flags.writeable = False
+    _keep_last_layer(p, state)
     return LabeledRobp(p, lo, hi)
 
 
 def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
-    """Full int64 labels of the final layer, holding one layer at a time."""
-    shifts = _shifts(p)
-    d = shifts.shape[1]
-    for state in _label_layers(p, shifts):
-        pass
-    state = state.astype(np.int64)
+    """Full int64 labels of the final layer: from the last layer kept on p,
+    or from a DP run here that holds one layer at a time and keeps it."""
+    _require_valid(p)
+    if p._last_labels is None:
+        for state in _label_layers(p, _shifts(p)):
+            pass
+        _keep_last_layer(p, state)
+    state = p._last_labels.astype(np.int64)
+    d = state.shape[1] // 2
     return state[:, :d], -state[:, d:]
 
 
@@ -240,10 +256,12 @@ def verify(p: Robp, problem: Alphabet, delta) -> VerifyCertificate:
         lo, hi = lo.astype(object), hi.astype(object)
     # halfwidth numerators over per-element denominators
     m = np.maximum(hi * den - num, num - lo * den)
+    # the distinct denominators; on the int64 path each is at most 2**15
+    qs = set(den.flat) if den.dtype == object else np.flatnonzero(np.bincount(den.ravel()))
     max_hw = Fraction(0)
-    for q in np.unique(den):
-        sel = den == q
-        max_hw = max(max_hw, Fraction(int(m[sel].max()), int(q)))
+    for q in qs:
+        mq = m if len(qs) == 1 else m[den == q]
+        max_hw = max(max_hw, Fraction(int(mq.max()), int(q)))
     valid = max_hw <= delta
     worst = None
     if not valid:

@@ -75,9 +75,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from numbers import Integral
 from operator import or_
 from typing import TYPE_CHECKING
+
+from .exact import as_integer, as_rational, is_integer
 
 # The interval search and the brute force are pure Python; numpy and the
 # program modules are imported by the functions that build or run programs,
@@ -102,7 +103,6 @@ def exhaustive_verify(
     program one layer at a time, taking only that position's symbols."""
     import numpy as np
 
-    from .exact import as_rational
     from .labeling import _check_problem, _shifts
     from .robp import _require_valid
 
@@ -148,9 +148,9 @@ def random_robp(n: int, alphabet: Alphabet, w: int, seed: int) -> Robp:
     from .labeling import minimal_error
     from .robp import Robp
 
-    if not _whole(n) or n < 0:
+    if not is_integer(n) or n < 0:
         raise ValueError(f"random_robp needs an integer n >= 0, not {n!r}")
-    if w < 1:
+    if as_integer(w, "w") < 1:
         raise ValueError("w >= 1 required")
     rng = random.Random(seed)
     sizes = [1] + [
@@ -184,12 +184,6 @@ def random_robp(n: int, alphabet: Alphabet, w: int, seed: int) -> Robp:
 Interval = tuple[int, int]
 
 
-def _whole(v) -> bool:
-    """v is an integer and not a bool, which would read as 0 or 1. A plain
-    int, the usual case, skips the slower check against the Integral ABC."""
-    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
-
-
 @dataclass(frozen=True)
 class IntervalSystem:
     """Per-layer antichains of intervals with containment witnesses.
@@ -210,7 +204,7 @@ class IntervalSystem:
         contains its obligation. n, every endpoint and every witness must be
         an int; a bool or a float is refused, not read as one. The tables,
         their rows and the intervals are tuples or lists, each interval a pair."""
-        if not _whole(self.n) or self.n < 0:
+        if not is_integer(self.n) or self.n < 0:
             raise ValueError(f"n must be a nonnegative integer, not {self.n!r}")
         seq, tables = (tuple, list), (self.layers, self.witness0, self.witness1)
         # each table is checked, as a row of tables, before its rows are iterated
@@ -225,14 +219,14 @@ class IntervalSystem:
             raise ValueError(f"need {self.n} witness tuples of each kind")
         for t, layer in enumerate(self.layers):
             for i, (a, b) in enumerate(layer):
-                if not (_whole(a) and _whole(b) and 0 <= a <= b <= t):
+                if not (is_integer(a) and is_integer(b) and 0 <= a <= b <= t):
                     raise ValueError(f"interval [{a},{b}] invalid at layer {t}")
                 if any(j != i and c <= a and b <= d for j, (c, d) in enumerate(layer)):
                     raise ValueError(f"layer {t} is not an antichain")
         for t in range(self.n):
             nxt = self.layers[t + 1]
             for shift, wits in ((0, self.witness0[t]), (1, self.witness1[t])):
-                in_next = all(_whole(j) and 0 <= j < len(nxt) for j in wits)
+                in_next = all(is_integer(j) and 0 <= j < len(nxt) for j in wits)
                 if len(wits) != len(self.layers[t]) or not in_next:
                     raise ValueError(f"layer {t} needs one witness in layer {t + 1} per interval")
                 for i, ((a, b), j) in enumerate(zip(self.layers[t], wits)):
@@ -401,6 +395,7 @@ def frontier(
     Any program induces an interval system of its width, and system_to_robp
     converts systems back, so the system optimum equals the program optimum.
     """
+    w = as_integer(w, "w")
     return _point(_search(n, w, max_n, max_w), n, w)
 
 
@@ -412,6 +407,7 @@ def frontier_column(
     max_w: int = DEFAULT_FRONTIER_W,
 ) -> list[FrontierPoint]:
     """frontier(n, w) for every n = 0..n_max, from one search."""
+    w = as_integer(w, "w")
     layers = _search(n_max, w, max_n, max_w)
     return [_point(layers, n, w) for n in range(n_max + 1)]
 
@@ -494,7 +490,7 @@ def frontier_brute_force(n: int, w: int) -> Fraction:
     same minimal error). The mirror keeps lengths, so the last layer is read
     off the layer n - 1 representatives' tables: each partition's longest
     block, with no set of layer n built."""
-    if w < 1 or n < 0:
+    if as_integer(w, "w") < 1 or n < 0:
         raise ValueError("need n >= 0, w >= 1")
     if n == 0:
         return Fraction(0)

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import _kernel
 from .bounds import gen_binom
-from .exact import as_rational
+from .exact import as_integer, as_rational
 from .labeling import LabeledRobp, verify
 
 DEFAULT_MAX_BOX_CELLS = 40_000_000  # per-layer dense grid cells
@@ -296,6 +296,7 @@ def audit_growth_counter(
 
     Holds unconditionally for every valid program; a failure means the
     labels or the profile are computed wrong."""
+    w = as_integer(w, "w")
     return _growth(
         lp, "simplex", profile, lambda t, k: max(0, math.comb(t + k - 1, k - 1) - w), "growth-counter"
     )
@@ -326,6 +327,7 @@ def audit_growth_parallel(
     The guaranteed increment is ceil(9k/10) * ((floor(n/10)+1)**k
     - w 2**k (floor(n/10)+1)**(ceil(9k/10)-1)); when that is negative the
     row falls back to the unconditional Phi_{t+1} >= Phi_t."""
+    w = as_integer(w, "w")
     side = lp.p.n // 10 + 1
 
     def rhs(t, k):

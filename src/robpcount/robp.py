@@ -8,7 +8,9 @@ by (layer, index); edges are dense per-layer arrays indexed by symbol.
 Programs are immutable after construction and safe to share. validate()
 never raises on malformed candidates -- it reports, because generators and
 parsers routinely produce near-misses that the caller wants described. The
-report is kept on the program, so each program is checked once.
+report is kept on the program, so each program is checked once. So is the
+label DP's last layer (see labeling), which verify, minimal_error and the
+final audits share.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import format_rational, parse_rational
+from .exact import as_integer, format_rational, parse_rational
 
 ALPHABET_KINDS = ("counter", "parallel", "binary")
 _INT32 = np.iinfo(np.int32)
@@ -49,7 +51,7 @@ class Alphabet:
     def __post_init__(self):
         if self.kind not in ALPHABET_KINDS:
             raise ValueError(f"unknown alphabet kind {self.kind!r}")
-        object.__setattr__(self, "k", _integer(self.k, "alphabet k"))
+        object.__setattr__(self, "k", as_integer(self.k, "alphabet k"))
         if self.kind == "counter" and self.k < 2:
             raise ValueError("counter alphabet needs k >= 2")
         if self.kind == "parallel" and self.k < 1:
@@ -124,7 +126,7 @@ class RationalTable:
             num = num.astype(object)
         if num.dtype == object or den.dtype == object:
             pairs = [
-                [Fraction(_integer(p, "table cell"), _integer(q, "table cell"))
+                [Fraction(as_integer(p, "table cell"), as_integer(q, "table cell"))
                  for p, q in zip(nrow, drow)]
                 for nrow, drow in zip(num, den)
             ]
@@ -203,14 +205,6 @@ class RationalTable:
         return f"RationalTable(shape={self.num.shape})"
 
 
-def _integer(v, what: str = "edge target") -> int:
-    """v as an int; ValueError for anything but an integer, since a cast
-    would truncate 1.9 to 1 and read a bool as 0 or 1."""
-    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{what} {v!r} is not an integer")
-    return int(v)
-
-
 def _frozen(a: np.ndarray) -> bool:
     """No array can write a's memory: a and every array it views are
     read-only, and the last of them owns the memory."""
@@ -241,7 +235,7 @@ def _edge_array(rows, n_symbols: int):
             arr = np.array(rows, dtype=np.int32, order="C")
             arr.flags.writeable = False
             return arr
-    rows = [[v if type(v) is int else _integer(v) for v in r] for r in rows]
+    rows = [[v if type(v) is int else as_integer(v, "edge target") for v in r] for r in rows]
     if any(len(r) != n_symbols for r in rows):
         return rows
     try:
@@ -256,7 +250,7 @@ def _edge_array(rows, n_symbols: int):
 class Robp:
     """A read-once branching program. Construct via Robp() or Robp.build()."""
 
-    __slots__ = ("n", "alphabet", "layer_sizes", "edges", "outputs", "_report")
+    __slots__ = ("n", "alphabet", "layer_sizes", "edges", "outputs", "_report", "_last_labels")
 
     def __init__(self, n, alphabet, layer_sizes, edges, outputs):
         sizes = tuple(int(s) for s in layer_sizes)
@@ -266,8 +260,10 @@ class Robp:
                 outputs = RationalTable.from_rows(outputs)
             except ValueError:
                 outputs = tuple(tuple(Fraction(v) for v in row) for row in outputs)
-        # the last slot, _report, holds validate's report once it has run
-        for name, value in zip(self.__slots__, (int(n), alphabet, sizes, edges, outputs, None)):
+        # the last two slots hold validate's report and the label DP's last
+        # layer once each has run; pickling and == ignore them
+        fields = (int(n), alphabet, sizes, edges, outputs, None, None)
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -452,7 +448,7 @@ def evaluate(p: Robp, x: Sequence[int]) -> tuple[tuple[Fraction, ...], list[int]
     cur = 0
     path = [0]
     for t, sym in enumerate(x):
-        sym = _integer(sym, "symbol")
+        sym = as_integer(sym, "symbol")
         if not 0 <= sym < size:
             raise ValueError(f"symbol {sym} out of range at position {t}")
         cur = int(p.edge_array(t)[cur, sym])

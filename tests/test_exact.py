@@ -7,18 +7,28 @@ from hypothesis import example, given, strategies as st
 
 from robpcount import (
     audit_final_counter,
+    audit_growth_counter,
+    audit_growth_parallel,
     binary_alphabet,
     compute_labels,
     constant_program,
     exhaustive_verify,
+    frontier,
+    frontier_brute_force,
+    frontier_column,
+    lb_small_w,
+    parallel_alphabet,
+    random_robp,
     rounding_plan,
     thm_main_feasible,
     tightness_report,
     tribes,
+    tribes_plan,
     verify,
 )
 from robpcount.bounds import min_consistent_width
 from robpcount.exact import (
+    as_integer,
     as_rational,
     format_rational,
     iroot_floor,
@@ -54,6 +64,46 @@ def test_as_rational_takes_exact_numbers(x, value):
 def test_as_rational_refuses_floats_and_bools(x):
     with pytest.raises(ValueError):
         as_rational(x)
+
+
+@pytest.mark.parametrize("x", [3, 0, -2, np.int64(7), np.uint8(5)])
+def test_as_integer_takes_integers(x):
+    assert as_integer(x, "w") == x and type(as_integer(x, "w")) is int
+
+
+@pytest.mark.parametrize("x", [2.0, 0.5, True, False, np.bool_(True), np.float64(3.0), Fraction(2), "2", None])
+def test_as_integer_refuses_all_but_integers(x):
+    with pytest.raises(ValueError, match=r"^w .* is not an integer$"):
+        as_integer(x, "w")
+
+
+def _width_entries():
+    """Each public entry that takes a width w, as a function of w alone."""
+    counter = compute_labels(constant_program(4, 2), "potential")
+    parallel = compute_labels(random_robp(20, parallel_alphabet(2), 3, 2), "full")
+    return {
+        "audit_growth_counter": lambda w: audit_growth_counter(counter, w).rows,
+        "audit_growth_parallel": lambda w: audit_growth_parallel(parallel, w).rows,
+        "thm_main_feasible": lambda w: thm_main_feasible(90, 2, w, 30),
+        "lb_small_w": lambda w: lb_small_w(100, 2, w),
+        "random_robp": lambda w: random_robp(3, binary_alphabet(), w, 0),
+        "frontier": lambda w: frontier(5, w),
+        "frontier_column": lambda w: frontier_column(5, w),
+        "frontier_brute_force": lambda w: frontier_brute_force(3, w),
+        "tribes": lambda w: tribes(100, w),
+        "tribes_plan": lambda w: tribes_plan(100, w),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_width_entries()))
+def test_a_width_that_is_not_an_integer_is_refused(entry):
+    """A float width must not decide a verdict (0.5 passed the counter growth
+    audit with slack 1/2), and a bool must not read as width 1 or 0."""
+    call = _width_entries()[entry]
+    for w in (4.0, 4.5, True, np.bool_(True), Fraction(4)):
+        with pytest.raises(ValueError, match=r"^w .* is not an integer$"):
+            call(w)
+    assert call(np.int64(4)) == call(4)
 
 
 @given(st.fractions(max_denominator=10**6))

@@ -1,6 +1,7 @@
 """The compiled kernels against their numpy references (the painter and the
 label DP step), and their loader."""
 
+import copy
 import math
 import random
 import shutil
@@ -50,12 +51,12 @@ def _both_paths(numpy_kernels):
 
 @st.composite
 def layer_cases(draw):
-    """One layer's labels, int16 or int32 with d from 1 to 4, and the counter
+    """One layer's labels, int16 or int32 with d from 1 to 5, and the counter
     profile's cap (t, also the coordinate-sum limit) or the parallel
     profile's clip (side - 1, no limit): overlaps, nesting, exact
     duplicates, single cells, empty layers and layers with nothing kept,
     at an offset from the origin that passes the int16 range on int32."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
     dtype = draw(st.sampled_from([np.int16, np.int32]))
     offset = draw(st.sampled_from([0, 3] if dtype == np.int16 else [0, 3, 40_000]))
     rows = []
@@ -81,6 +82,25 @@ def layer_cases(draw):
 )
 @example(  # one box over its whole grid, capped inside it
     (np.array([[2, 0]], np.int32), np.array([[4, 3]], np.int32), 4, None, 4)
+)
+# the C painter paints a box's last two axes as one slab (one row at d = 1)
+# per odometer step over the axes before them: overlapping boxes several
+# cells wide on every axis, at each d
+@example((np.array([[0], [2]], np.int16), np.array([[3], [5]], np.int16), 4, None, 4))
+@example(
+    (np.array([[0, 1, 0], [1, 0, 2]], np.int32), np.array([[2, 3, 4], [3, 2, 3]], np.int32), None, 3, None)
+)
+@example(
+    (np.array([[0, 0, 1, 0], [1, 1, 0, 2]], np.int16), np.array([[2, 1, 3, 2], [2, 3, 2, 4]], np.int16), 9, None, 9)
+)
+@example(
+    (
+        np.array([[0, 1, 0, 1, 0], [1, 0, 2, 0, 1]], np.int32),
+        np.array([[1, 2, 2, 3, 4], [2, 2, 3, 2, 3]], np.int32),
+        None,
+        2,
+        None,
+    )
 )
 @settings(max_examples=400, deadline=None)
 def test_kernel_paints_and_sums_like_numpy(case):
@@ -344,7 +364,9 @@ def test_label_step_equals_the_numpy_dp(numpy_kernels):
     finals = [(verify(p, p.alphabet, 1), minimal_error(p, p.alphabet)) for p, _ in cases]
     numpy_kernels()
     assert [_layers(p, shifts) for p, shifts in cases] == fast
-    assert [(verify(p, p.alphabet, 1), minimal_error(p, p.alphabet)) for p, _ in cases] == finals
+    # fresh copies, which do not carry the last layer the C DP kept
+    copies = [copy.copy(p) for p, _ in cases]
+    assert [(verify(p, p.alphabet, 1), minimal_error(p, p.alphabet)) for p in copies] == finals
 
 
 def test_label_step_equals_the_numpy_dp_on_int32_labels(numpy_kernels):
@@ -405,9 +427,11 @@ def test_no_compiler_runs_the_numpy_label_dp(monkeypatch, tmp_path):
     problem = p.alphabet
 
     def results():
-        full, pot = compute_labels(p, "full"), compute_labels(p, "potential")
+        # each call on its own copy: a program keeps its DP's last layer, and
+        # verify and minimal_error run no DP on a program that has one
+        full, pot = compute_labels(copy.copy(p), "full"), compute_labels(copy.copy(p), "potential")
         labels = [[a.tobytes() for a in lp.lo + lp.hi] for lp in (full, pot)]
-        return labels, verify(p, problem, 1), minimal_error(p, problem)
+        return labels, verify(copy.copy(p), problem, 1), minimal_error(copy.copy(p), problem)
 
     expected = results()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -1,7 +1,11 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,3 +382,123 @@ def test_consumers_refuse_an_invalid_program(p, violation):
     for consume in consumers:
         with pytest.raises(ValueError, match=f"program is invalid: .*{violation}"):
             consume()
+
+
+def _shared_pass_programs():
+    """Every construction, and seeded random programs over the binary,
+    counter and parallel alphabets."""
+    yield "exact_counter", lambda: exact_counter(6, 3)
+    yield "constant_program", lambda: constant_program(5, Fraction(5, 2))
+    yield "tribes", lambda: tribes(100, 4)
+    yield "tribes-optimal", lambda: tribes(100, 4, "optimal")
+    yield "rounded_counter", lambda: rounded_counter(100, 3, 10)
+    problems = [binary_alphabet(), counter_alphabet(2), counter_alphabet(3), parallel_alphabet(2)]
+    for seed in range(8):
+        problem = problems[seed % 4]
+        yield (
+            f"random-{problem.kind}{problem.k}-{seed}",
+            lambda problem=problem, seed=seed: random_robp(3 + seed, problem, 1 + seed % 5, seed),
+        )
+
+
+@pytest.mark.parametrize("build", [b for _, b in _shared_pass_programs()],
+                         ids=[name for name, _ in _shared_pass_programs()])
+def test_verify_and_minimal_error_read_the_shared_last_layer_as_a_fresh_program(build):
+    """After compute_labels in either mode or an earlier verify, a program
+    keeps its DP's last layer; verify (at deltas that pass and that fail) and
+    minimal_error must give exactly what a fresh program, which runs the DP
+    for each call, gives."""
+    problem = build().alphabet
+    best = minimal_error(build(), problem)[0]
+    widest = verify(build(), problem, 0).max_halfwidth
+    deltas = sorted({Fraction(0), best / 2, best, widest / 3, widest, widest + 1})
+    expected = [verify(build(), problem, d) for d in deltas], minimal_error(build(), problem)
+    assert any(c.valid for c in expected[0]) and (widest == 0 or any(c.worst for c in expected[0]))
+    preludes = {
+        "fresh": lambda p: None,
+        "full labels": lambda p: compute_labels(p, "full"),
+        "potential labels": lambda p: compute_labels(p, "potential"),
+        "verify": lambda p: verify(p, problem, 1),
+    }
+    if problem.kind == "parallel":
+        del preludes["potential labels"]
+    for name, prelude in preludes.items():
+        p = build()
+        prelude(p)
+        assert (p._last_labels is None) == (name == "fresh")
+        got = [verify(p, problem, d) for d in deltas], minimal_error(p, problem)
+        assert got == expected, name
+        assert not p._last_labels.flags.writeable
+
+
+def test_a_kept_last_layer_runs_no_dp_and_is_not_pickled(monkeypatch):
+    from robpcount import _kernel
+
+    p, fresh = random_robp(9, counter_alphabet(3), 4, 1), random_robp(9, counter_alphabet(3), 4, 1)
+    problem = p.alphabet
+    compute_labels(p, "potential")
+    kept = p._last_labels
+    steps = []
+    label_step = _kernel.label_step
+    monkeypatch.setattr(_kernel, "label_step", lambda *a: steps.append(1) or label_step(*a))
+    verify(p, problem, 1), minimal_error(p, problem)
+    assert steps == [] and p._last_labels is kept
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy._last_labels is None and copy == p == fresh
+    assert pickle.dumps(p) == pickle.dumps(fresh)
+    minimal_error(copy, problem)
+    assert len(steps) == p.n and np.array_equal(copy._last_labels, kept)
+
+
+def _reference_halfwidth(p):
+    """verify's max_halfwidth and first worst cell (row-major), comparing
+    every output cell with its label ends as a Fraction."""
+    lp = compute_labels(p, "full")
+    lo, hi = lp.lo[-1].tolist(), lp.hi[-1].tolist()
+    cells = [
+        ((v, j), max(Fraction(hi[v][j]) - out, out - Fraction(lo[v][j])))
+        for v, row in enumerate(p.output_rows())
+        for j, out in enumerate(row)
+    ]
+    widest = max(h for _, h in cells)
+    return widest, next(cell for cell, h in cells if h == widest)
+
+
+@pytest.mark.parametrize("denominators", [(2, 3, 7), (2**15 + 3, 3, 1)], ids=["int64", "object"])
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_takes_the_widest_halfwidth_over_mixed_denominators(denominators, seed):
+    rng = random.Random(seed)
+    base = random_robp(6, counter_alphabet(3), 4, seed)
+    outputs = [
+        tuple(
+            Fraction(5, 7) if rng.random() < 0.2 else Fraction(rng.randint(0, 12), rng.choice(denominators))
+            for _ in range(3)
+        )
+        for _ in range(base.layer_sizes[-1])
+    ]
+    outputs[0] = (Fraction(1, denominators[0]), Fraction(1, 3), Fraction(5, 7))
+    p = Robp(base.n, base.alphabet, base.layer_sizes, base.edges, outputs)
+    big = max(f.denominator for row in outputs for f in row) > 2**15
+    assert big == (denominators[0] > 2**15)
+    widest, (v, j) = _reference_halfwidth(p)
+    for delta in (Fraction(0), widest / 2, widest - Fraction(1, 11), widest):
+        cert = verify(p, p.alphabet, delta)
+        assert cert.max_halfwidth == widest and cert.valid == (widest <= delta)
+        assert cert.worst == (None if cert.valid else (v, j, widest - delta))
+
+
+def test_verify_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma on its first call, 13-17 ms of every fresh
+    verify, audit and fuzz process; verify takes its denominators from a
+    bincount instead."""
+    code = (
+        "import sys; import robpcount as rc\n"
+        "p = rc.exact_counter(4, 2)\n"
+        "assert rc.verify(p, p.alphabet, 0).valid\n"
+        "assert rc.verify(p, p.alphabet, 0).valid\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
