@@ -1,21 +1,23 @@
 """The kernels behind the potential profiles and the label DP.
 
 layer_boxes and layer_paint measure, then paint and sum, one layer of a
-potential profile, and label_step runs one layer of the label DP. Each
-checks its arguments, then runs the C source below if its library loaded,
-and otherwise the same computation in numpy (_boxes_numpy,
-_paint_layer_numpy, _step_numpy; also the references the tests compare the
-C code against). Both paths give identical results, so callers never ask
-which one ran.
+potential profile. label_step runs one layer of the label DP, and
+label_split copies that layer's lo and hi columns out of its packed rows.
+reach_mark runs one layer of validate's reachability scan. Each checks its
+arguments, then runs the C source below if its library loaded, and
+otherwise the same computation in numpy (_boxes_numpy, _paint_layer_numpy,
+_step_numpy, _split_numpy, _mark_numpy; also the references the tests
+compare the C code against). Both paths give identical results, so callers
+never ask which one ran.
 
-The C source holds the three kernels, each in an int16 and an int32 body
-for the two label dtypes. It is compiled once per machine with the system
-C compiler (`cc`) into $XDG_CACHE_HOME/robpcount/ (default
-~/.cache/robpcount/) and loaded with ctypes, once per process; ctypes
-releases the GIL while a kernel runs, so layers can be painted on several
-threads at once. The library's file name is a 64-bit checksum of the
-source, the compile command and the machine type, so a cache hit costs a
-stat and a dlopen. When no compiler is found, the compile fails or the
+The C source holds the five kernels; the four that read labels each have
+an int16 and an int32 body for the two label dtypes. It is compiled once
+per machine with the system C compiler (`cc`) into
+$XDG_CACHE_HOME/robpcount/ (default ~/.cache/robpcount/) and loaded with
+ctypes, once per process; ctypes releases the GIL while a kernel runs, so
+layers can be painted on several threads at once. The library's file name
+is a 64-bit checksum of the source, the compile command and the machine
+type, so a cache hit costs a stat and a dlopen. When no compiler is found, the compile fails or the
 cache cannot be written, library() returns None.
 """
 
@@ -245,6 +247,62 @@ void NAME(int64_t vertices, int64_t symbols, int64_t cols,                  \
 
 LABEL_STEP(label_step_i16, int16_t)
 LABEL_STEP(label_step_i32, int32_t)
+
+/* A packed label layer's first d lo columns and its first d hi columns:
+   row u of state holds 2k entries, lo then -hi, and row u of lo and hi gets
+   d entries each. The caller guarantees d <= k. */
+#define LABEL_SPLIT(NAME, T)                                                \
+void NAME(int64_t vertices, int64_t k, int64_t d, const T *restrict state,  \
+          T *restrict lo, T *restrict hi)                                   \
+{                                                                           \
+    for (int64_t u = 0; u < vertices; u++) {                                \
+        const T *s = state + u * 2 * k;                                     \
+        for (int64_t j = 0; j < d; j++) {                                   \
+            lo[u * d + j] = s[j];                                           \
+            hi[u * d + j] = (T)-s[k + j];                                   \
+        }                                                                   \
+    }                                                                       \
+}
+
+LABEL_SPLIT(label_split_i16, int16_t)
+LABEL_SPLIT(label_split_i32, int32_t)
+
+/* One step of validate's reachability scan: nxt[v] = 1 when some vertex
+   u < vertices with reached[u] has an edge (one per symbol) into v, else 0.
+   Returns how many of the size vertices of nxt are marked, or -1 when an
+   edge target lies outside [0, size), before anything is written. */
+int64_t reach_mark(int64_t vertices, int64_t symbols,
+                   const int32_t *restrict edges,
+                   const uint8_t *restrict reached, int64_t size,
+                   uint8_t *restrict nxt)
+{
+    /* one unsigned compare per target also refuses a negative one; this
+       or-reduction ran about 2x faster than a min/max one at -O3 on
+       x86-64's baseline SSE2, which has no packed int32 min or max */
+    const uint32_t limit = size > INT32_MAX ? (uint32_t)INT32_MAX + 1 : (uint32_t)size;
+    uint32_t outside = 0;
+    for (int64_t i = 0; i < vertices * symbols; i++)
+        outside |= (uint32_t)edges[i] >= limit;
+    if (outside)
+        return -1;
+    for (int64_t v = 0; v < size; v++)
+        nxt[v] = 0;
+    /* mark run by run of reached vertices, as one flat loop over their edge
+       rows: about 2x faster than a loop per vertex when all are reached */
+    for (int64_t u = 0; u < vertices;) {
+        while (u < vertices && !reached[u])
+            u++;
+        const int64_t first = u * symbols;
+        while (u < vertices && reached[u])
+            u++;
+        for (int64_t i = first; i < u * symbols; i++)
+            nxt[edges[i]] = 1;
+    }
+    int64_t marked = 0;
+    for (int64_t v = 0; v < size; v++)
+        marked += nxt[v];
+    return marked;
+}
 """
 
 # a cap, clip or t of None: above every label sum, and far enough inside
@@ -472,6 +530,87 @@ def _step_numpy(state, edges, shifts2, nxt) -> None:
             np.minimum.at(nxt, tgt, cand)
 
 
+def label_split(state, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A packed label layer's first d lo and first d hi columns, as two
+    fresh C-contiguous arrays of state's dtype: state holds 2k columns, lo
+    then -hi, as label_step leaves them.
+
+    The arguments are checked for what the C code relies on, then the C
+    code runs, or _split_numpy without a library."""
+    if not (
+        isinstance(state, np.ndarray)
+        and state.ndim == 2
+        and state.flags.c_contiguous
+        and state.dtype in (np.int16, np.int32)
+    ):
+        raise ValueError("label split needs a 2-d C-contiguous int16 or int32 layer")
+    vertices, cols = state.shape
+    k = cols // 2
+    if cols % 2 or not 0 <= d <= k:
+        raise ValueError("label split needs 2k columns and 0 <= d <= k")
+    lib = library()
+    if lib is None:
+        return _split_numpy(state, d)
+    lo = np.empty((vertices, d), dtype=state.dtype)
+    hi = np.empty((vertices, d), dtype=state.dtype)
+    fn = lib.label_split_i16 if state.dtype == np.int16 else lib.label_split_i32
+    fn(vertices, k, d, state.ctypes.data, lo.ctypes.data, hi.ctypes.data)
+    return lo, hi
+
+
+def _split_numpy(state, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """label_split in numpy, on the arguments label_split has checked: the
+    fallback without a C library, and the reference the tests compare the C
+    code against."""
+    k = state.shape[1] // 2
+    return state[:, :d].copy(), -state[:, k : k + d]
+
+
+_OUTSIDE_NEXT = "reach mark needs every edge target inside the next layer"
+
+
+def reach_mark(edges, reached, nxt) -> int:
+    """One step of validate's reachability scan: nxt[v] becomes True when
+    some vertex u with reached[u] has an edge edges[u, z] == v, and False
+    otherwise. Returns how many vertices of nxt are marked.
+
+    An edge target outside nxt raises ValueError before nxt is written. The
+    other arguments are checked for what the C code relies on, then the C
+    code runs, or _mark_numpy without a library."""
+    if not (
+        isinstance(edges, np.ndarray)
+        and edges.dtype == np.int32
+        and edges.ndim == 2
+        and edges.flags.c_contiguous
+    ):
+        raise ValueError("reach mark needs 2-d C-contiguous int32 edges")
+    if not all(
+        isinstance(a, np.ndarray) and a.dtype == np.bool_ and a.ndim == 1 and a.flags.c_contiguous
+        for a in (reached, nxt)
+    ) or len(reached) != len(edges) or not nxt.flags.writeable:
+        raise ValueError("reach mark needs flat bool reached, one per edge row, and a writeable nxt")
+    lib = library()
+    if lib is None:
+        return _mark_numpy(edges, reached, nxt)
+    marked = lib.reach_mark(*edges.shape, edges.ctypes.data, reached.ctypes.data, len(nxt),
+                            nxt.ctypes.data)
+    if marked < 0:
+        raise ValueError(_OUTSIDE_NEXT)
+    return marked
+
+
+def _mark_numpy(edges, reached, nxt) -> int:
+    """reach_mark in numpy, on the arguments reach_mark has checked: the
+    fallback without a C library, and the reference the tests compare the C
+    code against."""
+    if edges.size and (edges.min() < 0 or edges.max() >= len(nxt)):
+        raise ValueError(_OUTSIDE_NEXT)
+    nxt.fill(False)
+    # the mask gather copies edges; skip it when nothing is masked
+    nxt[edges if reached.all() else edges[reached]] = True
+    return int(np.count_nonzero(nxt))
+
+
 def cache_dir() -> str | None:
     """$XDG_CACHE_HOME/robpcount, or ~/.cache/robpcount; None when neither
     gives an absolute path (a relative XDG_CACHE_HOME is ignored)."""
@@ -535,9 +674,16 @@ def load_library():
         boxes = (lib.layer_boxes_i16, lib.layer_boxes_i32)
         paints = (lib.layer_paint_i16, lib.layer_paint_i32)
         steps = (lib.label_step_i16, lib.label_step_i32)
+        splits = (lib.label_split_i16, lib.label_split_i32)
+        mark = lib.reach_mark
     except (OSError, AttributeError):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    for fn in splits:
+        fn.argtypes = [i64, i64, i64, ptr, ptr, ptr]
+        fn.restype = None
+    mark.argtypes = [i64, i64, ptr, ptr, i64, ptr]
+    mark.restype = i64
     for fn in boxes:
         fn.argtypes = [i64, i64, ptr, ptr, i64, i64, ptr, ptr, ptr]
         fn.restype = i64

@@ -265,7 +265,7 @@ def tribes(n: int, w: int, outputs: str = "symmetric") -> Robp:
         from .labeling import minimal_error
 
         _, best = minimal_error(p, binary_alphabet())
-        p = Robp.build(binary_alphabet(), edges, best)
+        p = p._with_outputs(best)
     return p
 
 

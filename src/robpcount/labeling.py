@@ -19,12 +19,19 @@ Label modes:
              table; the mode only chooses which columns are copied out.
 
 Each layer of the DP is one scatter-min of packed (lo, -hi) rows,
-_kernel.label_step (in C, or in numpy without a C compiler). A program
-cannot change, so every DP over it (compute_labels's in either mode, or the
-one verify or minimal_error runs on a program that has none) leaves its last
-layer on the program, read-only. verify, minimal_error and the final audits
-(through verify) share that layer: each program's last label layer is
-computed once for all three.
+_kernel.label_step (in C, or in numpy without a C compiler). Labels leave
+the DP in two ways:
+  - compute_labels copies each layer's lo and hi columns out with
+    _kernel.label_split right after its step, while the packed layer is
+    still in cache, into two fresh arrays per layer.
+  - A program cannot change, so every DP over it (compute_labels's in
+    either mode, or the one verify or minimal_error runs on a program that
+    has none) leaves its last packed layer on the program, read-only.
+    verify, minimal_error and the final audits (through verify) read that
+    layer, so each program's last label layer is computed once for all
+    three, and a program rebuilt with other outputs on the same edges
+    (Robp._with_outputs) takes it along. minimal_error writes its midpoint
+    table from it directly in lowest terms.
 """
 
 from __future__ import annotations
@@ -173,7 +180,7 @@ def _keep_last_layer(p: Robp, state: np.ndarray) -> None:
 def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
     """Labels of every layer; "potential" keeps the first k-1 columns."""
     shifts = _shifts(p)
-    k = d = shifts.shape[1]
+    d = shifts.shape[1]
     if mode == "potential":
         if p.alphabet.kind == "parallel":
             raise ValueError("parallel programs have only the full labeling")
@@ -182,10 +189,12 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
         raise ValueError(f"unknown label mode {mode!r}")
     lo, hi = [], []
     for state in _label_layers(p, shifts):
-        lo.append(state[:, :d].copy())
-        hi.append(-state[:, k : k + d])
-        # read-only arrays that own their memory: LabeledRobp keeps them uncopied
-        lo[-1].flags.writeable = hi[-1].flags.writeable = False
+        # copied out while the layer is in cache; LabeledRobp keeps these
+        # read-only arrays, which own their memory, uncopied
+        a, b = _kernel.label_split(state, d)
+        a.flags.writeable = b.flags.writeable = False
+        lo.append(a)
+        hi.append(b)
     _keep_last_layer(p, state)
     return LabeledRobp(p, lo, hi)
 
@@ -227,6 +236,8 @@ class VerifyCertificate:
 
 
 def _check_problem(p: Robp, problem: Alphabet):
+    if not isinstance(problem, Alphabet):
+        raise ValueError(f"problem must be an Alphabet, not {type(problem).__name__}")
     if p.alphabet != problem:
         raise ValueError(
             f"program alphabet {p.alphabet.kind}/{p.alphabet.k} does not match "
@@ -279,4 +290,8 @@ def minimal_error(p: Robp, problem: Alphabet):
     lo, hi = _final_labels(p)
     length = (hi - lo).max() if lo.size else 0
     delta_star = Fraction(int(length), 2)
-    return delta_star, RationalTable(lo + hi, np.full(lo.shape, 2))
+    # (lo + hi) / 2 in lowest terms: s >> 1 over 1 for an even s, s over 2
+    # for an odd one (labels are nonnegative, so s >= 0)
+    s = lo + hi
+    den = (s & 1) + 1
+    return delta_star, RationalTable._reduced(s >> (2 - den), den)

@@ -174,7 +174,7 @@ def random_robp(n: int, alphabet: Alphabet, w: int, seed: int) -> Robp:
     placeholder = [(Fraction(0),) * alphabet.arity] * sizes[n]
     p = Robp.build(alphabet, edges, placeholder)
     _, midpoints = minimal_error(p, alphabet)
-    return Robp.build(alphabet, edges, midpoints)
+    return p._with_outputs(midpoints)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,18 @@ class RationalTable:
         return RationalTable, (self.num, self.den)
 
     @classmethod
+    def _reduced(cls, num: np.ndarray, den: np.ndarray) -> "RationalTable":
+        """A table of int64 num and den arrays that the caller built already
+        in lowest terms with positive denominators, kept as given, without
+        the constructor's normalizing passes. The arrays are made read-only,
+        so the caller must hold no other reference that writes them."""
+        table = object.__new__(cls)
+        for name, a in (("num", num), ("den", den)):
+            a.flags.writeable = False
+            object.__setattr__(table, name, a)
+        return table
+
+    @classmethod
     def from_rows(cls, rows) -> "RationalTable":
         rows = [tuple(Fraction(v) for v in row) for row in rows]
         if not rows:
@@ -274,6 +286,14 @@ class Robp:
     def __reduce__(self):
         return Robp, (self.n, self.alphabet, self.layer_sizes, self.edges, self.outputs)
 
+    def _with_outputs(self, outputs) -> "Robp":
+        """This program's edges with other outputs. The label DP reads only
+        the edges, so a kept last label layer carries over; validate's
+        report, which also checks the outputs, does not."""
+        p = Robp(self.n, self.alphabet, self.layer_sizes, self.edges, outputs)
+        object.__setattr__(p, "_last_labels", self._last_labels)
+        return p
+
     @classmethod
     def build(cls, alphabet: Alphabet, edges: Sequence, outputs) -> "Robp":
         """Derive n and layer sizes from the edge/output lists."""
@@ -349,6 +369,11 @@ def validate(p: Robp) -> ValidationReport:
     every final vertex. Vertex -1 marks layer-level findings. The report is
     kept on p, which cannot change, unless p holds list rows (ragged outputs
     are tuples of tuples, which cannot change either).
+
+    Reachability is scanned forward one layer at a time by
+    _kernel.reach_mark (in C, or in numpy without a C compiler), which also
+    counts the vertices it marks; only a layer with fewer marked vertices
+    than its size is searched for the unreachable ones.
     """
     if p._report is None and all(isinstance(rows, np.ndarray) for rows in p.edges):
         object.__setattr__(p, "_report", _build_report(p))
@@ -408,24 +433,27 @@ def _build_report(p: Robp) -> ValidationReport:
     if targets_ok and len(p.edges) == p.n and len(sizes) == p.n + 1 and all(
         len(p.edges[t]) == sizes[t] for t in range(p.n)
     ) and len(p.outputs) == sizes[-1]:
+        from ._kernel import reach_mark
+
+        # reached marks the vertices of layer t, marked counts them
         reached = np.zeros(sizes[0], dtype=bool)
-        if sizes[0] > 0:
-            reached[0] = True
-        for t in range(p.n):
-            for u in np.nonzero(~reached)[0]:
-                v.append((t, int(u), "unreachable"))
+        reached[:1] = True
+        marked = min(sizes[0], 1)
+        for t in range(p.n + 1):
+            if marked < sizes[t]:
+                v.extend((t, int(u), "unreachable") for u in np.flatnonzero(~reached))
+            if t == p.n:
+                break
             rows = p.edges[t]
             nxt = np.zeros(sizes[t + 1], dtype=bool)
             if isinstance(rows, np.ndarray):
-                # the mask gather copies rows; skip it when nothing is masked
-                nxt[rows if reached.all() else rows[reached]] = True
+                marked = reach_mark(rows, reached, nxt)
             else:
-                for u in np.nonzero(reached)[0]:
+                for u in np.flatnonzero(reached):
                     for z in rows[u]:
                         nxt[z] = True
+                marked = int(np.count_nonzero(nxt))
             reached = nxt
-        for u in np.nonzero(~reached)[0]:
-            v.append((p.n, int(u), "unreachable"))
 
     width = max(sizes) if sizes else 0
     return ValidationReport(valid=not v, width=width, layer_sizes=sizes, violations=tuple(v))

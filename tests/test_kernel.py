@@ -1,5 +1,6 @@
-"""The compiled kernels against their numpy references (the painter and the
-label DP step), and their loader."""
+"""The compiled kernels against their numpy references (the painter, the
+label DP step, the label copy-out and validate's reachability step), and
+their loader."""
 
 import copy
 import math
@@ -21,15 +22,21 @@ from robpcount import (
     compute_labels,
     constant_program,
     counter_alphabet,
+    exact_counter,
+    frontier,
     minimal_error,
     parallel_alphabet,
     profile_counter,
     profile_parallel,
     random_robp,
     rounded_counter,
+    system_to_robp,
+    tribes,
     verify,
 )
 from robpcount import _kernel, labeling
+from robpcount import robp as robp_module
+from robpcount.robp import RationalTable
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 REPO = Path(__file__).resolve().parents[1]
@@ -398,8 +405,8 @@ def test_label_step_guards_reject_what_the_c_code_cannot_take(numpy_kernels):
             (state, edges, np.zeros((2, 4), np.int16), nxt),  # columns differ
             (state[:, :1].copy(), edges, shifts2[:, :1].copy(), nxt),  # odd columns
             (state, edges[:, :1].copy(), shifts2, nxt),  # one edge column per symbol
-            (state, edges - [[1, 0], [0, 0]], shifts2, nxt),  # negative target
-            (state, edges + [[0, 0], [0, 1]], shifts2, nxt),  # target past the next layer
+            (state, np.array([[-1, 1], [1, 2]], np.int32), shifts2, nxt),  # negative target
+            (state, np.array([[0, 1], [1, 3]], np.int32), shifts2, nxt),  # past the next layer
             (state[0], edges, shifts2, nxt),  # not 2-d
         ]
         for args in bad:
@@ -444,3 +451,205 @@ def test_no_compiler_runs_the_numpy_label_dp(monkeypatch, tmp_path):
     assert results() == expected
     assert len(calls) == 4 * p.n  # two label modes, verify and minimal_error
     assert list(tmp_path.rglob("*.so")) == []
+
+
+def _label_split_cases():
+    """Packed int16 and int32 layers with 2k columns (k of 1 to 4, and 9)
+    and 0, 1 or 7 rows, with every d from 0 to k: values across each
+    dtype's range but for its minimum, whose negation wraps."""
+    rng = np.random.default_rng(8)
+    for dtype in (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        for k in (1, 2, 3, 4, 9):
+            for vertices in (0, 1, 7):
+                state = rng.integers(info.min + 1, info.max, (vertices, 2 * k), dtype=dtype)
+                for d in range(k + 1):
+                    yield state, d
+
+
+def test_label_split_equals_the_old_slicing(numpy_kernels):
+    for path in _both_paths(numpy_kernels):
+        for state, d in _label_split_cases():
+            k = state.shape[1] // 2
+            lo, hi = _kernel.label_split(state, d)
+            for got, want in ((lo, state[:, :d].copy()), (hi, -state[:, k : k + d])):
+                assert got.dtype == want.dtype and got.shape == want.shape, path
+                assert got.flags.c_contiguous and got.flags.owndata, path
+                assert np.array_equal(got, want), path
+
+
+def test_label_split_guards_reject_what_the_c_code_cannot_take(numpy_kernels):
+    state = np.array([[1, 2, -3, -4], [5, 6, -7, -8]], dtype=np.int16)
+    for path in _both_paths(numpy_kernels):
+        bad = [
+            (state.astype(np.int64), 1),  # not int16 or int32
+            (state[:, :3].copy(), 1),  # odd columns
+            (np.asfortranarray(state), 1),  # strided
+            (state[0], 1),  # not 2-d
+            (state, 3),  # d > k
+            (state, -1),
+        ]
+        for args in bad:
+            with pytest.raises(ValueError, match="label split"):
+                _kernel.label_split(*args)
+        lo, hi = _kernel.label_split(state, 2)
+        assert lo.tolist() == [[1, 2], [5, 6]] and hi.tolist() == [[3, 4], [7, 8]], path
+
+
+def _programs():
+    """Every construction, a frontier witness, and seeded counter, parallel
+    and binary random_robp programs."""
+    programs = [
+        exact_counter(6, 3),
+        constant_program(5, Fraction(5, 2)),
+        tribes(100, 4),
+        tribes(100, 4, "optimal"),
+        rounded_counter(100, 3, 10),
+        system_to_robp(frontier(9, 3).witness),
+    ]
+    rng = random.Random(17)
+    problems = [counter_alphabet(2), counter_alphabet(3), parallel_alphabet(2), binary_alphabet()]
+    for seed in range(24):
+        problem = problems[seed % 4]
+        programs.append(random_robp(rng.randint(1, 12), problem, rng.randint(1, 6), seed))
+    return programs
+
+
+def test_compute_labels_equal_the_old_slicing_on_both_paths(numpy_kernels):
+    programs = _programs()
+    results = []
+    for path in _both_paths(numpy_kernels):
+        result = []
+        for p in programs:
+            shifts = p.alphabet.shifts
+            k = shifts.shape[1]
+            layers = list(labeling._label_layers(p, shifts))
+            modes = ["full"] if p.alphabet.kind == "parallel" else ["full", "potential"]
+            for mode in modes:
+                d = k if mode == "full" else labeling._potential_k(p.alphabet) - 1
+                lp = compute_labels(copy.copy(p), mode)
+                assert [a.tobytes() for a in lp.lo] == [s[:, :d].tobytes() for s in layers], path
+                assert [a.tobytes() for a in lp.hi] == [(-s[:, k : k + d]).tobytes() for s in layers]
+                assert all(a.dtype == layers[0].dtype and a.shape[1] == d for a in lp.lo + lp.hi)
+                result.append([(a.dtype, a.shape, a.tobytes()) for a in lp.lo + lp.hi])
+        results.append(result)
+    assert all(r == results[0] for r in results)
+
+
+def _edited(p, rng):
+    """p with one vertex of a random layer made unreachable (every edge into
+    it redirected to its neighbour), and p with one target past the next
+    layer and one negative."""
+    layers = [t for t in range(1, p.n + 1) if p.layer_sizes[t] > 1]
+    if layers:
+        t = rng.choice(layers)
+        v = rng.randrange(p.layer_sizes[t])
+        edges = [np.array(e) for e in p.edges]
+        edges[t - 1][edges[t - 1] == v] = (v + 1) % p.layer_sizes[t]
+        yield Robp(p.n, p.alphabet, p.layer_sizes, edges, p.outputs)
+    if p.n:
+        edges = [np.array(e) for e in p.edges]
+        t = rng.randrange(p.n)
+        edges[t][rng.randrange(len(edges[t])), 0] = p.layer_sizes[t + 1]
+        t = rng.randrange(p.n)
+        edges[t][rng.randrange(len(edges[t])), -1] = -1
+        yield Robp(p.n, p.alphabet, p.layer_sizes, edges, p.outputs)
+
+
+def _unreachable_reference(p):
+    """(layer, vertex, "unreachable") for every vertex no path reaches,
+    layer by layer in vertex order, by plain forward search."""
+    found, reached = [], {0}
+    for t in range(p.n + 1):
+        found += [(t, u, "unreachable") for u in range(p.layer_sizes[t]) if u not in reached]
+        if t < p.n:
+            reached = {int(z) for u in reached for z in p.edges[t][u]}
+    return found
+
+
+def _validate_cases():
+    """Valid programs, the same with unreachable vertices or with targets
+    outside the next layer, a start layer of three vertices, and a ragged
+    layer of list rows."""
+    rng = random.Random(23)
+    for p in _programs():
+        yield p
+        yield from _edited(p, rng)
+    binary = binary_alphabet()
+    yield Robp(1, binary, [3, 2], [[[0, 0], [1, 1], [0, 1]]], [(Fraction(0),)] * 2)
+    yield Robp(2, binary, [1, 3, 2], [[[0, 2]], [[0, 0], [1], [0, 0]]], [(Fraction(0),)] * 2)
+
+
+def test_validate_reports_equal_on_both_paths(numpy_kernels):
+    cases = list(_validate_cases())
+    results = []
+    for path in _both_paths(numpy_kernels):
+        results.append([robp_module._build_report(p) for p in cases])
+    assert all(r == results[0] for r in results)
+    found = {v[2] for report in results[0] for v in report.violations}
+    assert {"unreachable", "edge target outside next layer"} <= found
+    for p, report in zip(cases, results[0]):
+        if not any("outside" in v[2] or "out-degree" in v[2] for v in report.violations):
+            assert [v for v in report.violations if v[2] == "unreachable"] == (
+                _unreachable_reference(p)
+            )
+
+
+def test_reach_mark_equals_a_plain_search(numpy_kernels):
+    rng = np.random.default_rng(4)
+    cases = []
+    for _ in range(300):
+        vertices, symbols, size = rng.integers(0, 12), rng.integers(1, 5), rng.integers(1, 12)
+        edges = rng.integers(0, size, (vertices, symbols), dtype=np.int32)
+        cases.append((edges, rng.random(vertices) < rng.random(), int(size)))
+    for path in _both_paths(numpy_kernels):
+        for edges, reached, size in cases:
+            nxt = rng.random(size) < 0.5  # overwritten, whatever it held
+            marked = _kernel.reach_mark(edges, reached, nxt)
+            want = {int(z) for row in edges[reached] for z in row}
+            assert nxt.tolist() == [v in want for v in range(size)], path
+            assert marked == len(want), path
+
+
+def test_reach_mark_refuses_what_the_c_code_cannot_take(numpy_kernels):
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int32)
+    reached = np.array([True, False])
+    for path in _both_paths(numpy_kernels):
+        nxt = np.array([False, True, True])
+        untouched = nxt.copy()
+        read_only = nxt.copy()
+        read_only.flags.writeable = False
+        i32 = np.int32
+        bad = [
+            (np.array([[-1, 1], [1, 2]], i32), reached, nxt),  # negative target
+            (np.array([[0, 1], [1, 3]], i32), reached, nxt),  # past the next layer, unreached row
+            (np.array([[0, 1], [-(2**31), 2]], i32), reached, nxt),  # int32's minimum
+            (np.array([[0, 1], [1, 2**31 - 1]], i32), reached, nxt),  # int32's maximum
+            (edges.astype(np.int64), reached, nxt),  # edges not int32
+            (np.asfortranarray(edges), reached, nxt),  # strided edges
+            (edges[0], reached, nxt),  # not 2-d
+            (edges, reached[:1], nxt),  # a reached flag per edge row
+            (edges, reached.astype(np.uint8), nxt),  # not bool
+            (edges, reached, np.zeros(6, dtype=bool)[::2]),  # strided nxt
+            (edges, reached, read_only),
+        ]
+        for args in bad:
+            with pytest.raises(ValueError, match="reach mark"):
+                _kernel.reach_mark(*args)
+            assert np.array_equal(nxt, untouched), path  # rejected calls wrote nothing
+        assert _kernel.reach_mark(edges, reached, nxt) == 2
+        assert nxt.tolist() == [True, True, False], path
+
+
+def test_minimal_error_table_equals_the_normalized_one(numpy_kernels):
+    programs = _programs()
+    for path in _both_paths(numpy_kernels):
+        for p in programs:
+            p = copy.copy(p)
+            best, table = minimal_error(p, p.alphabet)
+            lo, hi = labeling._final_labels(p)
+            want = RationalTable(lo + hi, np.full(lo.shape, 2))
+            for got, ref in ((table.num, want.num), (table.den, want.den)):
+                assert got.dtype == ref.dtype == np.int64 and got.shape == ref.shape, path
+                assert np.array_equal(got, ref) and not got.flags.writeable, path
+            assert table == want and best == Fraction(int((hi - lo).max()), 2)

@@ -163,6 +163,16 @@ def test_verify_rejects_mismatched_problem():
         verify(p, binary_alphabet(), 0)
 
 
+@pytest.mark.parametrize("problem", ["counter", None, 3, ("counter", 3)])
+def test_a_problem_that_is_not_an_alphabet_is_refused(problem):
+    p = exact_counter(3, 3)
+    kind = type(problem).__name__
+    with pytest.raises(ValueError, match=f"problem must be an Alphabet, not {kind}"):
+        verify(p, problem, 10)
+    with pytest.raises(ValueError, match=f"problem must be an Alphabet, not {kind}"):
+        minimal_error(p, problem)
+
+
 def test_verify_rejects_wrong_arity():
     p = constant_program(2, (Fraction(1), Fraction(1)), alphabet=binary_alphabet())
     with pytest.raises(ValueError, match="arity"):
@@ -407,12 +417,18 @@ def test_verify_and_minimal_error_read_the_shared_last_layer_as_a_fresh_program(
     """After compute_labels in either mode or an earlier verify, a program
     keeps its DP's last layer; verify (at deltas that pass and that fail) and
     minimal_error must give exactly what a fresh program, which runs the DP
-    for each call, gives."""
-    problem = build().alphabet
-    best = minimal_error(build(), problem)[0]
-    widest = verify(build(), problem, 0).max_halfwidth
+    for each call, gives. A pickled copy is fresh: random_robp and
+    tribes(..., "optimal") return programs that keep the layer their
+    minimal_error call left."""
+
+    def fresh():
+        return pickle.loads(pickle.dumps(build()))
+
+    problem = fresh().alphabet
+    best = minimal_error(fresh(), problem)[0]
+    widest = verify(fresh(), problem, 0).max_halfwidth
     deltas = sorted({Fraction(0), best / 2, best, widest / 3, widest, widest + 1})
-    expected = [verify(build(), problem, d) for d in deltas], minimal_error(build(), problem)
+    expected = [verify(fresh(), problem, d) for d in deltas], minimal_error(fresh(), problem)
     assert any(c.valid for c in expected[0]) and (widest == 0 or any(c.worst for c in expected[0]))
     preludes = {
         "fresh": lambda p: None,
@@ -423,12 +439,15 @@ def test_verify_and_minimal_error_read_the_shared_last_layer_as_a_fresh_program(
     if problem.kind == "parallel":
         del preludes["potential labels"]
     for name, prelude in preludes.items():
-        p = build()
+        p = fresh()
         prelude(p)
         assert (p._last_labels is None) == (name == "fresh")
         got = [verify(p, problem, d) for d in deltas], minimal_error(p, problem)
         assert got == expected, name
         assert not p._last_labels.flags.writeable
+    # as built: with the layer a rebuild carried over, if any
+    p = build()
+    assert ([verify(p, problem, d) for d in deltas], minimal_error(p, problem)) == expected
 
 
 def test_a_kept_last_layer_runs_no_dp_and_is_not_pickled(monkeypatch):
@@ -448,6 +467,30 @@ def test_a_kept_last_layer_runs_no_dp_and_is_not_pickled(monkeypatch):
     assert pickle.dumps(p) == pickle.dumps(fresh)
     minimal_error(copy, problem)
     assert len(steps) == p.n and np.array_equal(copy._last_labels, kept)
+
+
+def test_a_program_rebuilt_with_other_outputs_runs_no_second_dp(monkeypatch):
+    """random_robp and tribes(..., "optimal") take minimal_error's outputs
+    onto the same edges; the rebuilt program keeps the DP's last layer, and
+    validates afresh, as its outputs changed."""
+    from robpcount import _kernel
+
+    steps = []
+    label_step = _kernel.label_step
+    monkeypatch.setattr(_kernel, "label_step", lambda *a: steps.append(1) or label_step(*a))
+    for build, n in [
+        (lambda: random_robp(10, counter_alphabet(3), 4, 7), 10),
+        (lambda: tribes(100, 4, "optimal"), 100),
+    ]:
+        steps.clear()
+        p = build()
+        assert p._last_labels is not None and p._report is None
+        assert verify(p, p.alphabet, minimal_error(p, p.alphabet)[0]).valid
+        assert len(steps) == n and p._report.valid
+        # the same verdict as a program built afresh, which runs its own DP
+        copy = pickle.loads(pickle.dumps(p))
+        assert verify(copy, p.alphabet, 0) == verify(p, p.alphabet, 0)
+        assert np.array_equal(copy._last_labels, p._last_labels)
 
 
 def _reference_halfwidth(p):
