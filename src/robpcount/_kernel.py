@@ -4,21 +4,21 @@ layer_boxes and layer_paint measure, then paint and sum, one layer of a
 potential profile. label_step runs one layer of the label DP, and
 label_split copies that layer's lo and hi columns out of its packed rows.
 reach_mark runs one layer of validate's reachability scan. Each checks its
-arguments, then runs the C source below if its library loaded, and
-otherwise the same computation in numpy (_boxes_numpy, _paint_layer_numpy,
-_step_numpy, _split_numpy, _mark_numpy; also the references the tests
-compare the C code against). Both paths give identical results, so callers
-never ask which one ran.
+arguments for what the C code relies on, then runs its C function (_c)
+if the library loaded, and otherwise the same computation in numpy
+(_boxes_numpy, _paint_layer_numpy, _step_numpy, _split_numpy, _mark_numpy;
+also the references the tests compare the C code against). Both paths give
+identical results, so callers never ask which one ran.
 
-The C source holds the five kernels; the four that read labels each have
-an int16 and an int32 body for the two label dtypes. It is compiled once
-per machine with the system C compiler (`cc`) into
+A kernel is declared once, in _KERNELS; the four that read labels have an
+int16 and an int32 body, which SOURCE instantiates from one line per dtype.
+SOURCE is compiled once per machine with the system C compiler (`cc`) into
 $XDG_CACHE_HOME/robpcount/ (default ~/.cache/robpcount/) and loaded with
 ctypes, once per process; ctypes releases the GIL while a kernel runs, so
 layers can be painted on several threads at once. The library's file name
 is a 64-bit checksum of the source, the compile command and the machine
-type, so a cache hit costs a stat and a dlopen. When no compiler is found, the compile fails or the
-cache cannot be written, library() returns None.
+type, so a cache hit costs a stat and a dlopen. When no compiler is found,
+the compile fails or the cache cannot be written, library() returns None.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ SOURCE = r"""
 /* A layer's label row (p = lo, q = hi, d columns) widened to int64 into a
    (lo) and h (hi clipped at clip). The row is kept, and 1 returned, when its
    value *v = min(sum hi, cap) exceeds sum lo and every lo <= clip. */
-#define LOAD_ROW(NAME, T)                                                   \
-static inline int NAME(int64_t d, const T *p, const T *q, int64_t cap,     \
-                       int64_t clip, int64_t *a, int64_t *h, int64_t *v)    \
+#define LOAD_ROW(S, T)                                                      \
+static inline int load_row_##S(int64_t d, const T *p, const T *q,          \
+                               int64_t cap, int64_t clip, int64_t *a,       \
+                               int64_t *h, int64_t *v)                      \
 {                                                                           \
     int64_t slo = 0, shi = 0, pmax = p[0];                                  \
     for (int64_t j = 0; j < d; j++) {                                       \
@@ -65,17 +66,15 @@ static inline int NAME(int64_t d, const T *p, const T *q, int64_t cap,     \
     return 1;                                                               \
 }
 
-LOAD_ROW(load_row_i16, int16_t)
-LOAD_ROW(load_row_i32, int32_t)
-
 /* One pass over a layer's n label rows: the number of kept rows, and over
    them the least lo (base) and the largest clipped hi (top) per column and
    the summed volume of the boxes [lo, clipped hi] (a box with hi < lo has
    none), saturated at INT64_MAX.
    With no row kept, base holds INT64_MAX and top INT64_MIN. */
-#define LAYER_BOXES(NAME, T, LOAD)                                          \
-int64_t NAME(int64_t n, int64_t d, const T *lo, const T *hi, int64_t cap,   \
-             int64_t clip, int64_t *base, int64_t *top, int64_t *volume)    \
+#define LAYER_BOXES(S, T)                                                   \
+int64_t layer_boxes_##S(int64_t n, int64_t d, const T *lo, const T *hi,     \
+                        int64_t cap, int64_t clip, int64_t *base,           \
+                        int64_t *top, int64_t *volume)                      \
 {                                                                           \
     int64_t a[d], h[d], v, kept = 0;                                        \
     uint64_t total = 0;                                                     \
@@ -84,7 +83,7 @@ int64_t NAME(int64_t n, int64_t d, const T *lo, const T *hi, int64_t cap,   \
         top[j] = INT64_MIN;                                                 \
     }                                                                       \
     for (int64_t r = 0; r < n; r++) {                                       \
-        if (!LOAD(d, lo + r * d, hi + r * d, cap, clip, a, h, &v))          \
+        if (!load_row_##S(d, lo + r * d, hi + r * d, cap, clip, a, h, &v))  \
             continue;                                                       \
         kept++;                                                             \
         uint64_t cells = 1;                                                 \
@@ -101,9 +100,6 @@ int64_t NAME(int64_t n, int64_t d, const T *lo, const T *hi, int64_t cap,   \
     *volume = total > INT64_MAX ? INT64_MAX : (int64_t)total;               \
     return kept;                                                            \
 }
-
-LAYER_BOXES(layer_boxes_i16, int16_t, load_row_i16)
-LAYER_BOXES(layer_boxes_i32, int32_t, load_row_i32)
 
 /* Max-paint v over the box [a, b] of the row-major grid with the given
    strides; idx is scratch of d entries. The box's last two axes form a slab
@@ -189,10 +185,11 @@ static int64_t grid_sum(int64_t d, const int64_t *shape, const int64_t *stride,
    inside the grid, or whose value does not fit int32, is never painted: the
    call returns 1 at once. The caller guarantees d >= 1, shape >= 1 and a
    grid of prod(shape) cells. */
-#define LAYER_PAINT(NAME, T, LOAD)                                          \
-int64_t NAME(int64_t n, int64_t d, const T *lo, const T *hi, int64_t cap,   \
-             int64_t clip, const int64_t *base, const int64_t *shape,       \
-             int64_t t, int32_t *grid, int64_t *sum)                        \
+#define LAYER_PAINT(S, T)                                                   \
+int64_t layer_paint_##S(int64_t n, int64_t d, const T *lo, const T *hi,     \
+                        int64_t cap, int64_t clip, const int64_t *base,     \
+                        const int64_t *shape, int64_t t, int32_t *grid,     \
+                        int64_t *sum)                                       \
 {                                                                           \
     int64_t stride[d], idx[d], a[d], h[d], v;                               \
     int64_t cells = 1, s0 = 0;                                              \
@@ -204,7 +201,7 @@ int64_t NAME(int64_t n, int64_t d, const T *lo, const T *hi, int64_t cap,   \
     for (int64_t c = 0; c < cells; c++)                                     \
         grid[c] = -1;                                                       \
     for (int64_t r = 0; r < n; r++) {                                       \
-        if (!LOAD(d, lo + r * d, hi + r * d, cap, clip, a, h, &v))          \
+        if (!load_row_##S(d, lo + r * d, hi + r * d, cap, clip, a, h, &v))  \
             continue;                                                       \
         int bad = v > INT32_MAX;                                            \
         for (int64_t j = 0; j < d; j++) {                                   \
@@ -220,17 +217,14 @@ int64_t NAME(int64_t n, int64_t d, const T *lo, const T *hi, int64_t cap,   \
     return 0;                                                               \
 }
 
-LAYER_PAINT(layer_paint_i16, int16_t, load_row_i16)
-LAYER_PAINT(layer_paint_i32, int32_t, load_row_i32)
-
 /* One layer of the label DP: for every vertex u < vertices and symbol
    z < symbols, min the packed row state[u] + shifts2[z] (cols entries)
    into nxt[edges[u * symbols + z]]. The caller guarantees every edge
    target indexes a row of nxt. */
-#define LABEL_STEP(NAME, T)                                                 \
-void NAME(int64_t vertices, int64_t symbols, int64_t cols,                  \
-          const T *restrict state, const int32_t *restrict edges,           \
-          const T *restrict shifts2, T *restrict nxt)                       \
+#define LABEL_STEP(S, T)                                                    \
+void label_step_##S(int64_t vertices, int64_t symbols, int64_t cols,        \
+                    const T *restrict state, const int32_t *restrict edges, \
+                    const T *restrict shifts2, T *restrict nxt)             \
 {                                                                           \
     for (int64_t u = 0; u < vertices; u++) {                                \
         const T *s = state + u * cols;                                      \
@@ -245,15 +239,13 @@ void NAME(int64_t vertices, int64_t symbols, int64_t cols,                  \
     }                                                                       \
 }
 
-LABEL_STEP(label_step_i16, int16_t)
-LABEL_STEP(label_step_i32, int32_t)
-
 /* A packed label layer's first d lo columns and its first d hi columns:
    row u of state holds 2k entries, lo then -hi, and row u of lo and hi gets
    d entries each. The caller guarantees d <= k. */
-#define LABEL_SPLIT(NAME, T)                                                \
-void NAME(int64_t vertices, int64_t k, int64_t d, const T *restrict state,  \
-          T *restrict lo, T *restrict hi)                                   \
+#define LABEL_SPLIT(S, T)                                                   \
+void label_split_##S(int64_t vertices, int64_t k, int64_t d,                \
+                     const T *restrict state, T *restrict lo,               \
+                     T *restrict hi)                                        \
 {                                                                           \
     for (int64_t u = 0; u < vertices; u++) {                                \
         const T *s = state + u * 2 * k;                                     \
@@ -264,8 +256,14 @@ void NAME(int64_t vertices, int64_t k, int64_t d, const T *restrict state,  \
     }                                                                       \
 }
 
-LABEL_SPLIT(label_split_i16, int16_t)
-LABEL_SPLIT(label_split_i32, int32_t)
+/* The label kernels above are macros over the label dtype T; one line per
+   dtype instantiates them all, named with the suffix S (layer_boxes_i16) */
+#define LABEL_KERNELS(S, T)                                                 \
+    LOAD_ROW(S, T) LAYER_BOXES(S, T) LAYER_PAINT(S, T) LABEL_STEP(S, T)     \
+    LABEL_SPLIT(S, T)
+
+LABEL_KERNELS(i16, int16_t)
+LABEL_KERNELS(i32, int32_t)
 
 /* One step of validate's reachability scan: nxt[v] = 1 when some vertex
    u < vertices with reached[u] has an edge (one per symbol) into v, else 0.
@@ -305,6 +303,30 @@ int64_t reach_mark(int64_t vertices, int64_t symbols,
 }
 """
 
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+
+# Every kernel SOURCE exports: name -> (C argument types, result type,
+# whether it has an int16 and an int32 body, name_i16 and name_i32, for the
+# two label dtypes). load_library declares each function from this table,
+# and a library that lacks one loads as None.
+_KERNELS = {
+    "layer_boxes": ((_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR), _I64, True),
+    "layer_paint": ((_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR), _I64, True),
+    "label_step": ((_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR), None, True),
+    "label_split": ((_I64, _I64, _I64, _PTR, _PTR, _PTR), None, True),
+    "reach_mark": ((_I64, _I64, _PTR, _PTR, _I64, _PTR), _I64, False),
+}
+
+
+def _c(name: str, dtype=None):
+    """Kernel name's C function, for the label dtype (int16 or int32) when
+    the kernel has a body per dtype; None without a library."""
+    lib = library()
+    if lib is None:
+        return None
+    return getattr(lib, name if dtype is None else f"{name}_i{8 * dtype.itemsize}")
+
+
 # a cap, clip or t of None: above every label sum, and far enough inside
 # int64 that no sum the C code forms with it overflows
 _NO_LIMIT = 2**62
@@ -332,20 +354,16 @@ def layer_boxes(lo, hi, cap=None, clip=None) -> tuple[int, np.ndarray, np.ndarra
     rows, the least lo (base) and the largest clipped hi (top) per column
     over them, and their boxes' summed volume (none for a box with hi < lo),
     capped at the int64 maximum.
-    With no row kept, base holds the int64 maximum and top its minimum.
-
-    The arguments are checked for what the C code relies on, then the C
-    code runs, or _boxes_numpy without a library."""
+    With no row kept, base holds the int64 maximum and top its minimum."""
     _check_labels("layer boxes", lo, hi)
     cap, clip = _limit(cap), _limit(clip)
-    lib = library()
-    if lib is None:
+    fn = _c("layer_boxes", lo.dtype)
+    if fn is None:
         return _boxes_numpy(lo, hi, cap, clip)
     n, d = lo.shape
     base = np.empty(d, dtype=np.int64)
     top = np.empty(d, dtype=np.int64)
     volume = ctypes.c_int64()
-    fn = lib.layer_boxes_i16 if lo.dtype == np.int16 else lib.layer_boxes_i32
     kept = fn(n, d, lo.ctypes.data, hi.ctypes.data, cap, clip, base.ctypes.data,
               top.ctypes.data, ctypes.byref(volume))
     return kept, base, top, volume.value
@@ -362,9 +380,7 @@ def layer_paint(lo, hi, cap, clip, base, shape, t, grid) -> int:
     at most t (None: every cell).
 
     A kept box outside the grid, or whose value does not fit int32, raises
-    ValueError and is never painted. The other arguments are checked for
-    what the C code relies on, then the C code runs, or _paint_layer_numpy
-    without a library."""
+    ValueError and is never painted."""
     _check_labels("layer paint", lo, hi)
     cap, clip, t = _limit(cap), _limit(clip), _limit(t)
     n, d = lo.shape
@@ -386,11 +402,10 @@ def layer_paint(lo, hi, cap, clip, base, shape, t, grid) -> int:
         and grid.size == math.prod(shape.tolist())
     ):
         raise ValueError("layer paint needs a writeable flat int32 grid of the shape's size")
-    lib = library()
-    if lib is None:
+    fn = _c("layer_paint", lo.dtype)
+    if fn is None:
         return _paint_layer_numpy(lo, hi, cap, clip, base, shape, t, grid)
     total = ctypes.c_int64()
-    fn = lib.layer_paint_i16 if lo.dtype == np.int16 else lib.layer_paint_i32
     if fn(n, d, lo.ctypes.data, hi.ctypes.data, cap, clip, base.ctypes.data,
           shape.ctypes.data, t, grid.ctypes.data, ctypes.byref(total)):
         raise ValueError(_OUTSIDE)
@@ -483,10 +498,7 @@ def _paint_numpy(lo, hi, vals, shape, s0: int, t: int, grid) -> int:
 
 def label_step(state, edges, shifts2, nxt) -> None:
     """Min state[u] + shifts2[z] into nxt[edges[u, z]] for every vertex u
-    and symbol z: one layer of the label DP over packed (lo, -hi) rows.
-
-    The arguments are checked for what the C code relies on, then the C
-    code runs, or _step_numpy without a library."""
+    and symbol z: one layer of the label DP over packed (lo, -hi) rows."""
     arrays = (state, edges, shifts2, nxt)
     if not all(
         isinstance(a, np.ndarray) and a.ndim == 2 and a.flags.c_contiguous for a in arrays
@@ -504,11 +516,10 @@ def label_step(state, edges, shifts2, nxt) -> None:
         raise ValueError("label step needs state, shifts2 and nxt with the same 2d columns")
     if edges.size and (edges.min() < 0 or edges.max() >= nxt.shape[0]):
         raise ValueError("label step needs every edge target inside the next layer")
-    lib = library()
-    if lib is None:
+    fn = _c("label_step", state.dtype)
+    if fn is None:
         _step_numpy(state, edges, shifts2, nxt)
         return
-    fn = lib.label_step_i16 if state.dtype == np.int16 else lib.label_step_i32
     fn(vertices, symbols, cols, state.ctypes.data, edges.ctypes.data,
        shifts2.ctypes.data, nxt.ctypes.data)
 
@@ -533,10 +544,7 @@ def _step_numpy(state, edges, shifts2, nxt) -> None:
 def label_split(state, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A packed label layer's first d lo and first d hi columns, as two
     fresh C-contiguous arrays of state's dtype: state holds 2k columns, lo
-    then -hi, as label_step leaves them.
-
-    The arguments are checked for what the C code relies on, then the C
-    code runs, or _split_numpy without a library."""
+    then -hi, as label_step leaves them."""
     if not (
         isinstance(state, np.ndarray)
         and state.ndim == 2
@@ -548,12 +556,11 @@ def label_split(state, d: int) -> tuple[np.ndarray, np.ndarray]:
     k = cols // 2
     if cols % 2 or not 0 <= d <= k:
         raise ValueError("label split needs 2k columns and 0 <= d <= k")
-    lib = library()
-    if lib is None:
+    fn = _c("label_split", state.dtype)
+    if fn is None:
         return _split_numpy(state, d)
     lo = np.empty((vertices, d), dtype=state.dtype)
     hi = np.empty((vertices, d), dtype=state.dtype)
-    fn = lib.label_split_i16 if state.dtype == np.int16 else lib.label_split_i32
     fn(vertices, k, d, state.ctypes.data, lo.ctypes.data, hi.ctypes.data)
     return lo, hi
 
@@ -574,9 +581,7 @@ def reach_mark(edges, reached, nxt) -> int:
     some vertex u with reached[u] has an edge edges[u, z] == v, and False
     otherwise. Returns how many vertices of nxt are marked.
 
-    An edge target outside nxt raises ValueError before nxt is written. The
-    other arguments are checked for what the C code relies on, then the C
-    code runs, or _mark_numpy without a library."""
+    An edge target outside nxt raises ValueError before nxt is written."""
     if not (
         isinstance(edges, np.ndarray)
         and edges.dtype == np.int32
@@ -589,11 +594,10 @@ def reach_mark(edges, reached, nxt) -> int:
         for a in (reached, nxt)
     ) or len(reached) != len(edges) or not nxt.flags.writeable:
         raise ValueError("reach mark needs flat bool reached, one per edge row, and a writeable nxt")
-    lib = library()
-    if lib is None:
+    fn = _c("reach_mark")
+    if fn is None:
         return _mark_numpy(edges, reached, nxt)
-    marked = lib.reach_mark(*edges.shape, edges.ctypes.data, reached.ctypes.data, len(nxt),
-                            nxt.ctypes.data)
+    marked = fn(*edges.shape, edges.ctypes.data, reached.ctypes.data, len(nxt), nxt.ctypes.data)
     if marked < 0:
         raise ValueError(_OUTSIDE_NEXT)
     return marked
@@ -657,8 +661,9 @@ def _build(directory: str, path: str) -> bool:
 
 
 def load_library():
-    """The compiled library with its functions' signatures declared,
-    compiling it on a cache miss; None when it cannot be built or loaded."""
+    """The compiled library with every function of _KERNELS declared,
+    compiling it on a cache miss; None when it cannot be built or loaded,
+    or lacks one of those functions."""
     directory = cache_dir()
     if directory is None:
         return None
@@ -671,28 +676,12 @@ def load_library():
         return None
     try:
         lib = ctypes.CDLL(path)
-        boxes = (lib.layer_boxes_i16, lib.layer_boxes_i32)
-        paints = (lib.layer_paint_i16, lib.layer_paint_i32)
-        steps = (lib.label_step_i16, lib.label_step_i32)
-        splits = (lib.label_split_i16, lib.label_split_i32)
-        mark = lib.reach_mark
+        for name, (argtypes, restype, per_dtype) in _KERNELS.items():
+            for symbol in [f"{name}_i16", f"{name}_i32"] if per_dtype else [name]:
+                fn = getattr(lib, symbol)
+                fn.argtypes, fn.restype = argtypes, restype
     except (OSError, AttributeError):
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    for fn in splits:
-        fn.argtypes = [i64, i64, i64, ptr, ptr, ptr]
-        fn.restype = None
-    mark.argtypes = [i64, i64, ptr, ptr, i64, ptr]
-    mark.restype = i64
-    for fn in boxes:
-        fn.argtypes = [i64, i64, ptr, ptr, i64, i64, ptr, ptr, ptr]
-        fn.restype = i64
-    for fn in paints:
-        fn.argtypes = [i64, i64, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr]
-        fn.restype = i64
-    for fn in steps:
-        fn.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr]
-        fn.restype = None
     return lib
 
 

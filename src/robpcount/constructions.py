@@ -147,7 +147,7 @@ def constant_program(n: int, outputs, alphabet: Alphabet | None = None) -> Robp:
     if not isinstance(outputs, (tuple, list)):
         outputs = (outputs,)
     row = [[0] * alphabet.size]
-    return Robp.build(alphabet, [row] * n, [tuple(Fraction(v) for v in outputs)])
+    return Robp.build(alphabet, [row] * n, [tuple(map(as_rational, outputs))])
 
 
 # ---------------------------------------------------------------------------

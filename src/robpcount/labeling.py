@@ -200,14 +200,15 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
 
 
 def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
-    """Full int64 labels of the final layer: from the last layer kept on p,
-    or from a DP run here that holds one layer at a time and keeps it."""
+    """Full labels of the final layer, in the DP's int16 or int32 dtype: from
+    the last layer kept on p, or from a DP run here that holds one layer at
+    a time and keeps it."""
     _require_valid(p)
     if p._last_labels is None:
         for state in _label_layers(p, _shifts(p)):
             pass
         _keep_last_layer(p, state)
-    state = p._last_labels.astype(np.int64)
+    state = p._last_labels
     d = state.shape[1] // 2
     return state[:, :d], -state[:, d:]
 
@@ -291,7 +292,8 @@ def minimal_error(p: Robp, problem: Alphabet):
     length = (hi - lo).max() if lo.size else 0
     delta_star = Fraction(int(length), 2)
     # (lo + hi) / 2 in lowest terms: s >> 1 over 1 for an even s, s over 2
-    # for an odd one (labels are nonnegative, so s >= 0)
-    s = lo + hi
+    # for an odd one (labels are nonnegative, so s >= 0); the int64 sum is
+    # what _reduced keeps, and an int16 one would wrap past n = 16383
+    s = lo.astype(np.int64) + hi
     den = (s & 1) + 1
     return delta_star, RationalTable._reduced(s >> (2 - den), den)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import as_integer, format_rational, parse_rational
+from .exact import as_integer, as_rational, format_rational, parse_rational
 
 ALPHABET_KINDS = ("counter", "parallel", "binary")
 _INT32 = np.iinfo(np.int32)
@@ -173,7 +173,7 @@ class RationalTable:
 
     @classmethod
     def from_rows(cls, rows) -> "RationalTable":
-        rows = [tuple(Fraction(v) for v in row) for row in rows]
+        rows = [tuple(map(as_rational, row)) for row in rows]
         if not rows:
             return cls(np.zeros((0, 1), np.int64), np.ones((0, 1), np.int64))
         arity = len(rows[0])
@@ -271,7 +271,7 @@ class Robp:
             try:
                 outputs = RationalTable.from_rows(outputs)
             except ValueError:
-                outputs = tuple(tuple(Fraction(v) for v in row) for row in outputs)
+                outputs = tuple(tuple(map(as_rational, row)) for row in outputs)
         # the last two slots hold validate's report and the label DP's last
         # layer once each has run; pickling and == ignore them
         fields = (int(n), alphabet, sizes, edges, outputs, None, None)
@@ -343,6 +343,8 @@ class Robp:
                     return False
             elif [list(r) for r in a] != [list(r) for r in b]:
                 return False
+        if isinstance(self.outputs, RationalTable) and isinstance(other.outputs, RationalTable):
+            return self.outputs == other.outputs
         return self.output_rows() == other.output_rows()
 
     def __repr__(self) -> str:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+from .exact import as_integer
+
 
 @dataclass
 class MgSummary:
@@ -28,6 +30,8 @@ class MgSummary:
     n_seen: int = 0
 
     def __post_init__(self):
+        self.k = as_integer(self.k, "k")
+        self.U = as_integer(self.U, "U")
         if self.k < 1 or self.U < 1:
             raise ValueError("k >= 1 and U >= 1 required")
 
@@ -36,7 +40,11 @@ class MgSummary:
 
 
 def mg_update(s: MgSummary, element: int) -> MgSummary:
-    """Feed one element (updates in place and returns the summary)."""
+    """Feed one element (updates in place and returns the summary). An
+    element that is not an integer raises ValueError: 1.5 would be stored as
+    a key, and True merged with 1."""
+    if type(element) is not int:
+        element = as_integer(element, "element")
     if not 0 <= element < s.U:
         raise ValueError(f"element {element} outside universe [0, {s.U})")
     s.n_seen += 1
@@ -108,6 +116,7 @@ def to_approx_counts(o: HeavyHittersOutput, query: int) -> Fraction:
 
     Listed elements: stored + n/(2k) (stored undershoots by at most n/k).
     Unlisted elements: n/(2k) (their frequency is below n/k)."""
+    query = as_integer(query, "query")
     if not 0 <= query < o.U:
         raise ValueError(f"query {query} outside universe [0, {o.U})")
     half_window = Fraction(o.n, 2 * o.k)

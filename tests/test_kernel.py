@@ -3,6 +3,7 @@ label DP step, the label copy-out and validate's reachability step), and
 their loader."""
 
 import copy
+import ctypes
 import math
 import random
 import shutil
@@ -328,6 +329,33 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+@needs_cc
+def test_a_library_lacking_a_declared_kernel_loads_as_none(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _kernel.load_library() is not None
+    kernels = {**_kernel._KERNELS, "no_such_kernel": ((ctypes.c_int64,), None, False)}
+    monkeypatch.setattr(_kernel, "_KERNELS", kernels)
+    assert _kernel.load_library() is None
+
+
+@needs_cc
+@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm on PATH")
+def test_the_kernel_table_names_exactly_the_exported_functions(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _kernel.load_library() is not None
+    path = tmp_path / "robpcount" / _kernel.library_name()
+    listing = subprocess.run(
+        ["nm", "-D", "--defined-only", str(path)], capture_output=True, text=True, check=True
+    ).stdout
+    exported = {fields[2] for fields in map(str.split, listing.splitlines()) if fields[1] == "T"}
+    declared = {
+        symbol
+        for name, (_, _, per_dtype) in _kernel._KERNELS.items()
+        for symbol in ([f"{name}_i16", f"{name}_i32"] if per_dtype else [name])
+    }
+    assert exported == declared
+
+
 def _label_cases():
     """(program, shift table) pairs: seeded random programs in the full and
     the potential column slice (parallel programs have only the full one),
@@ -641,14 +669,27 @@ def test_reach_mark_refuses_what_the_c_code_cannot_take(numpy_kernels):
         assert nxt.tolist() == [True, True, False], path
 
 
+def _all_ones_program(n):
+    """Width 2 over bits: vertex 0 holds the inputs of all ones, whose final
+    label [n, n] has lo + hi = 2n, past int16 for n > 16383 while the DP
+    still runs in int16."""
+    first = np.array([[1, 0]], dtype=np.int32)
+    layer = np.array([[1, 0], [1, 1]], dtype=np.int32)
+    outputs = [(Fraction(n),), (Fraction(0),)]
+    return Robp(n, binary_alphabet(), [1] + [2] * n, [first] + [layer] * (n - 1), outputs)
+
+
 def test_minimal_error_table_equals_the_normalized_one(numpy_kernels):
-    programs = _programs()
+    # past the small programs, an int16 DP whose lo + hi passes int16 and an
+    # int32 DP
+    programs = _programs() + [_all_ones_program(20_000), _int32_program()]
     for path in _both_paths(numpy_kernels):
         for p in programs:
             p = copy.copy(p)
             best, table = minimal_error(p, p.alphabet)
             lo, hi = labeling._final_labels(p)
-            want = RationalTable(lo + hi, np.full(lo.shape, 2))
+            assert lo.dtype == hi.dtype == p._last_labels.dtype, path
+            want = RationalTable(lo.astype(np.int64) + hi, np.full(lo.shape, 2))
             for got, ref in ((table.num, want.num), (table.den, want.den)):
                 assert got.dtype == ref.dtype == np.int64 and got.shape == ref.shape, path
                 assert np.array_equal(got, ref) and not got.flags.writeable, path

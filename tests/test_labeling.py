@@ -507,11 +507,21 @@ def _reference_halfwidth(p):
     return widest, next(cell for cell, h in cells if h == widest)
 
 
+def _int32_program(n=30_001, seed=3):
+    """A width-2 3-counter program deep enough for the DP's int32 labels:
+    vertex 0 reaches both next vertices, vertex 1 goes anywhere."""
+    rng = np.random.default_rng(seed)
+    edges = [np.array([[0, 1, 1]], dtype=np.int32)]
+    for _ in range(n - 1):
+        edges.append(np.array([rng.permutation([0, 1, 1]), rng.integers(0, 2, size=3)], np.int32))
+    return Robp.build(counter_alphabet(3), edges, [(Fraction(0),) * 3] * 2)
+
+
 @pytest.mark.parametrize("denominators", [(2, 3, 7), (2**15 + 3, 3, 1)], ids=["int64", "object"])
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "int32"])
 def test_verify_takes_the_widest_halfwidth_over_mixed_denominators(denominators, seed):
     rng = random.Random(seed)
-    base = random_robp(6, counter_alphabet(3), 4, seed)
+    base = _int32_program() if seed == "int32" else random_robp(6, counter_alphabet(3), 4, seed)
     outputs = [
         tuple(
             Fraction(5, 7) if rng.random() < 0.2 else Fraction(rng.randint(0, 12), rng.choice(denominators))
@@ -524,6 +534,7 @@ def test_verify_takes_the_widest_halfwidth_over_mixed_denominators(denominators,
     big = max(f.denominator for row in outputs for f in row) > 2**15
     assert big == (denominators[0] > 2**15)
     widest, (v, j) = _reference_halfwidth(p)
+    assert p._last_labels.dtype == (np.int32 if seed == "int32" else np.int16)
     for delta in (Fraction(0), widest / 2, widest - Fraction(1, 11), widest):
         cert = verify(p, p.alphabet, delta)
         assert cert.max_halfwidth == widest and cert.valid == (widest <= delta)

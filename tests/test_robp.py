@@ -11,6 +11,7 @@ from robpcount import (
     Robp,
     RobpParseError,
     binary_alphabet,
+    constant_program,
     counter_alphabet,
     evaluate,
     exact_counter,
@@ -21,6 +22,7 @@ from robpcount import (
     rounded_counter,
     tribes,
     validate,
+    verify,
     write_robp,
 )
 from robpcount.robp import Alphabet, RationalTable
@@ -166,6 +168,31 @@ def test_non_integer_edge_targets_raise(layer):
 
 
 @pytest.mark.parametrize(
+    "cell",
+    [
+        pytest.param(0.3, id="float"),
+        pytest.param(np.float64(0.5), id="numpy-float"),
+        pytest.param(True, id="bool"),
+        pytest.param(np.True_, id="numpy-bool"),
+    ],
+)
+def test_output_cells_that_are_not_exact_rationals_raise(cell):
+    # rectangular rows go to a RationalTable, ragged ones are kept for validate
+    for rows in ([(cell,), (Fraction(1),)], [(cell,), (Fraction(1), Fraction(2))]):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            Robp.build(binary_alphabet(), [[[0, 1]]], rows)
+    with pytest.raises(ValueError, match="not an exact rational"):
+        constant_program(2, cell)
+
+
+def test_a_float_output_decides_no_verdict():
+    # read at its binary value, 0.3 would put the halfwidth 2 - 0.3 just past 17/10
+    assert verify(constant_program(2, Fraction(3, 10)), binary_alphabet(), Fraction(17, 10)).valid
+    with pytest.raises(ValueError, match="not an exact rational"):
+        verify(constant_program(2, 0.3), binary_alphabet(), Fraction(17, 10))
+
+
+@pytest.mark.parametrize(
     "layer",
     [
         pytest.param(np.array([[0, 2**32 + 1]], dtype=np.int64), id="int64-array"),
@@ -281,6 +308,24 @@ def test_programs_with_more_edge_layers_differ():
     q = Robp(1, binary_alphabet(), [1, 2], [[[0, 1]], [[0, 0], [1, 1]]], outputs)
     assert validate(p).valid and not validate(q).valid
     assert p != q and q != p
+
+
+def test_programs_compare_their_output_values():
+    edges = [[[0, 1]]]
+    table = Robp.build(binary_alphabet(), edges, [(Fraction(1, 2),), (Fraction(3),)])
+    as_object = Robp.build(
+        binary_alphabet(),
+        edges,
+        RationalTable(np.array([[1], [3]], dtype=object), np.array([[2], [1]], dtype=object)),
+    )
+    assert table.outputs.num.dtype == np.int64 and as_object.outputs.num.dtype == object
+    assert table == as_object and as_object == table
+    assert table != Robp.build(binary_alphabet(), edges, [(Fraction(1, 2),), (Fraction(4),)])
+    ragged_rows = [(Fraction(1, 2),), (Fraction(3), Fraction(1))]
+    ragged = Robp.build(binary_alphabet(), edges, ragged_rows)
+    assert isinstance(ragged.outputs, tuple)
+    assert ragged == Robp.build(binary_alphabet(), edges, ragged_rows)
+    assert ragged != table and table != ragged
 
 
 def test_validate_reports_ragged_outputs():

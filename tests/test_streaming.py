@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +29,39 @@ def test_update_range_check():
     s = MgSummary(k=2, U=4)
     with pytest.raises(ValueError):
         mg_update(s, 4)
+
+
+@pytest.mark.parametrize(
+    "k, U",
+    [(2.5, 10), (True, 10), (2, 10.0), (2, True), (np.float64(2), 10)],
+    ids=["float-k", "bool-k", "float-U", "bool-U", "numpy-float-k"],
+)
+def test_summary_sizes_must_be_integers(k, U):
+    # mg_run([1, 2, 3], 2.5, 10) once listed 3 elements, and k=True acted as 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        mg_run([1, 2, 3], k, U)
+
+
+@pytest.mark.parametrize(
+    "element",
+    [1.5, 1.0, True, np.True_, np.float64(1)],
+    ids=["float", "whole-float", "bool", "numpy-bool", "numpy-float"],
+)
+def test_elements_and_queries_must_be_integers(element):
+    # 1.5 was once stored as a key, and True merged with 1 and listed as True
+    s = mg_run([1], 2, 10)
+    with pytest.raises(ValueError, match="is not an integer"):
+        mg_update(s, element)
+    assert s.counters == {1: 1} and s.n_seen == 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        to_approx_counts(mg_finalize(s), element)
+
+
+def test_numpy_integers_are_read_as_ints():
+    s = mg_run([np.int64(1), 1, np.int32(2)], np.int64(2), np.int32(10))
+    assert (type(s.k), type(s.U)) == (int, int)
+    assert s.counters == {1: 2, 2: 1} and all(type(u) is int for u in s.counters)
+    assert to_approx_counts(mg_finalize(s), np.int64(1)) == 2 + Fraction(3, 4)
 
 
 def check_contract(stream, k, U):
