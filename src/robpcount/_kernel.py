@@ -1,14 +1,23 @@
-"""The kernels behind the potential profiles and the label DP.
+"""The kernels behind the potential profiles, the label DP and the JSON
+transport.
 
 layer_boxes and layer_paint measure, then paint and sum, one layer of a
 potential profile. label_step runs one layer of the label DP, and
 label_split copies that layer's lo and hi columns out of its packed rows.
-reach_mark runs one layer of validate's reachability scan. Each checks its
-arguments for what the C code relies on, then runs its C function (_c)
-if the library loaded, and otherwise the same computation in numpy
-(_boxes_numpy, _paint_layer_numpy, _step_numpy, _split_numpy, _mark_numpy;
-also the references the tests compare the C code against). Both paths give
-identical results, so callers never ask which one ran.
+reach_mark runs one layer of validate's reachability scan. edge_format
+and table_format write a program's edge layers and output table as
+write_robp spells them, and edge_scan and table_scan read that spelling
+back from the bytes in place, each in one pass. Each checks its arguments
+for what the C code relies on, then runs its C function (_c) if the
+library loaded, and otherwise the same computation in numpy
+(_boxes_numpy, _paint_layer_numpy, _step_numpy, _split_numpy, _mark_numpy,
+_edge_format_numpy, _table_format_numpy, _edge_scan_numpy; also the
+references the tests compare the C code against). Both paths give
+identical results, so callers never ask which one ran: the formatters
+write the same bytes, and what a scanner takes is what json.loads makes of
+the text. table_scan alone has no twin of its own: without the library it
+takes nothing, and read_robp leaves the table to json.loads and
+robp._bulk_outputs.
 
 A kernel is declared once, in _KERNELS; the four that read labels have an
 int16 and an int32 body, which SOURCE instantiates from one line per dtype.
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import json
 import math
 import os
 import platform
@@ -301,6 +311,230 @@ int64_t reach_mark(int64_t vertices, int64_t symbols,
         marked += nxt[v];
     return marked;
 }
+
+/* The JSON transport: write_robp's text of the edge layers and of the
+   output table, and back. EXPECT(c) takes the byte c at p, which must lie
+   before e, or makes the scan refuse (return -1). */
+#define EXPECT(c)                                                           \
+    do {                                                                    \
+        if (p == e || *p != (c))                                            \
+            return -1;                                                      \
+        p++;                                                                \
+    } while (0)
+
+/* x in decimal, as Python's str(x) spells it, at out; returns its end */
+static char *put_int(char *out, int64_t x)
+{
+    uint64_t u = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
+    int64_t n = 1;
+    for (uint64_t v = u; v >= 10; v /= 10)
+        n++;
+    if (x < 0)
+        *out++ = '-';
+    for (int64_t i = n - 1; i >= 0; i--, u /= 10)
+        out[i] = (char)('0' + u % 10);
+    return out + n;
+}
+
+/* The edge layers as json.dumps spells each with separators (",", ":"),
+   joined by commas, at out: layer t has rows[t] rows of symbols int32
+   targets at the address data[t]. Returns the number of bytes written, at
+   most 12 per target, 3 per row and 3 per layer. */
+int64_t edge_format(int64_t layers, int64_t symbols, const int64_t *rows,
+                    const int64_t *data, char *out)
+{
+    char *p = out;
+    for (int64_t t = 0; t < layers; t++) {
+        const int32_t *e = (const int32_t *)(intptr_t)data[t];
+        if (t > 0)
+            *p++ = ',';
+        *p++ = '[';
+        for (int64_t u = 0; u < rows[t]; u++) {
+            if (u > 0)
+                *p++ = ',';
+            *p++ = '[';
+            for (int64_t z = 0; z < symbols; z++) {
+                if (z > 0)
+                    *p++ = ',';
+                p = put_int(p, e[u * symbols + z]);
+            }
+            *p++ = ']';
+        }
+        *p++ = ']';
+    }
+    return p - out;
+}
+
+/* The rows x cols table of rationals num/den as write_robp spells it, a
+   JSON array of rows of strings "num" (den 1) or "num/den", at out.
+   Returns the number of bytes written, at most 44 per cell, 3 per row and
+   2 more. */
+int64_t table_format(int64_t rows, int64_t cols, const int64_t *num,
+                     const int64_t *den, char *out)
+{
+    char *p = out;
+    *p++ = '[';
+    for (int64_t r = 0; r < rows; r++) {
+        if (r > 0)
+            *p++ = ',';
+        *p++ = '[';
+        for (int64_t c = 0; c < cols; c++) {
+            const int64_t i = r * cols + c;
+            if (c > 0)
+                *p++ = ',';
+            *p++ = '"';
+            p = put_int(p, num[i]);
+            if (den[i] != 1) {
+                *p++ = '/';
+                p = put_int(p, den[i]);
+            }
+            *p++ = '"';
+        }
+        *p++ = ']';
+    }
+    *p++ = ']';
+    return p - out;
+}
+
+/* One edge target in edge_format's spelling at *p, before e, into *v:
+   "0", or an optional "-" and 1-10 digits without a leading zero, within
+   int32. Returns 0, leaving *p, on anything else. */
+static int scan_target(const char **pp, const char *e, int32_t *v)
+{
+    const char *p = *pp;
+    const int neg = p < e && *p == '-';
+    p += neg;
+    if (p == e || *p < '0' || *p > '9' || (*p == '0' && neg))
+        return 0;
+    int64_t x = *p++ - '0';
+    for (int n = 1; x > 0 && p < e && *p >= '0' && *p <= '9'; p++, n++) {
+        if (n == 10)
+            return 0;
+        x = x * 10 + (*p - '0');
+    }
+    x = neg ? -x : x;
+    if (x < INT32_MIN || x > INT32_MAX)
+        return 0;
+    *v = (int32_t)x;
+    *pp = p;
+    return 1;
+}
+
+/* The edge layers of text[start, end) in edge_format's spelling, each in
+   full: layer t holds sizes[t] rows of symbols targets (t < nsizes), and
+   its targets go to out, after those of the layers before it. Returns the
+   number of layers, or -1 on any other text; reads nothing outside
+   [start, end) and writes at most symbols * sum(sizes) targets. */
+int64_t edge_scan(const char *text, int64_t start, int64_t end,
+                  int64_t symbols, int64_t nsizes, const int64_t *sizes,
+                  int32_t *out)
+{
+    const char *p = text + start;
+    const char *const e = text + end;
+    int64_t t = 0;
+    for (; p < e; t++) {
+        if (t > 0)
+            EXPECT(',');
+        if (t == nsizes)
+            return -1;
+        EXPECT('[');
+        for (int64_t u = 0; u < sizes[t]; u++) {
+            if (u > 0)
+                EXPECT(',');
+            EXPECT('[');
+            for (int64_t z = 0; z < symbols; z++) {
+                if (z > 0)
+                    EXPECT(',');
+                if (!scan_target(&p, e, out++))
+                    return -1;
+            }
+            EXPECT(']');
+        }
+        EXPECT(']');
+    }
+    return t;
+}
+
+/* 1-18 decimal digits at *p, before e, into *v (leading zeros allowed);
+   0, leaving *p, when there are none or more than 18 */
+static int scan_digits(const char **pp, const char *e, int64_t *v)
+{
+    const char *p = *pp;
+    int64_t x = 0;
+    for (; p < e && *p >= '0' && *p <= '9'; p++) {
+        if (p - *pp == 18)
+            return 0;
+        x = x * 10 + (*p - '0');
+    }
+    if (p == *pp)
+        return 0;
+    *v = x;
+    *pp = p;
+    return 1;
+}
+
+/* The output table at text[start, end): a JSON array of at least one row,
+   every row an array of the same number (at least one) of strings, each
+   -?[0-9]{1,18}(/[1-9][0-9]{0,17})? with nothing escaped. Cell i in row
+   order goes to num[i] and den[i] (den 1 without "/"), for at most cap
+   cells; shape gets the rows, the columns and whether every cell is in
+   lowest terms. Returns the offset just past the table's closing bracket,
+   or -1 on any other text; reads nothing outside [start, end). */
+int64_t table_scan(const char *text, int64_t start, int64_t end, int64_t cap,
+                   int64_t *num, int64_t *den, int64_t *shape)
+{
+    const char *p = text + start;
+    const char *const e = text + end;
+    int64_t rows = 0, cols = 0, cells = 0, reduced = 1;
+    EXPECT('[');
+    for (;;) {
+        const int64_t first = cells;
+        EXPECT('[');
+        for (;;) {
+            int64_t a, b = 1;
+            if (cells == cap)
+                return -1;
+            EXPECT('"');
+            const int neg = p < e && *p == '-';
+            p += neg;
+            if (!scan_digits(&p, e, &a))
+                return -1;
+            if (p < e && *p == '/') {
+                p++;
+                if (p == e || *p == '0' || !scan_digits(&p, e, &b))
+                    return -1;
+                int64_t x = a, y = b;  /* gcd(a, b) = 1 when y ends at 1 */
+                while (x) {
+                    const int64_t r = y % x;
+                    y = x;
+                    x = r;
+                }
+                reduced &= y == 1;
+            }
+            EXPECT('"');
+            num[cells] = neg ? -a : a;
+            den[cells] = b;
+            cells++;
+            if (p == e || *p != ',')
+                break;
+            p++;
+        }
+        EXPECT(']');
+        if (rows == 0)
+            cols = cells;
+        else if (cells - first != cols)
+            return -1;
+        rows++;
+        if (p == e || *p != ',')
+            break;
+        p++;
+    }
+    EXPECT(']');
+    shape[0] = rows;
+    shape[1] = cols;
+    shape[2] = reduced;
+    return p - text;
+}
 """
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
@@ -315,6 +549,10 @@ _KERNELS = {
     "label_step": ((_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR), None, True),
     "label_split": ((_I64, _I64, _I64, _PTR, _PTR, _PTR), None, True),
     "reach_mark": ((_I64, _I64, _PTR, _PTR, _I64, _PTR), _I64, False),
+    "edge_format": ((_I64, _I64, _PTR, _PTR, _PTR), _I64, False),
+    "table_format": ((_I64, _I64, _PTR, _PTR, _PTR), _I64, False),
+    "edge_scan": ((_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR), _I64, False),
+    "table_scan": ((_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR), _I64, False),
 }
 
 
@@ -613,6 +851,223 @@ def _mark_numpy(edges, reached, nxt) -> int:
     # the mask gather copies edges; skip it when nothing is masked
     nxt[edges if reached.all() else edges[reached]] = True
     return int(np.count_nonzero(nxt))
+
+
+def edge_format(layers) -> str:
+    """The edge layers as write_robp spells them: each as json.dumps gives
+    it with separators (",", ":"), and the layers joined by commas. When
+    every layer is a 2-d C-contiguous int32 array, all of one column count,
+    the C code formats them in one pass; any other layers (rows kept as
+    lists for validate to report) go to _edge_format_numpy, which gives the
+    same text."""
+    layers = list(layers)
+    first = layers[0] if layers else None
+    symbols = first.shape[1] if isinstance(first, np.ndarray) and first.ndim == 2 else 0
+    fn = _c("edge_format")
+    if fn is None or not all(
+        isinstance(a, np.ndarray)
+        and a.dtype == np.int32
+        and a.ndim == 2
+        and a.flags.c_contiguous
+        and a.shape[1] == symbols
+        for a in layers
+    ):
+        return _edge_format_numpy(layers)
+    rows = np.array([len(a) for a in layers], dtype=np.int64)
+    data = np.array([a.ctypes.data for a in layers], dtype=np.int64)
+    total = int(rows.sum())
+    out = np.empty(12 * total * symbols + 3 * total + 3 * len(layers), np.uint8)
+    size = fn(len(layers), symbols, rows.ctypes.data, data.ctypes.data, out.ctypes.data)
+    return str(out[:size], "ascii")
+
+
+def _layer_json(rows) -> str:
+    """One edge layer as the text json.dumps gives it with separators
+    (",", ":"). An array of 256 targets or more is formatted from digit
+    columns, one numpy pass per decimal place, instead of one Python int
+    per target; below that the fixed cost of those passes is the larger."""
+    if not isinstance(rows, np.ndarray):
+        return json.dumps([[int(v) for v in r] for r in rows], separators=(",", ":"))
+    if rows.size < 256:
+        return json.dumps(rows.tolist(), separators=(",", ":"))
+    v, s = rows.shape
+    x = rows.ravel().astype(np.int64)
+    q = np.abs(x).astype(np.uint32)
+    width = len(str(q.max()))
+    # per target: "[" before a row's first, "-", its digits, then "," or
+    # "],"; the zero bytes left over are dropped
+    cells = np.zeros((v * s, width + 4), np.uint8)
+    cells[::s, 0] = ord("[")
+    cells[x < 0, 1] = ord("-")
+    for j in range(width + 1, 1, -1):
+        nq = q // 10
+        digit = (q - nq * 10 + ord("0")).astype(np.uint8)
+        if j <= width:
+            digit[q == 0] = 0  # a leading zero
+        cells[:, j] = digit
+        q = nq
+    cells[:, -2] = ord(",")
+    cells[s - 1 :: s, -2:] = (ord("]"), ord(","))
+    return "[" + cells[cells != 0][:-1].tobytes().decode("ascii") + "]"
+
+
+def _edge_format_numpy(layers) -> str:
+    """edge_format in numpy, one layer at a time: the fallback without a C
+    library or for list rows, and the reference the tests compare the C
+    code against."""
+    return ",".join(map(_layer_json, layers))
+
+
+def table_format(num, den) -> str:
+    """The table of rationals num/den (2-d, one shape) as write_robp spells
+    it: a JSON array of rows of strings, "num" where den is 1 and "num/den"
+    elsewhere. An int64 table is formatted in C; a table of Python ints, or
+    any table without a C library, by _table_format_numpy, which gives the
+    same text."""
+    if not (
+        isinstance(num, np.ndarray)
+        and isinstance(den, np.ndarray)
+        and num.ndim == 2
+        and num.shape == den.shape
+    ):
+        raise ValueError("table format needs 2-d num and den arrays of one shape")
+    fn = _c("table_format")
+    if fn is None or not all(a.dtype == np.int64 and a.flags.c_contiguous for a in (num, den)):
+        return _table_format_numpy(num, den)
+    rows, cols = num.shape
+    out = np.empty(44 * rows * cols + 3 * rows + 2, np.uint8)
+    size = fn(rows, cols, num.ctypes.data, den.ctypes.data, out.ctypes.data)
+    return str(out[:size], "ascii")
+
+
+def _table_format_numpy(num, den) -> str:
+    """table_format through Python lists: the fallback without a C library
+    or for a table of Python ints, and the reference the tests compare the
+    C code against."""
+    cells = [
+        [str(a) if b == 1 else f"{a}/{b}" for a, b in zip(nums, dens)]
+        for nums, dens in zip(num.tolist(), den.tolist())
+    ]
+    return json.dumps(cells, separators=(",", ":"))
+
+
+def edge_scan(text: bytes, start: int, end: int, symbols: int, sizes) -> list | None:
+    """The edge layers whose text is text[start:end], in edge_format's
+    spelling, as read-only int32 arrays of symbols columns; None for any
+    other text. Layer t must hold sizes[t] rows. The C code reads the bytes
+    in place; without a C library _edge_scan_numpy, which accepts the same
+    texts, scans them.
+
+    Every target takes two bytes at least, a digit and a comma or bracket,
+    so the text has room for a prefix of sizes only. The C code is given
+    that prefix, and room for its targets, before it runs: a layer past it
+    is refused, and declared sizes the text cannot back allocate nothing."""
+    if type(text) is not bytes or not 0 <= start <= end <= len(text):
+        raise ValueError("edge scan needs bytes and 0 <= start <= end <= their length")
+    if type(symbols) is not int or symbols < 1 or not all(type(r) is int and r >= 0 for r in sizes):
+        raise ValueError("edge scan needs symbols >= 1 and nonnegative int layer sizes")
+    fn = _c("edge_scan")
+    if fn is None:
+        return _edge_scan_numpy(text, start, end, symbols, sizes)
+    room, total, fits = (end - start) // 2, 0, 0
+    for r in sizes:
+        if total + r * symbols > room:
+            break
+        total += r * symbols
+        fits += 1
+    backed = np.array(sizes[:fits], dtype=np.int64)
+    flat = np.empty(total, np.int32)
+    count = fn(text, start, end, symbols, fits, backed.ctypes.data, flat.ctypes.data)
+    if count < 0:
+        return None
+    flat.flags.writeable = False
+    return _split_layers(flat, symbols, sizes[:count])
+
+
+def _split_layers(flat, symbols: int, sizes) -> list:
+    """flat's targets as consecutive layers of sizes[t] rows each."""
+    layers, offset = [], 0
+    for r in sizes:
+        layers.append(flat[offset : offset + r * symbols].reshape(r, symbols))
+        offset += r * symbols
+    return layers
+
+
+_BLANK = bytes.maketrans(b"[],", b"   ")  # brackets and commas to spaces
+_BETWEEN = b"]],[["  # sits between two edge layers
+# Thin layers are parsed in batches of at least this many characters; a
+# longer layer is a batch of its own, so no temporary outgrows one layer.
+_BATCH_CHARS = 1 << 16
+
+
+def _edge_scan_numpy(text: bytes, start: int, end: int, symbols: int, sizes):
+    """edge_scan in numpy, on the arguments it has checked: the fallback
+    without a C library, and the reference the tests compare the C code
+    against. numpy parses the targets a batch of layers at a time, and a
+    batch is taken only if _layer_json gives its text back byte for byte:
+    that refuses every other spelling, and a target outside int32, which
+    numpy's parse would wrap."""
+    edges = []
+    while start < end:
+        # the batch ends at the first layer boundary this far on, so every
+        # boundary inside it starts within its first _BATCH_CHARS
+        stop = text.find(_BETWEEN, start + _BATCH_CHARS, end)
+        stop = end if stop < 0 else stop + 2  # past the layer's "]]"
+        reach = min(start + _BATCH_CHARS + len(_BETWEEN) - 1, stop)
+        count = 1 + text.count(_BETWEEN, start, reach)
+        rows = sizes[len(edges) : len(edges) + count]
+        if len(rows) < count:
+            return None
+        batch = _scan_layers(text[start:stop], symbols, rows)
+        if batch is None:
+            return None
+        edges += batch
+        start = stop + 1
+    return edges
+
+
+def _scan_layers(chunk: bytes, symbols: int, rows):
+    """The edge layers whose text is chunk, as read-only int32 arrays of
+    symbols columns, or None. rows, the layer sizes the document gives, only
+    guide the split into layers."""
+    try:
+        flat = np.fromstring(chunk.translate(_BLANK), np.int32, sep=" ")
+    except ValueError:
+        return None
+    if flat.size != symbols * sum(rows):
+        return None
+    flat.flags.writeable = False
+    layers = _split_layers(flat, symbols, rows)
+    if ",".join(map(_layer_json, layers)).encode() != chunk:
+        return None
+    return layers
+
+
+def table_scan(text: bytes, start: int):
+    """The output table whose text starts at text[start], in table_format's
+    spelling but with cells -?[0-9]{1,18}(/[1-9][0-9]{0,17})? (robp._CELL:
+    leading zeros, "-0" and unreduced fractions too), at least one row and
+    one column, and no ragged rows. Returns int64 num and den arrays of the
+    table's shape, the offset just past its closing bracket and whether
+    every cell is in lowest terms; None for any other text, and always
+    without a C library. The twin of the C code is json.loads followed by
+    robp._bulk_outputs, which the caller runs when this returns None."""
+    if type(text) is not bytes or not 0 <= start <= len(text):
+        raise ValueError("table scan needs bytes and 0 <= start <= their length")
+    fn = _c("table_scan")
+    if fn is None:
+        return None
+    # a cell takes four bytes at least: '"0"' and a comma or bracket
+    cap = (len(text) - start) // 4
+    num = np.empty(cap, np.int64)
+    den = np.empty(cap, np.int64)
+    shape = np.zeros(3, np.int64)
+    stop = fn(text, start, len(text), cap, num.ctypes.data, den.ctypes.data, shape.ctypes.data)
+    if stop < 0:
+        return None
+    rows, cols, reduced = shape.tolist()
+    cells = rows * cols
+    return num[:cells].reshape(rows, cols), den[:cells].reshape(rows, cols), stop, bool(reduced)
 
 
 def cache_dir() -> str | None:

@@ -118,9 +118,22 @@ class LabeledRobp:
                 )
             if len(a) and (a.min() < 0 or (b < a).any()):
                 raise ValueError(f"malformed rectangle in layer {t}: need 0 <= lo <= hi")
+        self._set(p, lo, hi)
+
+    def _set(self, p: Robp, lo: tuple, hi: tuple) -> None:
         fields = (p, lo[0].shape[1], _potential_k(p.alphabet), lo, hi)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _built(cls, p: Robp, lo: list[np.ndarray], hi: list[np.ndarray]) -> "LabeledRobp":
+        """Labels that compute_labels has built from the DP, kept as given
+        without the constructor's checks: one lo and one hi per layer of p,
+        read-only C-contiguous arrays of one dtype that own their memory, of
+        one column count, and 0 <= lo <= hi by construction."""
+        lp = object.__new__(cls)
+        lp._set(p, tuple(lo), tuple(hi))
+        return lp
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot change {name!r}: a LabeledRobp is immutable")
@@ -196,7 +209,7 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
         lo.append(a)
         hi.append(b)
     _keep_last_layer(p, state)
-    return LabeledRobp(p, lo, hi)
+    return LabeledRobp._built(p, lo, hi)
 
 
 def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:

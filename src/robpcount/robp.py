@@ -11,6 +11,13 @@ parsers routinely produce near-misses that the caller wants described. The
 report is kept on the program, so each program is checked once. So is the
 label DP's last layer (see labeling), which verify, minimal_error and the
 final audits share.
+
+write_robp and read_robp carry programs as canonical JSON. The edge layers
+and an int64 output table are written, and read back from the bytes in
+place, by _kernel's JSON kernels in one C pass each (edge_format,
+table_format, edge_scan, table_scan), or by their numpy twins without a C
+compiler; the bytes are the same either way. Text the scanners refuse goes
+to json.loads and a walk over its elements, which gives the same program.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernel
 from .exact import as_integer, as_rational, format_rational, parse_rational
 
 ALPHABET_KINDS = ("counter", "parallel", "binary")
@@ -435,8 +443,6 @@ def _build_report(p: Robp) -> ValidationReport:
     if targets_ok and len(p.edges) == p.n and len(sizes) == p.n + 1 and all(
         len(p.edges[t]) == sizes[t] for t in range(p.n)
     ) and len(p.outputs) == sizes[-1]:
-        from ._kernel import reach_mark
-
         # reached marks the vertices of layer t, marked counts them
         reached = np.zeros(sizes[0], dtype=bool)
         reached[:1] = True
@@ -449,7 +455,7 @@ def _build_report(p: Robp) -> ValidationReport:
             rows = p.edges[t]
             nxt = np.zeros(sizes[t + 1], dtype=bool)
             if isinstance(rows, np.ndarray):
-                marked = reach_mark(rows, reached, nxt)
+                marked = _kernel.reach_mark(rows, reached, nxt)
             else:
                 for u in np.flatnonzero(reached):
                     for z in rows[u]:
@@ -536,95 +542,95 @@ def _bulk_outputs(rows):
 # and then the top-level edges array, so the scanner finds that array where
 # the head ends, never at an "edges" key nested deeper
 _HEAD = re.compile(rb'\{"alphabet":\{"k":-?[0-9]+,"kind":"[a-z]+"\},"edges":\[')
-_BLANK = bytes.maketrans(b"[],", b"   ")  # brackets and commas to spaces
-_BETWEEN = b"]],[["  # sits between two edge layers
-# Thin layers are parsed in batches of at least this many characters; a
-# longer layer is a batch of its own, so no temporary outgrows one layer.
-_BATCH_CHARS = 1 << 16
+_OUTPUTS = b',"outputs":'
+# what may follow the output table when it is the document's last field:
+# the object's end and the JSON whitespace the CLI's newline adds
+_LAST = re.compile(rb"\}[ \t\n\r]*\Z")
 
 
 def _scan(text: bytes):
-    """The document and its edge layers as read-only int32 arrays, if the
-    bytes are in write_robp's canonical form; otherwise None. The scanner
-    reads bytes only: read_robp encodes an ASCII str once before calling it.
+    """The document, its edge layers as read-only int32 arrays and its
+    output table (a RationalTable, or None when doc["outputs"] holds the
+    rows), if the bytes are in write_robp's canonical form; otherwise None.
+    The scanner reads bytes only: read_robp encodes an ASCII str once
+    before calling it.
 
-    Everything but the edges is parsed by json.loads from a skeleton that
-    holds "edges":[] in their place, and taken only if json.dumps gives the
-    skeleton back byte for byte: that refuses whitespace other than at the
-    end, reordered or duplicate keys and non-ASCII text. The edges are
-    parsed by numpy, a batch of layers at a time, and each batch is taken
-    only if _layer_json gives its text back byte for byte: that refuses
-    every other spelling, and a target outside int32, which numpy's parse
-    would wrap. So what comes back is what json.loads and the walk would
+    The edge layers, and the output table when it is the last field, are
+    cut out of the text, and what is left, the skeleton, is parsed by
+    json.loads. It is taken only if json.dumps gives it back byte for byte:
+    that refuses whitespace other than at the end, reordered or duplicate
+    keys and non-ASCII text. _kernel.edge_scan reads the edge layers and
+    _kernel.table_scan the output table from the bytes in place, and each
+    takes only the one spelling write_robp gives (for the table, any cell
+    of the form _CELL); without a C library the output table stays in the
+    skeleton. So what comes back is what json.loads and the walk would
     make of the text."""
     head = _HEAD.match(text)
     if not head:
         return None
     start = head.end()
     # layers in canonical form hold no quote, so the first one follows them;
-    # edges that hold one are cut short there and fail the layer check
+    # edges that hold one are cut short there and fail the layer scan
     end = text.find(b'"', start) - len(b"],")
     if end < start or not text.startswith(b"],", end):
         return None
+    key = text.find(_OUTPUTS, end)
+    cut = key + len(_OUTPUTS)
+    table = _kernel.table_scan(text, cut) if key >= 0 else None
+    # a table that is not the top-level object's last field stays in the
+    # skeleton: one nested deeper is followed by a second "}"
+    if table is not None and not _LAST.match(text, table[2]):
+        table = None
     try:
         # the CLI ends what it writes with a newline; json.loads skips
         # trailing JSON whitespace, and so does the scanner
-        skeleton = (text[:start] + text[end:]).decode("ascii").rstrip(" \t\n\r")
-        with _gc_paused():
-            doc = json.loads(skeleton)
+        if table is None:
+            skeleton = (text[:start] + text[end:]).decode("ascii").rstrip(" \t\n\r")
+        else:
+            skeleton = (text[:start] + text[end:cut]).decode("ascii") + "[]}"
+        doc = json.loads(skeleton)
         if json.dumps(doc, separators=(",", ":"), sort_keys=True) != skeleton:
             return None
         alphabet = Alphabet(doc["alphabet"]["kind"], doc["alphabet"]["k"])
     except (ValueError, RecursionError):
         return None
-    sizes = doc["layers"]
+    sizes = doc.get("layers")  # read_robp reports a missing field
     if not isinstance(sizes, list) or not all(type(r) is int and r >= 0 for r in sizes):
         return None
-    edges = []
-    while start < end:
-        # the batch ends at the first layer boundary this far on, so every
-        # boundary inside it starts within its first _BATCH_CHARS
-        stop = text.find(_BETWEEN, start + _BATCH_CHARS, end)
-        stop = end if stop < 0 else stop + 2  # past the layer's "]]"
-        reach = min(start + _BATCH_CHARS + len(_BETWEEN) - 1, stop)
-        count = 1 + text.count(_BETWEEN, start, reach)
-        rows = sizes[len(edges) : len(edges) + count]
-        if len(rows) < count:
-            return None
-        batch = _scan_layers(text[start:stop], alphabet.size, rows)
-        if batch is None:
-            return None
-        edges += batch
-        start = stop + 1
-    return doc, edges
-
-
-def _scan_layers(chunk: bytes, size: int, rows):
-    """The edge layers whose text is chunk, as read-only int32 arrays of
-    size columns, or None. rows, the layer sizes the document gives, only
-    guide the split into layers."""
-    try:
-        flat = np.fromstring(chunk.translate(_BLANK), np.int32, sep=" ")
-    except ValueError:
+    edges = _kernel.edge_scan(text, start, end, alphabet.size, sizes)
+    if edges is None:
         return None
-    if flat.size != size * sum(rows):
-        return None
-    flat.flags.writeable = False
-    layers, offset = [], 0
-    for r in rows:
-        layers.append(flat[offset : offset + r * size].reshape(r, size))
-        offset += r * size
-    if ",".join(map(_layer_json, layers)).encode() != chunk:
-        return None
-    return layers
+    outputs = None
+    if table is not None:
+        num, den, _, reduced = table
+        outputs = RationalTable._reduced(num, den) if reduced else RationalTable(num, den)
+    return doc, edges, outputs
 
 
-def _walk_edge_layer(t: int, rows):
+def _walk_edge_layer(t: int, rows, size: int):
+    """Layer t of the walked document as a read-only int32 array of size
+    columns, built in bulk once every target is checked to be an int. Rows
+    that are ragged or hold a target outside int32 are kept verbatim, as
+    Robp keeps them, for validate to report."""
     _expect(isinstance(rows, list), f"edges[{t}]", "expected a list of vertex rows")
-    for u, row in enumerate(rows):
-        _expect(isinstance(row, list), f"edges[{t}][{u}]", "expected a list of targets")
-        for z, tgt in enumerate(row):
-            _expect(type(tgt) is int, f"edges[{t}][{u}][{z}]", "expected an integer")
+    # json.loads makes plain lists and ints; only a layer that holds
+    # anything else is walked target by target, to locate the first one
+    if not (
+        set(map(type, rows)) <= {list}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+    ):
+        for u, row in enumerate(rows):
+            _expect(isinstance(row, list), f"edges[{t}][{u}]", "expected a list of targets")
+            for z, tgt in enumerate(row):
+                _expect(type(tgt) is int, f"edges[{t}][{u}][{z}]", "expected an integer")
+    if not set(map(len, rows)) <= {size}:
+        return rows
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(rows), np.int32, len(rows) * size)
+    except OverflowError:
+        return rows
+    flat.flags.writeable = False
+    return flat.reshape(len(rows), size)
 
 
 def _walk_outputs(rows) -> list[tuple[Fraction, ...]]:
@@ -644,10 +650,11 @@ def _walk_outputs(rows) -> list[tuple[Fraction, ...]]:
 
 @contextlib.contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector. json.loads builds a list per
-    vertex and none of them is in a cycle, but the full collections their
-    number triggers scan every one made so far: on a 252 MB document this
-    halves the parse."""
+    """Pause the cyclic garbage collector, as read_robp does while it runs.
+    json.loads builds a list per vertex and none of them is in a cycle, but
+    the full collections their number triggers scan every one made so far:
+    on a 252 MB document this halves the parse. read_robp keeps none of
+    them, so they are all freed before the collector runs again."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -665,16 +672,24 @@ def read_robp(text: str | bytes) -> Robp:
     RobpParseError too.
 
     Text in the canonical form write_robp emits (sorted keys, "," and ":"
-    as separators, no whitespace but at the end) is scanned directly:
-    numpy parses the edge layers from the text, with no Python object per
-    target. The scanner reads bytes only, so an ASCII str is encoded once
-    on entry; a non-ASCII str is never canonical. Any other valid spelling
-    of the same document is read by json.loads and the element walk, which
-    is the one source of located error messages and keeps rows verbatim for
-    validate; both give the same program. The output table is converted in
-    bulk when every cell is a plain p or p/q, and otherwise walked."""
+    as separators, no whitespace but at the end) is scanned directly (see
+    _scan): the C kernels read the edge layers and the output table from
+    the bytes in place, in one pass each, with no Python object per target
+    or cell. The scanner reads bytes only, so an ASCII str is encoded once
+    on entry; a non-ASCII str is never canonical. Any text the scanner
+    refuses, which is any other valid spelling of the same document, is read
+    by json.loads and the element walk, the one source of located error
+    messages, which keeps ragged rows verbatim for validate; both give the
+    same program. Walked edge layers go to numpy in bulk once checked, and
+    walked output tables too when every cell is a plain p or p/q."""
+    with _gc_paused():
+        return _read(text)
+
+
+def _read(text: str | bytes) -> Robp:
+    """read_robp, run with the garbage collector paused."""
     # the encoded copy lives only while it is scanned; a bytearray goes to
-    # the walk, as numpy's fromstring takes read-only bytes
+    # the walk, as the scanner reads immutable bytes only
     if isinstance(text, str) and text.isascii():
         scanned = _scan(text.encode())
     else:
@@ -686,15 +701,14 @@ def read_robp(text: str | bytes) -> Robp:
             except UnicodeDecodeError as e:
                 raise RobpParseError(f"byte {e.start}: not UTF-8 text") from None
         try:
-            with _gc_paused():
-                doc = json.loads(text)
+            doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise RobpParseError(f"line {e.lineno} col {e.colno}: {e.msg}") from None
         except RecursionError:
             raise RobpParseError("document: nested too deeply to parse") from None
-        edges = None
+        edges = outputs = None
     else:
-        doc, edges = scanned
+        doc, edges, outputs = scanned
     _expect(isinstance(doc, dict), "document", "expected a JSON object")
     for key in ("n", "alphabet", "layers", "edges", "outputs"):
         _expect(key in doc, "document", f"missing field {key!r}")
@@ -720,61 +734,33 @@ def read_robp(text: str | bytes) -> Robp:
     if edges is None:
         edges = doc["edges"]
         _expect(isinstance(edges, list), "edges", "expected a list")
-        for t, rows in enumerate(edges):
-            _walk_edge_layer(t, rows)
-    outputs_doc = doc["outputs"]
-    _expect(isinstance(outputs_doc, list), "outputs", "expected a list")
-    outputs = _bulk_outputs(outputs_doc)
+        edges = [_walk_edge_layer(t, rows, alphabet.size) for t, rows in enumerate(edges)]
     if outputs is None:
-        outputs = _walk_outputs(outputs_doc)
+        outputs_doc = doc["outputs"]
+        _expect(isinstance(outputs_doc, list), "outputs", "expected a list")
+        outputs = _bulk_outputs(outputs_doc)
+        if outputs is None:
+            outputs = _walk_outputs(outputs_doc)
     return Robp(n, alphabet, layers, edges, outputs)
 
 
-def _layer_json(rows) -> str:
-    """One edge layer as the text json.dumps gives it with separators
-    (",", ":"). An array of 256 targets or more is formatted from digit
-    columns, one numpy pass per decimal place, instead of one Python int
-    per target; below that the fixed cost of those passes is the larger."""
-    if not isinstance(rows, np.ndarray):
-        return json.dumps([[int(v) for v in r] for r in rows], separators=(",", ":"))
-    if rows.size < 256:
-        return json.dumps(rows.tolist(), separators=(",", ":"))
-    v, s = rows.shape
-    x = rows.ravel().astype(np.int64)
-    q = np.abs(x).astype(np.uint32)
-    width = len(str(q.max()))
-    # per target: "[" before a row's first, "-", its digits, then "," or
-    # "],"; the zero bytes left over are dropped
-    cells = np.zeros((v * s, width + 4), np.uint8)
-    cells[::s, 0] = ord("[")
-    cells[x < 0, 1] = ord("-")
-    for j in range(width + 1, 1, -1):
-        nq = q // 10
-        digit = (q - nq * 10 + ord("0")).astype(np.uint8)
-        if j <= width:
-            digit[q == 0] = 0  # a leading zero
-        cells[:, j] = digit
-        q = nq
-    cells[:, -2] = ord(",")
-    cells[s - 1 :: s, -2:] = (ord("]"), ord(","))
-    return "[" + cells[cells != 0][:-1].tobytes().decode("ascii") + "]"
-
-
 def write_robp(p: Robp) -> str:
-    """Serialize to the documented JSON format (round-trips through read_robp)."""
+    """Serialize to the documented JSON format (round-trips through
+    read_robp): compact, with sorted keys. _kernel.edge_format writes the
+    edge layers and _kernel.table_format an int64 output table, each in one
+    pass in C (or in numpy without a C library); either path gives the same
+    bytes, those of one json.dumps over the whole document."""
     if isinstance(p.outputs, RationalTable):
-        outputs = [
-            [str(a) if b == 1 else f"{a}/{b}" for a, b in zip(nums, dens)]
-            for nums, dens in zip(p.outputs.num.tolist(), p.outputs.den.tolist())
-        ]
+        outputs = _kernel.table_format(p.outputs.num, p.outputs.den)
     else:
-        outputs = [[format_rational(v) for v in row] for row in p.outputs]
+        outputs = json.dumps([[format_rational(v) for v in row] for row in p.outputs],
+                             separators=(",", ":"))
     alphabet = {"kind": p.alphabet.kind, "k": p.alphabet.k}
     compact = dict(separators=(",", ":"), sort_keys=True)
-    # the keys in sorted order, with each edge layer formatted on its own
+    # the keys in sorted order, with the edges and outputs formatted apart
     return (
         f'{{"alphabet":{json.dumps(alphabet, **compact)},'
-        f'"edges":[{",".join(map(_layer_json, p.edges))}],'
+        f'"edges":[{_kernel.edge_format(p.edges)}],'
         f'"layers":{json.dumps(list(p.layer_sizes), **compact)},"n":{p.n},'
-        f'"outputs":{json.dumps(outputs, **compact)}}}'
+        f'"outputs":{outputs}}}'
     )

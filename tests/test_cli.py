@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import robpcount
+from robpcount import read_robp, tribes
 from robpcount.cli import main
 
 # child processes import the same robpcount as this test run, installed or not
@@ -106,6 +107,31 @@ def test_pipeline_through_stdin():
     )
     assert verify.returncode == 0
     assert json.loads(verify.stdout)["valid"] is True
+
+
+def test_the_output_ends_before_the_interpreter_does():
+    # an exit handler that sleeps stands in for a slow teardown: the reader
+    # sees the end of the program text while the writer still runs
+    script = (
+        "import atexit, sys, time; atexit.register(time.sleep, 1);"
+        "sys.argv = ['robpcount', 'build', '--kind', 'tribes', '--n', '100', '--w', '4'];"
+        "from robpcount.cli import run; run()"
+    )
+    with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=CHILD_ENV) as build:
+        text = build.stdout.read()
+        running = build.poll() is None
+    assert running and build.returncode == 0
+    assert read_robp(text) == tribes(100, 4)
+
+
+def test_a_reader_gone_away_is_an_error():
+    with subprocess.Popen(
+        [sys.executable, "-m", "robpcount.cli", "build", "--kind", "exact", "--n", "20", "--k", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+    ) as build:
+        build.stdout.close()
+        err = build.stderr.read().decode()
+    assert build.returncode == 2 and err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):

@@ -3,6 +3,7 @@ label DP step, the label copy-out and validate's reachability step), and
 their loader."""
 
 import copy
+import json
 import ctypes
 import math
 import random
@@ -694,3 +695,266 @@ def test_minimal_error_table_equals_the_normalized_one(numpy_kernels):
                 assert got.dtype == ref.dtype == np.int64 and got.shape == ref.shape, path
                 assert np.array_equal(got, ref) and not got.flags.writeable, path
             assert table == want and best == Fraction(int((hi - lo).max()), 2)
+
+
+# ---------------------------------------------------------------------------
+# the JSON transport: edge_format, table_format, edge_scan and table_scan
+# ---------------------------------------------------------------------------
+
+_I32 = np.iinfo(np.int32)
+_I64 = np.iinfo(np.int64)
+
+
+def _edge_layer_cases():
+    """Lists of edge layers: seeded random layers with 0, negative targets
+    and int32's ends mixed in, empty layers, and 1,000 thin layers."""
+    rng = np.random.default_rng(8)
+    ends = np.array([0, -1, 1, 9, 10, -10, _I32.max, -_I32.max, _I32.min], np.int32)
+    cases = [[], [np.zeros((0, 2), np.int32)], [np.zeros((0, 3), np.int32)] * 3]
+    for _ in range(40):
+        symbols = int(rng.integers(1, 9))
+        layers = []
+        for _ in range(int(rng.integers(1, 6))):
+            rows = int(rng.choice([0, 1, 3, 40, 300]))
+            scale = int(rng.choice([10, 10**4, 2**31]))
+            layer = rng.integers(-scale, scale, (rows, symbols), dtype=np.int64)
+            layer = np.clip(layer, _I32.min, _I32.max).astype(np.int32)
+            layer.ravel()[rng.random(layer.size) < 0.2] = rng.choice(ends)
+            layers.append(layer)
+        cases.append(layers)
+    cases.append([np.array([[t % 7, -t]], np.int32) for t in range(1000)])
+    cases.append([np.resize(ends, (600, 3)).astype(np.int32)])  # past the twin's 256 switch
+    return cases
+
+
+def _reference_edges(layers):
+    """The edge layers as json.dumps spells them, joined by commas."""
+    return ",".join(json.dumps(a.tolist(), separators=(",", ":")) for a in layers)
+
+
+def test_edge_format_writes_the_json_text_on_both_paths(numpy_kernels):
+    cases = _edge_layer_cases()
+    for path in _both_paths(numpy_kernels):
+        for layers in cases:
+            text = _kernel.edge_format(layers)
+            assert text == _reference_edges(layers), path
+            assert text == _kernel._edge_format_numpy(layers), path
+
+
+def test_edge_format_takes_list_rows_through_the_twin():
+    layers = [np.array([[0, 1]], np.int32), [[0, 1, 2], [2**40, -3]], np.array([[5, 6]], np.int32)]
+    assert _kernel.edge_format(layers) == "[[0,1]],[[0,1,2],[1099511627776,-3]],[[5,6]]"
+    # arrays the C code cannot take, formatted the same
+    wide = np.arange(-6, 6, dtype=np.int64).reshape(4, 3)
+    for layers in ([wide], [np.asfortranarray(wide.astype(np.int32))], [wide.astype(np.int32), wide[:, :2]]):
+        assert _kernel.edge_format(layers) == _reference_edges(layers)
+
+
+def _table_cases():
+    """(num, den) int64 pairs: p/q cells, negative cells, 18- and 19-digit
+    cells, int64's ends, and tables with no rows or no columns."""
+    rng = np.random.default_rng(9)
+    cases = [(np.zeros((0, 2), np.int64), np.ones((0, 2), np.int64)),
+             (np.zeros((3, 0), np.int64), np.ones((3, 0), np.int64))]
+    wide = [0, 1, -1, 10**17, -(10**17) + 3, 10**18 - 1, -(10**18) + 1, _I64.max, _I64.min]
+    for _ in range(30):
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        scale = int(rng.choice([10, 10**6, 10**18]))
+        num = rng.integers(-scale, scale, (rows, cols), dtype=np.int64)
+        den = np.where(rng.random((rows, cols)) < 0.5, 1, rng.integers(1, scale, (rows, cols)))
+        num.ravel()[rng.random(num.size) < 0.2] = rng.choice(wide)
+        den.ravel()[rng.random(den.size) < 0.1] = rng.choice([_I64.max, 10**18 - 1, 2])
+        cases.append((num, den.astype(np.int64)))
+    return cases
+
+
+def _reference_table(num, den):
+    rows = [[str(a) if b == 1 else f"{a}/{b}" for a, b in zip(r, s)] for r, s in zip(num.tolist(), den.tolist())]
+    return json.dumps(rows, separators=(",", ":"))
+
+
+def test_table_format_writes_the_json_text_on_both_paths(numpy_kernels):
+    cases = _table_cases()
+    for path in _both_paths(numpy_kernels):
+        for num, den in cases:
+            assert _kernel.table_format(num, den) == _reference_table(num, den), path
+            # a table of Python ints, past int64, goes through the twin
+            big = num.astype(object) * 2**70
+            assert _kernel.table_format(big, den) == _reference_table(big, den), path
+
+
+def test_table_format_refuses_tables_of_two_shapes():
+    for num, den in [(np.zeros((2, 2), np.int64), np.ones((2, 3), np.int64)),
+                     (np.zeros(2, np.int64), np.ones(2, np.int64))]:
+        with pytest.raises(ValueError, match="table format"):
+            _kernel.table_format(num, den)
+
+
+def test_edge_scan_reads_what_edge_format_writes_on_both_paths(numpy_kernels):
+    cases = [layers for layers in _edge_layer_cases() if layers]
+    for path in _both_paths(numpy_kernels):
+        for layers in cases:
+            text = b"xx" + _kernel.edge_format(layers).encode() + b"yy"
+            symbols = layers[0].shape[1]
+            sizes = [len(a) for a in layers] + [5]
+            got = _kernel.edge_scan(text, 2, len(text) - 2, symbols, sizes)
+            if got is None and path == "numpy" and any(len(a) == 0 for a in layers):
+                # the twin splits its batches at "]],[[", which an empty
+                # layer lacks, so it may refuse such text: the walk reads it
+                continue
+            assert got is not None and len(got) == len(layers), path
+            for a, b in zip(got, layers):
+                assert a.dtype == np.int32 and not a.flags.writeable, path
+                assert np.array_equal(a, b), path
+
+
+def _scan_edges(text: bytes, symbols: int, sizes):
+    return _kernel.edge_scan(text, 0, len(text), symbols, sizes)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        pytest.param(b"[[0,1]],[[0,1],[1,2]]", [[[0, 1]], [[0, 1], [1, 2]]], id="two-layers"),
+        pytest.param(b"", [], id="no-layers"),
+        pytest.param(b"[[2147483647,-2147483648]]", [[[_I32.max, _I32.min]]], id="int32-ends"),
+        pytest.param(b"[[0,2147483648]]", None, id="target-2**31"),
+        pytest.param(b"[[-2147483649,0]]", None, id="target-below-int32"),
+        pytest.param(b"[[0,99999999999]]", None, id="eleven-digits"),
+        pytest.param(b"[[0,18446744073709551617]]", None, id="2**64+1"),  # 1, wrapped in int64
+        pytest.param(b"[[-0,1]]", None, id="minus-zero"),
+        pytest.param(b"[[01,1]]", None, id="leading-zero"),
+        pytest.param(b"[[00,1]]", None, id="double-zero"),
+        pytest.param(b"[[+1,1]]", None, id="plus-sign"),
+        pytest.param(b"[[-,1]]", None, id="bare-minus"),
+        pytest.param(b"[[1 ,1]]", None, id="space"),
+        pytest.param(b"[[1,1],]", None, id="trailing-comma"),
+        pytest.param(b"[[0,1]],", None, id="trailing-layer-comma"),
+        pytest.param(b"[[0,1]]]", None, id="extra-bracket"),
+        pytest.param(b"[[0,1,2]]", None, id="long-row"),
+        pytest.param(b"[[0]]", None, id="short-row"),
+        pytest.param(b"[[0,1],[1,2]]", None, id="long-layer"),
+        pytest.param(b"[]", None, id="empty-layer-of-one-row"),
+        pytest.param(b"[[0,1]],[[0,1],[1,2]],[[0,1],[1,2],[2,3]]", None, id="more-layers-than-sizes"),
+        pytest.param(b"[[0,1]],[[0,1],[1,2]],[]", None, id="empty-layer-past-the-sizes"),
+    ],
+)
+def test_edge_scan_takes_the_one_spelling(text, expected, numpy_kernels):
+    for path in _both_paths(numpy_kernels):
+        got = _scan_edges(text, 2, [1, 2])
+        if expected is None:
+            assert got is None, path
+        else:
+            assert [a.tolist() for a in got] == expected, path
+
+
+def test_edge_scan_takes_empty_layers_the_sizes_declare():
+    compiled()
+    got = _scan_edges(b"[[0,0]],[],[[1,1]]", 2, [1, 0, 1])
+    assert [a.shape for a in got] == [(1, 2), (0, 2), (1, 2)]
+
+
+def test_edge_scan_allocates_nothing_for_sizes_the_text_cannot_back(numpy_kernels):
+    import tracemalloc
+
+    text = b"[[0,0]],[[0,0]]"
+    for path in _both_paths(numpy_kernels):
+        for sizes in ([10**9, 1], [1, 2**40], [2**62, 2**62], [1, 1, 10**12]):
+            tracemalloc.start()
+            try:
+                got = _scan_edges(text, 2, sizes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (path, sizes, peak)
+            if sizes[:2] == [1, 1]:
+                assert [a.tolist() for a in got] == [[[0, 0]], [[0, 0]]], path
+            else:
+                assert got is None, path
+
+
+def test_edge_scan_reads_only_its_slice(numpy_kernels):
+    text = b"[[0,1]],[[0,1],[1,2]]"
+    for path in _both_paths(numpy_kernels):
+        # cut one byte short, the last layer is refused rather than read on
+        assert _kernel.edge_scan(text, 0, len(text) - 1, 2, [1, 2]) is None, path
+        # every prefix but the empty one (no layers) and the first layer's
+        for end in range(len(text)):
+            got = _kernel.edge_scan(text, 0, end, 2, [1, 2])
+            assert (got is None) == (end not in (0, 7)), (path, end)
+
+
+def test_edge_scan_refuses_arguments_it_cannot_take():
+    for args in [
+        (bytearray(b"[[0,1]]"), 0, 7, 2, [1]),
+        ("[[0,1]]", 0, 7, 2, [1]),
+        (b"[[0,1]]", 0, 8, 2, [1]),
+        (b"[[0,1]]", 3, 2, 2, [1]),
+        (b"[[0,1]]", -1, 7, 2, [1]),
+        (b"[[0,1]]", 0, 7, 0, [1]),
+        (b"[[0,1]]", 0, 7, 2, [-1]),
+        (b"[[0,1]]", 0, 7, 2, [True]),
+    ]:
+        with pytest.raises(ValueError, match="edge scan"):
+            _kernel.edge_scan(*args)
+
+
+def _scan_table(text: bytes):
+    return _kernel.table_scan(text, 0)
+
+
+def test_table_scan_reads_what_table_format_writes():
+    compiled()
+    for num, den in _table_cases():
+        table = RationalTable(num.clip(-(10**18) + 1, 10**18 - 1), den.clip(1, 10**18 - 1))
+        if not len(table) or not table.shape[1]:
+            continue
+        text = _kernel.table_format(table.num, table.den).encode() + b"}"
+        got_num, got_den, stop, reduced = _scan_table(text)
+        assert stop == len(text) - 1 and reduced
+        assert np.array_equal(got_num, table.num) and np.array_equal(got_den, table.den)
+
+
+def test_table_scan_takes_exactly_the_cells_bulk_outputs_takes():
+    compiled()
+    rng = random.Random(5)
+    pieces = ["0", "7", "12", "9" * 17, "9" * 18, "-", "/", "+", " ", "\\u0031", "a", "1/0"]
+    cells = ["-0", "007", "0/5", "2/4", "-3/6", "1/01", "1/0", "9" * 19, "1/" + "9" * 19]
+    cells += ["".join(rng.choices(pieces, k=rng.randint(0, 5))) for _ in range(4000)]
+    accepted = 0
+    for cell in cells:
+        for rows in ([[cell]], [["1", cell], [cell, "-2/3"]]):
+            text = json.dumps(rows, separators=(",", ":")).encode()
+            got = _scan_table(text)
+            want = robp_module._bulk_outputs(json.loads(text))
+            assert (got is None) == (want is None), cell
+            if got is not None:
+                num, den, stop, reduced = got
+                table = RationalTable(num, den)
+                assert table == want and stop == len(text), cell
+                assert reduced == (np.array_equal(num, want.num) and np.array_equal(den, want.den)), cell
+                accepted += 1
+    assert accepted > 500
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"[]", b"[[]]", b'[["1"],[]]', b'[["1"],["1","2"]]', b'[["1","2"],["1"]]', b'[["1"]', b'[["1"],',
+     b'[["1"] ]', b'[[ "1"]]', b'[["1",]]', b'[[1]]', b'[["1\\n"]]', b'[["1"]],', b'[["1"', b""],
+)
+def test_table_scan_refuses_other_tables(text):
+    compiled()
+    got = _scan_table(text)
+    if text == b'[["1"]],':  # the table ends before the comma
+        assert got is not None and got[2] == len(text) - 1
+    else:
+        assert got is None
+
+
+def test_table_scan_needs_a_library_and_bytes(numpy_kernels):
+    with pytest.raises(ValueError, match="table scan"):
+        _kernel.table_scan(bytearray(b'[["1"]]'), 0)
+    with pytest.raises(ValueError, match="table scan"):
+        _kernel.table_scan(b'[["1"]]', 8)
+    numpy_kernels()
+    assert _kernel.table_scan(b'[["1"]]', 0) is None

@@ -347,6 +347,25 @@ def test_labeled_robp_freezes_its_labels():
         LabeledRobp(lp.p, lp.lo, [a.astype(np.int64) + 2**31 for a in lp.hi])
 
 
+def test_compute_labels_builds_what_the_checked_constructor_keeps(numpy_kernels):
+    from robpcount import LabeledRobp
+
+    programs = [exact_counter(6, 3), random_robp(9, counter_alphabet(3), 4, 1),
+                random_robp(7, parallel_alphabet(2), 3, 2), random_robp(12, binary_alphabet(), 3, 3)]
+    for numpy_path in (False, True):
+        if numpy_path:
+            numpy_kernels()
+        for p in programs:
+            for mode in ("full", "potential") if p.alphabet.kind != "parallel" else ("full",):
+                lp = compute_labels(p, mode)
+                checked = LabeledRobp(p, lp.lo, lp.hi)  # raises on any malformed layer
+                for name in LabeledRobp.__slots__:
+                    assert getattr(checked, name) == getattr(lp, name) or name in ("lo", "hi")
+                # the checked constructor keeps the frozen arrays as they are
+                assert all(a is b for a, b in zip(checked.lo + checked.hi, lp.lo + lp.hi))
+                assert type(lp.lo) is type(lp.hi) is tuple
+
+
 def test_one_program_is_validated_once(monkeypatch):
     from robpcount import audit_final_counter, profile_counter
     from robpcount import robp as robp_module

@@ -25,6 +25,7 @@ from robpcount import (
     verify,
     write_robp,
 )
+from robpcount import _kernel
 from robpcount.robp import Alphabet, RationalTable
 
 
@@ -558,6 +559,69 @@ def test_write_matches_the_reference_text(build, monkeypatch):
     assert _same_outcome(write_robp(p), monkeypatch)
 
 
+def _constructions():
+    """Every construction, and seeded random programs over each alphabet."""
+    programs = [
+        exact_counter(6, 3),
+        exact_counter(20, 4),
+        rounded_counter(100, 3, 10),
+        rounded_counter(100, 2, 10),
+        tribes(100, 4),
+        tribes(60, 3, "optimal"),
+        constant_program(5, [Fraction(7, 2), Fraction(-3)]),
+        _negative_and_wide_values(),
+        _targets(512, 2, _INT32_ENDS),
+    ]
+    rng = random.Random(12)
+    for seed in range(24):
+        alphabet = [binary_alphabet(), counter_alphabet(3), parallel_alphabet(2)][seed % 3]
+        programs.append(random_robp(rng.randint(0, 8), alphabet, rng.choice([1, 3, 40, 200]), seed))
+    return programs
+
+
+def test_write_and_read_agree_on_both_kernel_paths(numpy_kernels, monkeypatch):
+    programs = _constructions()
+    texts = [_reference_text(p) for p in programs]
+    walked = [_walk_outcome(text, monkeypatch) for text in texts]
+    paths = ["C"] if _kernel.library() is not None else []
+    for path in paths + ["numpy"]:
+        if path == "numpy":
+            numpy_kernels()
+        for p, text, walk in zip(programs, texts, walked):
+            assert write_robp(p) == text, path
+            for given in (text, text.encode(), (text + "\n").encode()):
+                assert _scanned(given), path
+                assert _outcome(given) == walk and walk[0] == p, path
+
+
+def _mutations(text: bytes):
+    """Every truncation, single-byte deletion and single-byte substitution
+    (by a byte of the JSON grammar or one outside it) of text."""
+    for i in range(len(text)):
+        yield text[:i]
+        yield text[:i] + text[i + 1 :]
+        for b in b'0123456789-+,[]{}":/ .ae\\\x00\xff':
+            if b != text[i]:
+                yield text[:i] + bytes([b]) + text[i + 1 :]
+
+
+def test_every_one_byte_edit_reads_as_json_loads_reads_it(numpy_kernels, monkeypatch):
+    edges = [np.array([[0, 1]], np.int32), np.array([[1, 0], [-1, 2147483647]], np.int32)]
+    p = Robp(2, counter_alphabet(2), [1, 2, 3], edges, [(Fraction(7, 2), Fraction(-1))] * 3)
+    texts = list(_mutations(write_robp(p).encode()))
+    walked = [_walk_outcome(text, monkeypatch) for text in texts]
+    paths = ["C"] if _kernel.library() is not None else []
+    for path in paths + ["numpy"]:
+        if path == "numpy":
+            numpy_kernels()
+        scanned = 0
+        for text, walk in zip(texts, walked):
+            assert _outcome(text) == walk, (path, text)
+            scanned += _scanned(text)
+        # digits swapped for digits and the like still read canonically
+        assert scanned > 200, path
+
+
 def test_bulk_reading_runs_on_written_programs(monkeypatch):
     def walked(*args):
         raise AssertionError("the walk ran")
@@ -674,6 +738,12 @@ def _replace(old, new):
         pytest.param(_replace('"layers":[1,2,3,4,5]', '"layers":[true,2,3,4,5]'), False, id="layers-true"),
         pytest.param(_replace('["4","0"]', '["4",true]'), True, id="output-true"),
         pytest.param(_BASE[: len(_BASE) // 2], False, id="truncated"),
+        # an output table nested in another field is not the document's
+        pytest.param(_replace(',"n":4', ',"m":{"a":1,"outputs":[["9","9"]]},"n":4'), True,
+                     id="outputs-nested-before"),
+        pytest.param(_BASE[:-1] + ',"z":{"a":1,"outputs":[["9","9"]]}}', True, id="outputs-nested-after"),
+        pytest.param(_replace('["4","0"]', '["4","0/5"]'), True, id="output-unreduced-zero"),
+        pytest.param(_replace('["4","0"]', '["-0","007"]'), True, id="output-minus-zero-and-zeros"),
     ],
 )
 def test_scanning_matches_json_loads(text, scanned, monkeypatch):
@@ -681,13 +751,15 @@ def test_scanning_matches_json_loads(text, scanned, monkeypatch):
 
 
 @pytest.mark.parametrize("batch_chars", [0, 1, 40])
-def test_scanning_in_small_batches(batch_chars, monkeypatch):
+def test_scanning_in_small_batches(batch_chars, monkeypatch, numpy_kernels):
+    # the batches are the numpy scanner's, which runs without a C library
+    numpy_kernels()
     programs = [tribes(100, 4), exact_counter(20, 3)]
     rng = random.Random(3)
     for seed in range(12):
         alphabet = [binary_alphabet(), counter_alphabet(3), parallel_alphabet(2)][seed % 3]
         programs.append(random_robp(rng.randint(0, 8), alphabet, rng.choice([1, 3, 40]), seed))
-    monkeypatch.setattr(robp_module, "_BATCH_CHARS", batch_chars)
+    monkeypatch.setattr(_kernel, "_BATCH_CHARS", batch_chars)
     for p in programs:
         assert _same_outcome(write_robp(p), monkeypatch)
         assert read_robp(write_robp(p)) == p
