@@ -2,24 +2,28 @@
 transport.
 
 layer_boxes and layer_paint measure, then paint and sum, one layer of a
-potential profile. label_step runs one layer of the label DP, and
-label_split copies that layer's lo and hi columns out of its packed rows.
+potential profile; the C painter paints each box as at most two slabs
+along axis 0 and spreads them level by level, in place (LAYER_PAINT says
+how). label_step runs one layer of the label DP, and label_split copies
+that layer's lo and hi columns out of its packed rows. widest_halfwidth
+is verify's check of the DP's last layer against the output table.
 reach_mark runs one layer of validate's reachability scan. edge_format
 and table_format write a program's edge layers and output table as
 write_robp spells them, and edge_scan and table_scan read that spelling
 back from the bytes in place, each in one pass. Each checks its arguments
 for what the C code relies on, then runs its C function (_c) if the
 library loaded, and otherwise the same computation in numpy
-(_boxes_numpy, _paint_layer_numpy, _step_numpy, _split_numpy, _mark_numpy,
-_edge_format_numpy, _table_format_numpy, _edge_scan_numpy; also the
-references the tests compare the C code against). Both paths give
-identical results, so callers never ask which one ran: the formatters
-write the same bytes, and what a scanner takes is what json.loads makes of
-the text. table_scan alone has no twin of its own: without the library it
-takes nothing, and read_robp leaves the table to json.loads and
-robp._bulk_outputs.
+(_boxes_numpy, _paint_layer_numpy, _step_numpy, _split_numpy,
+_widest_numpy, _mark_numpy, _edge_format_numpy, _table_format_numpy,
+_edge_scan_numpy; also the references the tests compare the C code
+against). Both paths give identical results, so callers never ask which
+one ran: a refused paint leaves the grid unpainted on both, the
+formatters write the same bytes, and what a scanner takes is what
+json.loads makes of the text. table_scan alone has no twin of its own:
+without the library it takes nothing, and read_robp leaves the table to
+json.loads and robp._bulk_outputs.
 
-A kernel is declared once, in _KERNELS; the four that read labels have an
+A kernel is declared once, in _KERNELS; the five that read labels have an
 int16 and an int32 body, which SOURCE instantiates from one line per dtype.
 SOURCE is compiled once per machine with the system C compiler (`cc`) into
 $XDG_CACHE_HOME/robpcount/ (default ~/.cache/robpcount/) and loaded with
@@ -41,6 +45,7 @@ import platform
 import shutil
 import tempfile
 import zlib
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +56,7 @@ COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 
 SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* A layer's label row (p = lo, q = hi, d columns) widened to int64 into a
    (lo) and h (hi clipped at clip). The row is kept, and 1 returned, when its
@@ -111,45 +117,115 @@ int64_t layer_boxes_##S(int64_t n, int64_t d, const T *lo, const T *hi,     \
     return kept;                                                            \
 }
 
-/* Max-paint v over the box [a, b] of the row-major grid with the given
-   strides; idx is scratch of d entries. The box's last two axes form a slab
-   of rows of width cells (one row when d = 1), painted by two plain loops,
-   and the odometer steps over axes d-3 .. 0 only, one slab per step. On
-   layers 80-100 of rounded_counter(100, 4, 10), whose box rows hold 2-8
-   cells and boxes about 120, an odometer step per row painted about 8%
-   slower (2-vCPU x86-64 guest, GCC 12). */
-static void paint_box(int64_t d, const int64_t *a, const int64_t *b, int32_t v,
-                      const int64_t *stride, int64_t *idx, int32_t *grid)
+/* Four int32 lanes, through GCC/Clang vector extensions: one register on
+   x86-64's baseline SSE2 (no -march), with the max spelled as a compare and
+   a blend, since SSE2 has no packed int32 max. An 8-lane type is split into
+   scalar code by GCC 12 without AVX, and painted about 2x slower. */
+typedef int32_t lanes4 __attribute__((vector_size(16)));
+
+/* Max v into the width cells from row: one masked 8-lane max when lanes
+   is set, with v in the row's lanes of paint0 and paint1 and INT32_MIN,
+   which changes no cell, past them; else a plain loop. */
+static inline void max_row(int32_t *row, int64_t width, int32_t v, int lanes,
+                           lanes4 paint0, lanes4 paint1)
 {
-    const int64_t width = b[d - 1] - a[d - 1] + 1;
-    const int64_t rows = d > 1 ? b[d - 2] - a[d - 2] + 1 : 1;
-    const int64_t pitch = d > 1 ? stride[d - 2] : 0;
-    int64_t off = 0;
+    if (lanes) {
+        lanes4 x0, x1;
+        __builtin_memcpy(&x0, row, sizeof x0);
+        __builtin_memcpy(&x1, row + 4, sizeof x1);
+        const lanes4 keep0 = x0 > paint0, keep1 = x1 > paint1;
+        x0 = (x0 & keep0) | (paint0 & ~keep0);
+        x1 = (x1 & keep1) | (paint1 & ~keep1);
+        __builtin_memcpy(row, &x0, sizeof x0);
+        __builtin_memcpy(row + 4, &x1, sizeof x1);
+        return;
+    }
+    /* an unconditional store: a data-dependent branch here mispredicts
+       often and paints about 30% slower */
+    for (int64_t c = 0; c < width; c++) {
+        const int32_t x = row[c];
+        row[c] = x < v ? v : x;
+    }
+}
+
+/* Max-paint v over two slabs of the box [a, b]: its cells whose first
+   coordinate is a[0], and those whose first coordinate is a[0] + gap when
+   gap > 0, in the row-major grid of the given strides and cells cells; idx
+   is scratch of d entries. A slab's rows run along the last axis (one cell
+   each when d = 1) and its axis d-2 (when d > 2) is painted by a plain
+   loop, so the odometer steps over axes d-3 .. 1 only. On layers 80-100
+   of rounded_counter(100, 4, 10), whose box rows hold 2-8 cells, an
+   odometer step per row painted about 8% slower (2-vCPU x86-64 guest,
+   GCC 12).
+
+   A row of at most 8 cells whose 8-cell window lies inside the grid is one
+   masked 8-lane max: the window is loaded, v is maxed into the row's lanes
+   and the window stored whole, so the up to 7 cells past the row's end are
+   rewritten with the values they held. That is safe only because no other
+   thread writes this grid while it is painted: each grid belongs to one
+   call on one thread. */
+static inline __attribute__((always_inline)) void
+paint_slabs(int64_t d, const int64_t *a, const int64_t *b, int64_t gap,
+                        int32_t v, const int64_t *stride, int64_t cells,
+                        int64_t *idx, int32_t *grid)
+{
+    const int64_t width = d > 1 ? b[d - 1] - a[d - 1] + 1 : 1;
+    const int64_t rows = d > 2 ? b[d - 2] - a[d - 2] + 1 : 1;
+    const int64_t pitch = d > 2 ? stride[d - 2] : 0;
+    gap *= stride[0];
+    int64_t off = 0, last = gap;  /* the last row's start */
     for (int64_t j = 0; j < d; j++) {
         idx[j] = a[j];
         off += a[j] * stride[j];
+        last += (j > 0 && j < d - 1 ? b[j] : a[j]) * stride[j];
     }
+    const int lanes = width <= 8 && last + 8 <= cells;
+    const int32_t w = (int32_t)width, m = INT32_MIN;
+    const lanes4 wide = {w, w, w, w}, vv = {v, v, v, v}, mm = {m, m, m, m};
+    const lanes4 in0 = (lanes4){0, 1, 2, 3} < wide, in1 = (lanes4){4, 5, 6, 7} < wide;
+    const lanes4 paint0 = (vv & in0) | (mm & ~in0), paint1 = (vv & in1) | (mm & ~in1);
     for (;;) {
         for (int64_t r = 0; r < rows; r++) {
             int32_t *row = grid + off + r * pitch;
-            /* an unconditional store: a data-dependent branch here
-               mispredicts often and paints about 30% slower */
-            for (int64_t c = 0; c < width; c++) {
-                const int32_t x = row[c];
-                row[c] = x < v ? v : x;
-            }
+            max_row(row, width, v, lanes, paint0, paint1);
+            if (gap)
+                max_row(row + gap, width, v, lanes, paint0, paint1);
         }
-        /* next slab of the box: an odometer over axes d-3 .. 0 */
+        /* next part of the slabs: an odometer over axes d-3 .. 1 */
         int64_t j = d - 3;
-        while (j >= 0 && idx[j] == b[j]) {
+        while (j >= 1 && idx[j] == b[j]) {
             off -= (b[j] - a[j]) * stride[j];
             idx[j] = a[j];
             j--;
         }
-        if (j < 0)
+        if (j < 1)
             break;
         idx[j]++;
         off += stride[j];
+    }
+}
+
+/* dst[i] = max(dst[i], src[i]) for i < count, over cells that do not
+   overlap */
+static void max_into(int32_t *restrict dst, const int32_t *restrict src, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++) {
+        const int32_t x = dst[i], s = src[i];
+        dst[i] = x < s ? s : x;
+    }
+}
+
+/* One push of the level painting, in place: slice y of the grid's slices
+   (pitch cells each, along axis 0) becomes max(slice y, slice y - step),
+   for y from the last slice down to step. Blocks of step slices go from the
+   top down, so each block reads slices the push has not yet written, and
+   its source and destination do not overlap. */
+static void push_down(int64_t slices, int64_t step, int64_t pitch, int32_t *grid)
+{
+    for (int64_t y1 = slices; y1 > step;) {
+        const int64_t y0 = y1 - step > step ? y1 - step : step;
+        max_into(grid + y0 * pitch, grid + (y0 - step) * pitch, (y1 - y0) * pitch);
+        y1 = y0;
     }
 }
 
@@ -191,18 +267,37 @@ static int64_t grid_sum(int64_t d, const int64_t *shape, const int64_t *stride,
 /* Fill the row-major int32 grid of the given shape, whose origin is base,
    with -1; max-paint the box [lo, clipped hi] of every row layer_boxes
    keeps under the same cap and clip with the row's value; then store
-   grid_sum's sum up to t in *sum and return 0. A kept box that does not lie
-   inside the grid, or whose value does not fit int32, is never painted: the
-   call returns 1 at once. The caller guarantees d >= 1, shape >= 1 and a
-   grid of prod(shape) cells. */
+   grid_sum's sum up to t in *sum and return 0.
+
+   A first pass checks every kept box before any cell is painted: one that
+   does not lie inside the grid, or whose value does not fit int32, makes
+   the call return 1 with every cell -1. The pass also counting-sorts the
+   kept rows by level, l = floor(log2 w) for a box of axis-0 width w, into
+   scratch of 5 bytes per row (-1 when it cannot be had). The boxes are then
+   painted level by level from the highest down, on one grid whose slice y
+   (along axis 0) holds, while level l is painted, the largest value of a
+   box that covers slices y .. y + 2^l - 1 there. A box of level l covers
+   its slices [a0, b0] with the two runs of 2^l slices from a0 and from
+   b0 - 2^l + 1, so it paints two (d-1)-dimensional slabs, at those slices
+   (one when they coincide), instead of w; and before level l - 1, push_down
+   spreads each slice y into slice y + 2^(l-1), in place. After level 0 each
+   cell holds the largest value of a box that covers it, as painting each
+   box whole would leave. When every box is of level 0 nothing is pushed.
+   On the 29 painted layers of rounded_counter(100, 4, 10), where the boxes
+   overlap about 90 times per covered cell, this took 81-85 ms with d known
+   only at run time, where painting whole boxes took 131-149 ms (summed
+   per-layer minima, one thread, 2-vCPU x86-64 guest, GCC 12).
+
+   The caller guarantees d >= 1, shape >= 1, n < 2^31 and a grid of
+   prod(shape) cells. */
 #define LAYER_PAINT(S, T)                                                   \
-int64_t layer_paint_##S(int64_t n, int64_t d, const T *lo, const T *hi,     \
-                        int64_t cap, int64_t clip, const int64_t *base,     \
-                        const int64_t *shape, int64_t t, int32_t *grid,     \
-                        int64_t *sum)                                       \
+static inline __attribute__((always_inline)) int64_t                        \
+paint_layer_##S(int64_t n, int64_t d, const T *lo, const T *hi,             \
+                int64_t cap, int64_t clip, const int64_t *base,             \
+                const int64_t *shape, int64_t t, int32_t *grid, int64_t *sum) \
 {                                                                           \
     int64_t stride[d], idx[d], a[d], h[d], v;                               \
-    int64_t cells = 1, s0 = 0;                                              \
+    int64_t cells = 1, s0 = 0, first[65] = {0};                             \
     for (int64_t j = d - 1; j >= 0; j--) {                                  \
         stride[j] = cells;                                                  \
         cells *= shape[j];                                                  \
@@ -210,21 +305,77 @@ int64_t layer_paint_##S(int64_t n, int64_t d, const T *lo, const T *hi,     \
     }                                                                       \
     for (int64_t c = 0; c < cells; c++)                                     \
         grid[c] = -1;                                                       \
+    /* order: the kept rows by level; level: each row's, 255 if not kept */ \
+    int32_t *order = malloc((size_t)(n > 0 ? n : 1) * 5);                   \
+    if (order == NULL)                                                      \
+        return -1;                                                          \
+    uint8_t *level = (uint8_t *)(order + n);                                \
+    int top = -1;                                                           \
     for (int64_t r = 0; r < n; r++) {                                       \
+        level[r] = 255;                                                     \
         if (!load_row_##S(d, lo + r * d, hi + r * d, cap, clip, a, h, &v))  \
             continue;                                                       \
         int bad = v > INT32_MAX;                                            \
-        for (int64_t j = 0; j < d; j++) {                                   \
-            a[j] -= base[j];                                                \
-            h[j] -= base[j];                                                \
-            bad |= a[j] < 0 || h[j] < a[j] || h[j] >= shape[j];             \
-        }                                                                   \
-        if (bad)                                                            \
+        for (int64_t j = 0; j < d; j++)                                     \
+            bad |= a[j] < base[j] || h[j] < a[j] || h[j] - base[j] >= shape[j]; \
+        if (bad) {                                                          \
+            free(order);                                                    \
             return 1;                                                       \
-        paint_box(d, a, h, (int32_t)v, stride, idx, grid);                  \
+        }                                                                   \
+        const int l = 63 - __builtin_clzll((uint64_t)(h[0] - a[0] + 1));    \
+        level[r] = (uint8_t)l;                                              \
+        first[l + 1]++;                                                     \
+        top = l > top ? l : top;                                            \
     }                                                                       \
+    for (int l = 0; l < 64; l++)                                            \
+        first[l + 1] += first[l];                                           \
+    int64_t next[64];                                                       \
+    for (int l = 0; l < 64; l++)                                            \
+        next[l] = first[l];                                                 \
+    for (int64_t r = 0; r < n; r++)                                         \
+        if (level[r] != 255)                                                \
+            order[next[level[r]]++] = (int32_t)r;                           \
+    for (int l = top; l >= 0; l--) {                                        \
+        const int64_t run = (int64_t)1 << l;                                \
+        for (int64_t i = first[l]; i < first[l + 1]; i++) {                \
+            const T *p = lo + order[i] * d, *q = hi + order[i] * d;         \
+            int64_t shi = 0;                                                \
+            for (int64_t j = 0; j < d; j++) {                               \
+                shi += q[j];                                                \
+                a[j] = p[j] - base[j];                                      \
+                h[j] = (q[j] < clip ? q[j] : clip) - base[j];               \
+            }                                                               \
+            v = shi < cap ? shi : cap;                                      \
+            paint_slabs(d, a, h, h[0] - run + 1 - a[0], (int32_t)v, stride, \
+                        cells, idx, grid);                                  \
+        }                                                                   \
+        if (l > 0)                                                          \
+            push_down(shape[0], run / 2, stride[0], grid);                  \
+    }                                                                       \
+    free(order);                                                            \
     *sum = grid_sum(d, shape, stride, s0, t, idx, grid);                    \
     return 0;                                                               \
+}                                                                           \
+                                                                            \
+/* paint_layer inlined with d a constant for the 1-3 label columns of the  \
+   counter profiles of k = 2-4, so the compiler unrolls the loops over the \
+   axes: on the layers above, 63-90 ms against 81-85 ms, and on the small  \
+   layers of rounded_counter(100, 3, 10) 1.7-2.1 ms against 2.4-2.9 ms */ \
+int64_t layer_paint_##S(int64_t n, int64_t d, const T *lo, const T *hi,     \
+                        int64_t cap, int64_t clip, const int64_t *base,     \
+                        const int64_t *shape, int64_t t, int32_t *grid,     \
+                        int64_t *sum)                                       \
+{                                                                           \
+    switch (d) {                                                            \
+    case 1:                                                                 \
+        return paint_layer_##S(n, 1, lo, hi, cap, clip, base, shape, t, grid, sum); \
+    case 2:                                                                 \
+        return paint_layer_##S(n, 2, lo, hi, cap, clip, base, shape, t, grid, sum); \
+    case 3:                                                                 \
+        return paint_layer_##S(n, 3, lo, hi, cap, clip, base, shape, t, grid, sum); \
+    default:                                                                \
+        return paint_layer_##S(n, d, lo, hi, cap, clip, base, shape, t, grid, sum); \
+    }                                                                       \
 }
 
 /* One layer of the label DP: for every vertex u < vertices and symbol
@@ -266,11 +417,47 @@ void label_split_##S(int64_t vertices, int64_t k, int64_t d,                \
     }                                                                       \
 }
 
+/* verify's check of the last label layer: over the n x k output table
+   num/den (row-major) and the packed layer state (row u holds 2k entries,
+   lo then -hi), the first cell in row-major order whose halfwidth m/den is
+   largest, where m = max(hi * den - num, num - lo * den). Stores that
+   cell's m and den in out[0] and out[1] and returns its index, or returns
+   -1 when a den lies outside [1, 2^15] or a num outside [-2^30, 2^30].
+   Within those bounds, and with labels within int32, m < 2^47 and a cross
+   product m * den < 2^62, so every comparison of two halfwidths is exact in
+   int64. The caller guarantees n, k >= 1. */
+#define WIDEST_HALFWIDTH(S, T)                                              \
+int64_t widest_halfwidth_##S(int64_t n, int64_t k, const T *state,          \
+                             const int64_t *num, const int64_t *den,        \
+                             int64_t *out)                                  \
+{                                                                           \
+    int64_t best = -1, bm = 0, bq = 1;                                      \
+    for (int64_t u = 0; u < n; u++) {                                       \
+        const T *s = state + u * 2 * k;                                     \
+        for (int64_t j = 0; j < k; j++) {                                   \
+            const int64_t i = u * k + j, p = num[i], q = den[i];            \
+            if (q < 1 || q > (1 << 15) || p < -(1 << 30) || p > (1 << 30))  \
+                return -1;                                                  \
+            const int64_t up = -(int64_t)s[k + j] * q - p;                  \
+            const int64_t down = p - (int64_t)s[j] * q;                     \
+            const int64_t m = up > down ? up : down;                        \
+            if (best < 0 || m * bq > bm * q) {                              \
+                best = i;                                                   \
+                bm = m;                                                     \
+                bq = q;                                                     \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+    out[0] = bm;                                                            \
+    out[1] = bq;                                                            \
+    return best;                                                            \
+}
+
 /* The label kernels above are macros over the label dtype T; one line per
    dtype instantiates them all, named with the suffix S (layer_boxes_i16) */
 #define LABEL_KERNELS(S, T)                                                 \
     LOAD_ROW(S, T) LAYER_BOXES(S, T) LAYER_PAINT(S, T) LABEL_STEP(S, T)     \
-    LABEL_SPLIT(S, T)
+    LABEL_SPLIT(S, T) WIDEST_HALFWIDTH(S, T)
 
 LABEL_KERNELS(i16, int16_t)
 LABEL_KERNELS(i32, int32_t)
@@ -548,6 +735,7 @@ _KERNELS = {
     "layer_paint": ((_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR), _I64, True),
     "label_step": ((_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR), None, True),
     "label_split": ((_I64, _I64, _I64, _PTR, _PTR, _PTR), None, True),
+    "widest_halfwidth": ((_I64, _I64, _PTR, _PTR, _PTR, _PTR), _I64, True),
     "reach_mark": ((_I64, _I64, _PTR, _PTR, _I64, _PTR), _I64, False),
     "edge_format": ((_I64, _I64, _PTR, _PTR, _PTR), _I64, False),
     "table_format": ((_I64, _I64, _PTR, _PTR, _PTR), _I64, False),
@@ -618,7 +806,7 @@ def layer_paint(lo, hi, cap, clip, base, shape, t, grid) -> int:
     at most t (None: every cell).
 
     A kept box outside the grid, or whose value does not fit int32, raises
-    ValueError and is never painted."""
+    ValueError before any box is painted, with every cell of grid -1."""
     _check_labels("layer paint", lo, hi)
     cap, clip, t = _limit(cap), _limit(clip), _limit(t)
     n, d = lo.shape
@@ -640,12 +828,17 @@ def layer_paint(lo, hi, cap, clip, base, shape, t, grid) -> int:
         and grid.size == math.prod(shape.tolist())
     ):
         raise ValueError("layer paint needs a writeable flat int32 grid of the shape's size")
+    if n >= 2**31:
+        raise ValueError("layer paint needs fewer than 2**31 label rows")
     fn = _c("layer_paint", lo.dtype)
     if fn is None:
         return _paint_layer_numpy(lo, hi, cap, clip, base, shape, t, grid)
     total = ctypes.c_int64()
-    if fn(n, d, lo.ctypes.data, hi.ctypes.data, cap, clip, base.ctypes.data,
-          shape.ctypes.data, t, grid.ctypes.data, ctypes.byref(total)):
+    status = fn(n, d, lo.ctypes.data, hi.ctypes.data, cap, clip, base.ctypes.data,
+                shape.ctypes.data, t, grid.ctypes.data, ctypes.byref(total))
+    if status < 0:
+        raise MemoryError("layer paint could not allocate its row scratch")
+    if status:
         raise ValueError(_OUTSIDE)
     return total.value
 
@@ -809,6 +1002,59 @@ def _split_numpy(state, d: int) -> tuple[np.ndarray, np.ndarray]:
     code against."""
     k = state.shape[1] // 2
     return state[:, :d].copy(), -state[:, k : k + d]
+
+
+# verify's int64 arithmetic holds for output tables within these bounds
+_MAX_DEN, _MAX_NUM = 2**15, 2**30
+
+
+def widest_halfwidth(state, num, den) -> tuple[int, int, int, int] | None:
+    """verify's check of a program's last label layer: the first cell (v, j),
+    in row-major order, of the int64 output table num/den whose halfwidth
+    m/den is largest, where m = max(hi * den - num, num - lo * den) with lo
+    and hi from the packed layer state (rows of lo then -hi, as label_step
+    leaves them); returns (v, j, m, den) of that cell. None when a den
+    exceeds 2**15 or a num 2**30 in absolute value: the caller then runs
+    _widest_numpy on Python ints."""
+    if not (
+        isinstance(state, np.ndarray)
+        and state.ndim == 2
+        and state.flags.c_contiguous
+        and state.dtype in (np.int16, np.int32)
+        and state.shape[1] % 2 == 0
+    ):
+        raise ValueError("widest halfwidth needs a 2-d C-contiguous int16 or int32 layer of 2k columns")
+    shape = (state.shape[0], state.shape[1] // 2)
+    if not all(
+        isinstance(a, np.ndarray) and a.dtype == np.int64 and a.flags.c_contiguous and a.shape == shape
+        for a in (num, den)
+    ) or not num.size:
+        raise ValueError("widest halfwidth needs nonempty int64 num and den of shape (rows, k)")
+    fn = _c("widest_halfwidth", state.dtype)
+    if fn is None:
+        if den.min() < 1 or den.max() > _MAX_DEN or np.abs(num).max() > _MAX_NUM:
+            return None
+        k = shape[1]
+        return _widest_numpy(state[:, :k], -state[:, k:].astype(np.int64), num, den)
+    out = np.empty(2, np.int64)
+    cell = fn(*shape, state.ctypes.data, num.ctypes.data, den.ctypes.data, out.ctypes.data)
+    if cell < 0:
+        return None
+    return (*divmod(cell, shape[1]), *out.tolist())
+
+
+def _widest_numpy(lo, hi, num, den) -> tuple[int, int, int, int]:
+    """widest_halfwidth on lo, hi, num and den arrays of one shape, int64
+    (or narrower labels) or Python ints: the fallback without a C library,
+    the arithmetic for tables past its bounds, and the reference the tests
+    compare the C code against."""
+    m = np.maximum(hi * den - num, num - lo * den)
+    # the distinct denominators; on the int64 path each is at most 2**15
+    qs = set(den.flat) if den.dtype == object else np.flatnonzero(np.bincount(den.ravel()))
+    widest = max(Fraction(int((m if len(qs) == 1 else m[den == q]).max()), int(q)) for q in qs)
+    hit = m * widest.denominator == widest.numerator * den
+    v, j = np.argwhere(hit)[0]
+    return int(v), int(j), int(m[v, j]), int(den[v, j])
 
 
 _OUTSIDE_NEXT = "reach mark needs every edge target inside the next layer"

@@ -135,7 +135,8 @@ def exact_counter(n: int, k: int, *, max_width: int = DEFAULT_MAX_WIDTH) -> Robp
     _, s_cols, table = _counting_tables(k, n)
     edges = [table[: math.comb(t + k - 1, k - 1)] for t in range(n)]
     vecs = _vectors(s_cols, n)
-    outputs = RationalTable(vecs.astype(np.int64), np.ones(vecs.shape, np.int64))
+    # integer outputs: in lowest terms over 1 already
+    outputs = RationalTable._reduced(vecs.astype(np.int64), np.ones(vecs.shape, np.int64))
     return Robp.build(counter_alphabet(k), edges, outputs)
 
 
@@ -357,6 +358,14 @@ def rounded_counter(n: int, k: int, delta, *, max_width: int = DEFAULT_MAX_WIDTH
     edges += [table[: math.comb(s + j + k - 1, k - 1)] for j in range(1, m)]
     vecs = _vectors(s_cols[: math.comb(s + m + k - 1, k - 1)], s + m)
 
-    num = vecs.astype(np.int64) * l
-    den = np.full(vecs.shape, l - 1, dtype=np.int64)
-    return Robp.build(counter_alphabet(k), edges, RationalTable(num, den))
+    return Robp.build(counter_alphabet(k), edges, _scaled_outputs(vecs, l))
+
+
+def _scaled_outputs(vecs: np.ndarray, l: int) -> RationalTable:
+    """The table of l * v / (l - 1) over the nonnegative counts v of vecs, in
+    lowest terms: gcd(l * v, l - 1) = gcd(v, l - 1), as l and l - 1 are
+    coprime, and is read from a table of gcd(r, l - 1) at r = v mod (l - 1)
+    (gcd(0, l - 1) = l - 1, so a zero count is 0 over 1)."""
+    q = l - 1
+    g = np.gcd(np.arange(q, dtype=np.int64), q).take(vecs % q)
+    return RationalTable._reduced(vecs.astype(np.int64) * l // g, q // g)

@@ -212,16 +212,21 @@ def compute_labels(p: Robp, mode: str = "full") -> LabeledRobp:
     return LabeledRobp._built(p, lo, hi)
 
 
-def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
-    """Full labels of the final layer, in the DP's int16 or int32 dtype: from
-    the last layer kept on p, or from a DP run here that holds one layer at
-    a time and keeps it."""
+def _final_state(p: Robp) -> np.ndarray:
+    """The label DP's last packed (lo, -hi) layer over the full shift table,
+    in its int16 or int32 dtype: the one kept on p, or from a DP run here
+    that holds one layer at a time and keeps it."""
     _require_valid(p)
     if p._last_labels is None:
         for state in _label_layers(p, _shifts(p)):
             pass
         _keep_last_layer(p, state)
-    state = p._last_labels
+    return p._last_labels
+
+
+def _final_labels(p: Robp) -> tuple[np.ndarray, np.ndarray]:
+    """Full labels of the final layer, lo and hi, in the DP's dtype."""
+    state = _final_state(p)
     d = state.shape[1] // 2
     return state[:, :d], -state[:, d:]
 
@@ -270,29 +275,21 @@ def verify(p: Robp, problem: Alphabet, delta) -> VerifyCertificate:
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     _check_problem(p, problem)
-    lo, hi = _final_labels(p)
+    state = _final_state(p)
     out = p.outputs_table
     num, den = out.num, out.den
-    if num.size and (
-        int(den.max()) > 2**15 or int(np.abs(num).max()) > 2**30 or p.n > 2**15
-    ):
+    # the first cell (v, j) whose halfwidth m/q is largest, from one pass
+    # over the last label layer; lo <= hi, so m >= 0
+    cell = None
+    if num.size and num.dtype == np.int64:
+        cell = _kernel.widest_halfwidth(state, num, den)
+    if num.size and cell is None:
         # oversized rationals: do the arithmetic on Python ints
-        num, den = num.astype(object), den.astype(object)
-        lo, hi = lo.astype(object), hi.astype(object)
-    # halfwidth numerators over per-element denominators
-    m = np.maximum(hi * den - num, num - lo * den)
-    # the distinct denominators; on the int64 path each is at most 2**15
-    qs = set(den.flat) if den.dtype == object else np.flatnonzero(np.bincount(den.ravel()))
-    max_hw = Fraction(0)
-    for q in qs:
-        mq = m if len(qs) == 1 else m[den == q]
-        max_hw = max(max_hw, Fraction(int(mq.max()), int(q)))
+        lo, hi = _final_labels(p)
+        cell = _kernel._widest_numpy(*(a.astype(object) for a in (lo, hi, num, den)))
+    max_hw = Fraction(0) if cell is None else Fraction(cell[2], cell[3])
     valid = max_hw <= delta
-    worst = None
-    if not valid:
-        hit = m * max_hw.denominator == max_hw.numerator * den
-        v, j = np.argwhere(hit)[0]
-        worst = (int(v), int(j), max_hw - delta)
+    worst = None if valid else (cell[0], cell[1], max_hw - delta)
     return VerifyCertificate(valid=valid, delta=delta, max_halfwidth=max_hw, worst=worst)
 
 

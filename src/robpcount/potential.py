@@ -15,15 +15,19 @@ computed by painting rectangles onto dense grids, which the tests check
 against the pointwise form. Both profiles run every layer through _phis,
 which reads the label arrays as LabeledRobp holds them. On the calling
 thread and in layer order, _kernel.layer_boxes finds in one pass the
-rectangles that can contribute and their bounding grid, and the grid is
-checked against max_cells and its cells charged to the paint budget, so a
-GridBudgetError names the layer it fires at. _kernel.layer_paint then paints
-and sums that layer's grid on a small thread pool (the usable cores, at most
-4), one grid per worker. Both kernels run in C, or in numpy without a C
-compiler. The parallel profile clips the rectangles to the box, so every
-cell outside a layer's bounding grid is covered by nothing. LabeledRobp
-checks that its arrays are rectangles when it is built, and layer_paint
-refuses a kept box outside the grid it was given.
+rectangles that can contribute and their bounding grid; the grid is
+checked against max_cells and the rectangles' cells are charged to the
+paint budget, so a GridBudgetError names the layer it fires at.
+_kernel.layer_paint then paints and sums that layer's grid on a small thread
+pool (the usable cores, at most 4), one grid per worker. Both kernels run
+in C, or in numpy without a C compiler. The C painter covers each box with
+at most two slabs along axis 0 and spreads them over the box's width level
+by level on the same grid: it writes far fewer cells than the budget
+charges, and leaves every cell as painting the boxes whole would. The
+parallel profile clips the rectangles to the box, so every cell outside a
+layer's bounding grid is covered by nothing. LabeledRobp checks that its
+arrays are rectangles when it is built, and layer_paint refuses a kept box
+outside the grid it was given before it paints any.
 
 One guard, _family, states both families. Every profile and audit calls it
 first: it refuses labels of the other family and a profile whose grid, k or
@@ -48,7 +52,9 @@ from .exact import as_integer, as_rational
 from .labeling import LabeledRobp, verify
 
 DEFAULT_MAX_BOX_CELLS = 40_000_000  # per-layer dense grid cells
-DEFAULT_MAX_PAINT = 8_000_000_000  # total painted cells across all layers
+# total cells of the kept boxes across all layers: each box is charged its
+# whole volume, however few cells the C painter writes for it
+DEFAULT_MAX_PAINT = 8_000_000_000
 
 # layers painted at once, one grid each: the usable cores, at most 4
 _WORKERS = min(

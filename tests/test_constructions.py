@@ -30,6 +30,7 @@ from robpcount.constructions import (
     _rank,
     _round_vectors,
     _s_columns,
+    _scaled_outputs,
 )
 from robpcount.robp import RationalTable
 
@@ -440,3 +441,31 @@ def test_counting_layers_are_read_only_views_of_one_table(build, args, delta, ph
     profile_counter(compute_labels(p, "potential"))
     write_robp(p)
     assert _edge_digest(p) == before
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (exact_counter, (6, 3)),
+        (exact_counter, (20, 2)),
+        (rounded_counter, (100, 2, 10)),
+        (rounded_counter, (100, 3, 10)),
+        (rounded_counter, (150, 3, 12)),
+        (rounded_counter, (120, 4, Fraction(23, 2))),
+    ],
+)
+def test_output_tables_are_built_in_lowest_terms(build, args):
+    # the constructions skip RationalTable's normalising constructor
+    out = build(*args).outputs_table
+    want = RationalTable(out.num, out.den)
+    assert out == want
+    assert out.num.dtype == out.den.dtype == np.int64
+    assert not out.num.flags.writeable and not out.den.flags.writeable
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 12])
+def test_scaled_outputs_equal_the_normalized_table(l):
+    # l = 2 (l - 1 = 1) is below every rounding plan's l, which is at least 5
+    vecs = np.arange(90, dtype=np.int32).reshape(30, 3)
+    want = RationalTable(vecs.astype(np.int64) * l, np.full(vecs.shape, l - 1))
+    assert _scaled_outputs(vecs, l) == want

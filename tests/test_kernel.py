@@ -64,7 +64,9 @@ def layer_cases(draw):
     profile's cap (t, also the coordinate-sum limit) or the parallel
     profile's clip (side - 1, no limit): overlaps, nesting, exact
     duplicates, single cells, empty layers and layers with nothing kept,
-    at an offset from the origin that passes the int16 range on int32."""
+    at an offset from the origin that passes the int16 range on int32.
+    Boxes reach a width of 20 along axis 0, so the C painter's levels 0-4,
+    and at most 5 along the others, which keeps the grids small."""
     d = draw(st.integers(1, 5))
     dtype = draw(st.sampled_from([np.int16, np.int32]))
     offset = draw(st.sampled_from([0, 3] if dtype == np.int16 else [0, 3, 40_000]))
@@ -75,14 +77,15 @@ def layer_cases(draw):
             rows.append(draw(st.sampled_from(rows)))
             continue
         lo = [offset + draw(st.integers(0, 5)) for _ in range(d)]
-        hi = lo if kind == "cell" else [a + draw(st.integers(0, 4)) for a in lo]
+        widths = [draw(st.integers(0, 19 if j == 0 else 4)) for j in range(d)]
+        hi = lo if kind == "cell" else [a + w for a, w in zip(lo, widths)]
         rows.append((lo, hi))
     lo = np.array([r[0] for r in rows], dtype=dtype).reshape(-1, d)
     hi = np.array([r[1] for r in rows], dtype=dtype).reshape(-1, d)
     if draw(st.booleans()):
-        t = draw(st.integers(offset * d - 2, offset * d + 9 * d + 2))
+        t = draw(st.integers(offset * d - 2, offset * d + 9 * d + 17))
         return lo, hi, t, None, t
-    return lo, hi, None, offset + draw(st.integers(-1, 9)), None
+    return lo, hi, None, offset + draw(st.integers(-1, 24)), None
 
 
 @given(layer_cases())
@@ -111,6 +114,31 @@ def layer_cases(draw):
         None,
     )
 )
+# the C painter paints a box of axis-0 width w in [2^l, 2^(l+1)) as two
+# slabs 2^l slices apart at most, then pushes each level down in place:
+# widths 2^l (slabs that meet) and 2^l + 1 (slabs that overlap), boxes of
+# levels 0-4 overlapping one another, and d = 1, where a slab is one cell
+@example(
+    (np.array([[0], [2], [5], [1]], np.int16), np.array([[7], [10], [21], [2]], np.int16), None, None, None)
+)
+@example(
+    (
+        np.array([[0, 0], [1, 1], [3, 0], [2, 2], [0, 1], [6, 3]], np.int16),
+        np.array([[3, 2], [5, 3], [4, 4], [2, 5], [16, 2], [22, 3]], np.int16),
+        30,
+        None,
+        30,
+    )
+)
+@example(
+    (
+        np.array([[0, 0, 0], [4, 1, 0], [1, 0, 2], [0, 2, 1]], np.int32),
+        np.array([[7, 2, 1], [12, 3, 2], [1, 4, 4], [1, 4, 3]], np.int32),
+        None,
+        9,
+        None,
+    )
+)
 @settings(max_examples=400, deadline=None)
 def test_kernel_paints_and_sums_like_numpy(case):
     compiled()
@@ -128,6 +156,34 @@ def test_kernel_paints_and_sums_like_numpy(case):
     total = _kernel.layer_paint(lo, hi, cap, clip, base, shape, t, grid)
     assert total == _kernel._paint_layer_numpy(lo, hi, *limits[:2], base, shape, limits[2], reference)
     assert np.array_equal(grid, reference)
+
+
+def test_kernel_paints_the_widest_wide_audit_layers_like_numpy():
+    # rounded_counter(100, 4, 10)'s last three layers: about 1M-cell grids,
+    # boxes of levels 1-3, painted over about 90 times per covered cell
+    compiled()
+    lp = compute_labels(rounded_counter(100, 4, 10), "potential")
+    for t in (98, 99, 100):
+        lo, hi = lp.layer_rectangles(t)
+        kept, base, top, _ = _kernel.layer_boxes(lo, hi, t)
+        shape = top - base + 1
+        grid = np.empty(math.prod(shape), dtype=np.int32)
+        reference = grid.copy()
+        total = _kernel.layer_paint(lo, hi, t, None, base, shape, t, grid)
+        limit = _kernel._limit(None)
+        assert total == _kernel._paint_layer_numpy(lo, hi, t, limit, base, shape, t, reference)
+        assert np.array_equal(grid, reference), t
+
+
+def test_a_refused_paint_leaves_the_grid_unpainted(numpy_kernels):
+    # the second box reaches past the 2 x 2 grid; the first, before it, fits
+    lo = np.array([[0, 0], [0, 0]], np.int16)
+    hi = np.array([[1, 1], [1, 5]], np.int16)
+    for path in _both_paths(numpy_kernels):
+        grid = np.full(4, 7, dtype=np.int32)
+        with pytest.raises(ValueError, match="outside the grid"):
+            _kernel.layer_paint(lo, hi, None, None, [0, 0], (2, 2), None, grid)
+        assert grid.tolist() == [-1, -1, -1, -1], path
 
 
 def _counter_cases():
@@ -695,6 +751,66 @@ def test_minimal_error_table_equals_the_normalized_one(numpy_kernels):
                 assert got.dtype == ref.dtype == np.int64 and got.shape == ref.shape, path
                 assert np.array_equal(got, ref) and not got.flags.writeable, path
             assert table == want and best == Fraction(int((hi - lo).max()), 2)
+
+
+def test_verify_certificates_equal_on_both_paths(numpy_kernels):
+    # every construction and seeded random programs at their widest
+    # halfwidth and just below it (at 0 when it is 0), where the worst cell
+    # is reported, and each with its midpoint outputs just below delta*
+    programs = _programs() + [rounded_counter(100, 4, 10)]
+    results = []
+    for path in _both_paths(numpy_kernels):
+        result = []
+        for p in map(copy.copy, programs):
+            best, table = minimal_error(p, p.alphabet)
+            widest = verify(p, p.alphabet, 0).max_halfwidth
+            tight = p._with_outputs(table)
+            below = [(p, widest - Fraction(1, 1000)), (tight, best - Fraction(1, 1000))]
+            for q, delta in [(p, widest), *below]:
+                cert = verify(q, q.alphabet, max(delta, Fraction(0)))
+                assert (cert.worst is None) == cert.valid, path
+                result.append(cert)
+        results.append(result)
+    assert all(r == results[0] for r in results)
+    assert sum(not cert.valid for cert in results[0]) > len(programs)
+
+
+def _halfwidth_cases():
+    """Packed int16 and int32 label layers with output tables inside the C
+    kernel's bounds: small tables full of ties, and ones that reach those
+    bounds."""
+    rng = np.random.default_rng(12)
+    for dtype in (np.int16, np.int32):
+        top = np.iinfo(dtype).max
+        for rows, k, span, den_max, num_max in [
+            (1, 1, 3, 1, 3),
+            (7, 2, 3, 2, 6),
+            (40, 3, 20, 4, 40),
+            (60, 4, top, 2**15, 2**30),
+        ]:
+            lo = rng.integers(0, span, (rows, k))
+            hi = np.minimum(lo + rng.integers(0, span, (rows, k)), top)
+            state = np.concatenate([lo, -hi], axis=1).astype(dtype)
+            num = rng.integers(-num_max, num_max + 1, (rows, k))
+            den = rng.integers(1, den_max + 1, (rows, k))
+            yield state, num, den
+
+
+def test_widest_halfwidth_equals_the_python_int_reference(numpy_kernels):
+    cases = list(_halfwidth_cases())
+    for path in _both_paths(numpy_kernels):
+        for state, num, den in cases:
+            k = state.shape[1] // 2
+            lo, hi = state[:, :k], -state[:, k:].astype(np.int64)
+            want = _kernel._widest_numpy(*(a.astype(object) for a in (lo, hi, num, den)))
+            assert _kernel.widest_halfwidth(state, num, den) == want, path
+            # past the bounds the caller takes the Python ints
+            for big_num, big_den in [(num, den + 2**15), (num + 2**31, den)]:
+                assert _kernel.widest_halfwidth(state, big_num, big_den) is None, path
+        with pytest.raises(ValueError, match="widest halfwidth"):
+            _kernel.widest_halfwidth(state[:, 1:].copy(), num, den)  # odd columns
+        with pytest.raises(ValueError, match="widest halfwidth"):
+            _kernel.widest_halfwidth(state, num[:0], den[:0])  # no cell
 
 
 # ---------------------------------------------------------------------------
