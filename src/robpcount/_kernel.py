@@ -117,31 +117,10 @@ int64_t layer_boxes_##S(int64_t n, int64_t d, const T *lo, const T *hi,     \
     return kept;                                                            \
 }
 
-/* Four int32 lanes, through GCC/Clang vector extensions: one register on
-   x86-64's baseline SSE2 (no -march), with the max spelled as a compare and
-   a blend, since SSE2 has no packed int32 max. An 8-lane type is split into
-   scalar code by GCC 12 without AVX, and painted about 2x slower. */
-typedef int32_t lanes4 __attribute__((vector_size(16)));
-
-/* Max v into the width cells from row: one masked 8-lane max when lanes
-   is set, with v in the row's lanes of paint0 and paint1 and INT32_MIN,
-   which changes no cell, past them; else a plain loop. */
-static inline void max_row(int32_t *row, int64_t width, int32_t v, int lanes,
-                           lanes4 paint0, lanes4 paint1)
+/* Max v into the width cells from row, with an unconditional store: a
+   data-dependent branch here mispredicts often and paints about 30% slower */
+static inline void max_row(int32_t *row, int64_t width, int32_t v)
 {
-    if (lanes) {
-        lanes4 x0, x1;
-        __builtin_memcpy(&x0, row, sizeof x0);
-        __builtin_memcpy(&x1, row + 4, sizeof x1);
-        const lanes4 keep0 = x0 > paint0, keep1 = x1 > paint1;
-        x0 = (x0 & keep0) | (paint0 & ~keep0);
-        x1 = (x1 & keep1) | (paint1 & ~keep1);
-        __builtin_memcpy(row, &x0, sizeof x0);
-        __builtin_memcpy(row + 4, &x1, sizeof x1);
-        return;
-    }
-    /* an unconditional store: a data-dependent branch here mispredicts
-       often and paints about 30% slower */
     for (int64_t c = 0; c < width; c++) {
         const int32_t x = row[c];
         row[c] = x < v ? v : x;
@@ -150,46 +129,31 @@ static inline void max_row(int32_t *row, int64_t width, int32_t v, int lanes,
 
 /* Max-paint v over two slabs of the box [a, b]: its cells whose first
    coordinate is a[0], and those whose first coordinate is a[0] + gap when
-   gap > 0, in the row-major grid of the given strides and cells cells; idx
-   is scratch of d entries. A slab's rows run along the last axis (one cell
-   each when d = 1) and its axis d-2 (when d > 2) is painted by a plain
-   loop, so the odometer steps over axes d-3 .. 1 only. On layers 80-100
-   of rounded_counter(100, 4, 10), whose box rows hold 2-8 cells, an
-   odometer step per row painted about 8% slower (2-vCPU x86-64 guest,
-   GCC 12).
-
-   A row of at most 8 cells whose 8-cell window lies inside the grid is one
-   masked 8-lane max: the window is loaded, v is maxed into the row's lanes
-   and the window stored whole, so the up to 7 cells past the row's end are
-   rewritten with the values they held. That is safe only because no other
-   thread writes this grid while it is painted: each grid belongs to one
-   call on one thread. */
+   gap > 0, in the row-major grid of the given strides; idx is scratch of d
+   entries. A slab's rows run along the last axis (one cell each when
+   d = 1) and its axis d-2 (when d > 2) is painted by a plain loop, so the
+   odometer steps over axes d-3 .. 1 only. On layers 80-100 of
+   rounded_counter(100, 4, 10), whose box rows hold 2-8 cells, an odometer
+   step per row painted about 8% slower (2-vCPU x86-64 guest, GCC 12). */
 static inline __attribute__((always_inline)) void
 paint_slabs(int64_t d, const int64_t *a, const int64_t *b, int64_t gap,
-                        int32_t v, const int64_t *stride, int64_t cells,
-                        int64_t *idx, int32_t *grid)
+            int32_t v, const int64_t *stride, int64_t *idx, int32_t *grid)
 {
     const int64_t width = d > 1 ? b[d - 1] - a[d - 1] + 1 : 1;
     const int64_t rows = d > 2 ? b[d - 2] - a[d - 2] + 1 : 1;
     const int64_t pitch = d > 2 ? stride[d - 2] : 0;
     gap *= stride[0];
-    int64_t off = 0, last = gap;  /* the last row's start */
+    int64_t off = 0;
     for (int64_t j = 0; j < d; j++) {
         idx[j] = a[j];
         off += a[j] * stride[j];
-        last += (j > 0 && j < d - 1 ? b[j] : a[j]) * stride[j];
     }
-    const int lanes = width <= 8 && last + 8 <= cells;
-    const int32_t w = (int32_t)width, m = INT32_MIN;
-    const lanes4 wide = {w, w, w, w}, vv = {v, v, v, v}, mm = {m, m, m, m};
-    const lanes4 in0 = (lanes4){0, 1, 2, 3} < wide, in1 = (lanes4){4, 5, 6, 7} < wide;
-    const lanes4 paint0 = (vv & in0) | (mm & ~in0), paint1 = (vv & in1) | (mm & ~in1);
     for (;;) {
         for (int64_t r = 0; r < rows; r++) {
             int32_t *row = grid + off + r * pitch;
-            max_row(row, width, v, lanes, paint0, paint1);
+            max_row(row, width, v);
             if (gap)
-                max_row(row + gap, width, v, lanes, paint0, paint1);
+                max_row(row + gap, width, v);
         }
         /* next part of the slabs: an odometer over axes d-3 .. 1 */
         int64_t j = d - 3;
@@ -284,8 +248,8 @@ static int64_t grid_sum(int64_t d, const int64_t *shape, const int64_t *stride,
    cell holds the largest value of a box that covers it, as painting each
    box whole would leave. When every box is of level 0 nothing is pushed.
    On the 29 painted layers of rounded_counter(100, 4, 10), where the boxes
-   overlap about 90 times per covered cell, this took 81-85 ms with d known
-   only at run time, where painting whole boxes took 131-149 ms (summed
+   overlap about 90 times per covered cell, this took 98-122 ms with d known
+   only at run time, where painting whole boxes took 150-203 ms (summed
    per-layer minima, one thread, 2-vCPU x86-64 guest, GCC 12).
 
    The caller guarantees d >= 1, shape >= 1, n < 2^31 and a grid of
@@ -338,16 +302,15 @@ paint_layer_##S(int64_t n, int64_t d, const T *lo, const T *hi,             \
     for (int l = top; l >= 0; l--) {                                        \
         const int64_t run = (int64_t)1 << l;                                \
         for (int64_t i = first[l]; i < first[l + 1]; i++) {                \
-            const T *p = lo + order[i] * d, *q = hi + order[i] * d;         \
-            int64_t shi = 0;                                                \
+            const int64_t r = order[i];                                     \
+            /* kept in the first pass, so load_row returns 1 again */       \
+            load_row_##S(d, lo + r * d, hi + r * d, cap, clip, a, h, &v);   \
             for (int64_t j = 0; j < d; j++) {                               \
-                shi += q[j];                                                \
-                a[j] = p[j] - base[j];                                      \
-                h[j] = (q[j] < clip ? q[j] : clip) - base[j];               \
+                a[j] -= base[j];                                            \
+                h[j] -= base[j];                                            \
             }                                                               \
-            v = shi < cap ? shi : cap;                                      \
             paint_slabs(d, a, h, h[0] - run + 1 - a[0], (int32_t)v, stride, \
-                        cells, idx, grid);                                  \
+                        idx, grid);                                         \
         }                                                                   \
         if (l > 0)                                                          \
             push_down(shape[0], run / 2, stride[0], grid);                  \
@@ -359,8 +322,9 @@ paint_layer_##S(int64_t n, int64_t d, const T *lo, const T *hi,             \
                                                                             \
 /* paint_layer inlined with d a constant for the 1-3 label columns of the  \
    counter profiles of k = 2-4, so the compiler unrolls the loops over the \
-   axes: on the layers above, 63-90 ms against 81-85 ms, and on the small  \
-   layers of rounded_counter(100, 3, 10) 1.7-2.1 ms against 2.4-2.9 ms */ \
+   axes: on the layers above, 70-110 ms against 98-122 ms, and on the     \
+   small layers of rounded_counter(100, 3, 10) 1.6-1.9 ms against 2.8-3.1  \
+   ms (whole boxes: 2.3-3.3 ms) */                                         \
 int64_t layer_paint_##S(int64_t n, int64_t d, const T *lo, const T *hi,     \
                         int64_t cap, int64_t clip, const int64_t *base,     \
                         const int64_t *shape, int64_t t, int32_t *grid,     \
